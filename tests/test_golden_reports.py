@@ -1,0 +1,161 @@
+"""Golden CLI reports: every command's report, pinned against files in tests/golden/.
+
+Each case runs ``beliefscape`` in-process from a fresh working directory that
+holds the shipped fixtures under short relative names, so ``argv`` and the
+input digests in the reports do not depend on where the tests run. Exit
+codes, keys, strings, booleans and integers must match exactly; floats within
+``FLOAT_ATOL``. ``selftest`` is left out: its details quote worst errors at
+the 1e-15 level, which is noise.
+
+To rewrite the golden files after a deliberate change of a report, run
+``PYTHONPATH=src python tests/test_golden_reports.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from beliefscape import fixtures, generate_landscape, sample_environment
+from beliefscape.cli import main
+from beliefscape.fileio import save_environment, save_landscape
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+FLOAT_ATOL = 1e-11
+
+CASES = {
+    "identify_consistent": ["identify", "ton.json"],
+    "identify_inconsistent": ["identify", "a916.json"],
+    "check_regression": ["check", "ton.json"],
+    "check_minimum_norm": ["check", "scarce.json"],
+    "sp_unique": ["sp", "ton.json"],
+    "sp_family": ["sp", "partition.json"],
+    "ridge_lambda": ["ridge", "scarce.json", "--lambda", "1e-6"],
+    "ridge_lp": ["ridge", "scarce4.json"],
+    "rationalize": ["rationalize", "a916.json"],
+    "reduce": ["reduce", "split.json"],
+    "partition": ["partition", "partition.json"],
+    "infer_state": ["infer-state", "env.json", "--signal", "reveal-th2", "--share", "0.5"],
+    "generate": ["generate", "env.json"],
+    "identify_pretty": ["identify", "--format", "pretty", "a58.json"],
+}
+
+
+def write_inputs(directory: Path) -> None:
+    """The fixture files every case reads, under the names CASES uses."""
+    landscapes = {
+        "ton.json": fixtures.truth_or_noise_landscape(0.5),
+        "a916.json": fixtures.symmetric_binary_landscape(9 / 16, 9 / 16),
+        "a58.json": fixtures.symmetric_binary_landscape(5 / 8, 5 / 8),
+        "scarce.json": fixtures.two_signal_three_state_landscape(),
+        # four states, two signals: a 2-D null space, so restoration runs the LP
+        "scarce4.json": generate_landscape(sample_environment(np.random.default_rng(7), 4, 2)),
+        "partition.json": fixtures.coarse_partition_landscape([0.25, 1 / 6, 1 / 3, 0.25]),
+        "split.json": fixtures.split_state_landscape(),
+    }
+    for name, landscape in landscapes.items():
+        save_landscape(landscape, str(directory / name))
+    save_environment(fixtures.truth_or_noise_environment(0.5), str(directory / "env.json"))
+
+
+def run_case(argv: list[str]) -> dict:
+    """Exit code and report of one in-process run, from the current directory."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    text = out.getvalue()
+    if "--format" in argv:
+        return {"argv": argv, "exit": code, "stdout_text": text}
+    return {"argv": argv, "exit": code, "stdout": json.loads(text)}
+
+
+def assert_matches(actual, expected, where: str = "$") -> None:
+    if isinstance(expected, bool) or expected is None or isinstance(expected, str):
+        assert actual == expected, f"{where}: {actual!r} != {expected!r}"
+    elif isinstance(expected, int):
+        assert type(actual) is int and actual == expected, f"{where}: {actual!r} != {expected!r}"
+    elif isinstance(expected, float):
+        assert isinstance(actual, float) and not isinstance(actual, bool), f"{where}: {actual!r}"
+        assert actual == pytest.approx(expected, rel=0, abs=FLOAT_ATOL), (
+            f"{where}: {actual!r} != {expected!r}"
+        )
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), f"{where}: {actual!r}"
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_matches(a, e, f"{where}[{i}]")
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict), f"{where}: {actual!r}"
+        assert list(actual) == list(expected), f"{where}: keys {list(actual)} != {list(expected)}"
+        for key in expected:
+            assert_matches(actual[key], expected[key], f"{where}.{key}")
+    else:  # pragma: no cover - golden files hold JSON values only
+        raise TypeError(f"{where}: unexpected golden value {expected!r}")
+
+
+def _as_number(token: str) -> float | None:
+    try:
+        return float(token.strip("[]"))
+    except ValueError:
+        return None
+
+
+def assert_text_matches(actual: str, expected: str) -> None:
+    """Pretty output, word by word: numbers within FLOAT_ATOL, everything else exactly."""
+    actual_lines, expected_lines = actual.splitlines(), expected.splitlines()
+    assert len(actual_lines) == len(expected_lines)
+    for line, (got_line, want_line) in enumerate(zip(actual_lines, expected_lines), 1):
+        got_words, want_words = got_line.split(), want_line.split()
+        assert len(got_words) == len(want_words), f"line {line}: {got_line!r}"
+        for got, want in zip(got_words, want_words):
+            number = _as_number(want)
+            if number is None:
+                assert got == want, f"line {line}: {got_line!r} != {want_line!r}"
+            else:
+                assert _as_number(got) == pytest.approx(number, rel=0, abs=FLOAT_ATOL), (
+                    f"line {line}: {got_line!r} != {want_line!r}"
+                )
+
+
+@pytest.fixture
+def inputs_dir(tmp_path, monkeypatch):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, inputs_dir):
+    expected = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
+    actual = run_case(CASES[case])
+    assert actual["argv"] == expected["argv"]
+    assert actual["exit"] == expected["exit"]
+    if "stdout_text" in expected:
+        assert_text_matches(actual["stdout_text"], expected["stdout_text"])
+    else:
+        assert_matches(actual["stdout"], expected["stdout"])
+
+
+def _rewrite_golden() -> None:
+    import tempfile
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        write_inputs(Path(scratch))
+        os.chdir(scratch)
+        try:
+            runs = {case: run_case(argv) for case, argv in CASES.items()}
+        finally:
+            os.chdir(here)
+    for case, run in runs.items():
+        (GOLDEN_DIR / f"{case}.json").write_text(json.dumps(run, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    _rewrite_golden()
