@@ -167,13 +167,13 @@ def _prior_payload(prior: PriorFamily) -> dict:
         return {
             "kind": "unique",
             "states": list(prior.state_labels),
-            "values": jsonable(prior.unique_prior.entries),
+            "values": prior.unique_prior.entries,
         }
     return {
         "kind": "family",
         "states": list(prior.state_labels),
         "classes": [
-            {"states": list(cp.state_labels), "weights": jsonable(cp.weights)}
+            {"states": list(cp.state_labels), "weights": cp.weights}
             for cp in prior.class_priors
         ],
     }
@@ -184,7 +184,7 @@ def _identification_payload(result: IdentificationResult) -> dict:
     payload = {
         "states": list(result.structure.state_labels),
         "signals": list(result.structure.signal_labels),
-        "structure": jsonable(result.structure.entries),
+        "structure": result.structure.entries,
         "consistent_structure": result.consistent_structure,
         "diagnostics": {
             "residual": diag.residual,
@@ -201,7 +201,7 @@ def _identification_payload(result: IdentificationResult) -> dict:
     if result.prior is not None:
         payload["prior"] = _prior_payload(result.prior)
     if result.peer_accuracy is not None:
-        payload["peer_accuracy"] = jsonable(result.peer_accuracy)
+        payload["peer_accuracy"] = result.peer_accuracy
     return payload
 
 
@@ -280,7 +280,7 @@ def _cmd_identify(ns, tol, argv):
         result = {
             "signal": ns.column,
             "states": list(beliefs.state_labels),
-            "per_state_probability": jsonable(coefficients),
+            "per_state_probability": coefficients,
         }
         doc = _report(ns, argv, {name: sha256_hex(raw)}, result)
         sys.stdout.write(_render(doc, ns))
@@ -302,12 +302,12 @@ def _cmd_sp(ns, tol, argv):
     result = {"kind": sp.kind, "prior": _prior_payload(sp.prior)}
     if sp.kind == "unique":
         result["signals"] = list(landscape.signal_labels)
-        result["marginal"] = jsonable(sp.marginal.entries)
+        result["marginal"] = sp.marginal.entries
         if sp.structure is not None:
-            result["structure"] = jsonable(sp.structure.entries)
+            result["structure"] = sp.structure.entries
     else:
         result["signals"] = list(landscape.signal_labels)
-        result["marginal_family"] = [jsonable(m) for m in sp.marginal_family]
+        result["marginal_family"] = list(sp.marginal_family)
     doc = _report(ns, argv, digests, result)
     sys.stdout.write(_render(doc, ns))
     return EXIT_OK, doc
@@ -320,15 +320,13 @@ def _cmd_ridge(ns, tol, argv):
     result = {
         "states": list(under.state_labels),
         "signals": list(under.signal_labels),
-        "ridge_limit": jsonable(under.ridge_limit),
+        "ridge_limit": under.ridge_limit,
         "residual": under.residual,
-        "null_basis": [jsonable(v) for v in under.null_basis.vectors],
+        "null_basis": list(under.null_basis.vectors),
         "prior": _prior_payload(under.prior),
         "restoration": {
             "kind": under.restored.kind,
-            "structure": None
-            if under.restored.structure is None
-            else jsonable(under.restored.structure),
+            "structure": under.restored.structure,
             "free_directions": under.restored.affine_dimension,
         },
     }
@@ -336,7 +334,7 @@ def _cmd_ridge(ns, tol, argv):
         at_lambda = ridge_solution_at(landscape.B.entries, landscape.Q.entries, ns.lam, reg=reg)
         result["ridge_at_lambda"] = {
             "lambda": ns.lam,
-            "solution": jsonable(at_lambda),
+            "solution": at_lambda,
             "gap_to_limit": float(np.max(np.abs(at_lambda - under.ridge_limit))),
         }
     infeasible = under.restored.kind == "infeasible"
@@ -385,10 +383,10 @@ def _cmd_rationalize(ns, tol, argv):
     result = {
         "states": list(landscape.state_labels),
         "signals": list(landscape.signal_labels),
-        "structure": jsonable(rat.structure.entries),
-        "type_priors": [jsonable(p.entries) for p in rat.type_priors],
-        "belief_residuals": jsonable(rat.belief_residuals),
-        "hypothetical_residuals": jsonable(rat.hypothetical_residuals),
+        "structure": rat.structure.entries,
+        "type_priors": [p.entries for p in rat.type_priors],
+        "belief_residuals": rat.belief_residuals,
+        "hypothetical_residuals": rat.hypothetical_residuals,
     }
     doc = _report(ns, argv, digests, result)
     sys.stdout.write(_render(doc, ns))
@@ -403,21 +401,21 @@ def _cmd_reduce(ns, tol, argv):
         "kept_states": [landscape.state_labels[i] for i in reduction.kept_states],
         "removed_states": [landscape.state_labels[i] for i in reduction.removed_states],
         "mixing_weights": {
-            landscape.state_labels[removed]: jsonable(weights)
+            landscape.state_labels[removed]: weights
             for removed, weights in zip(reduction.removed_states, reduction.mixing_weights)
         },
-        "reduced_beliefs": jsonable(reduction.reduced.B.entries),
+        "reduced_beliefs": reduction.reduced.B.entries,
     }
     if not reduction.trivial:
         reduced_result = identify(reduction.reduced, tol)
-        result["reduced_structure"] = jsonable(reduced_result.structure.entries)
+        result["reduced_structure"] = reduced_result.structure.entries
         result["reduced_prior"] = _prior_payload(reduced_result.prior)
         if reduced_result.prior.kind == "unique":
             structure, prior = reduction.embed(
                 reduced_result.structure, reduced_result.prior.unique_prior
             )
-            result["embedded_structure"] = jsonable(structure.entries)
-            result["embedded_prior"] = jsonable(prior.entries)
+            result["embedded_structure"] = structure.entries
+            result["embedded_prior"] = prior.entries
     doc = _report(ns, argv, digests, result)
     sys.stdout.write(_render(doc, ns))
     return EXIT_OK, doc
@@ -472,7 +470,7 @@ def _cmd_infer_state(ns, tol, argv):
         "source": source,
         "signal": ns.signal,
         "observed_share": ns.share,
-        "per_state_probability": jsonable(column),
+        "per_state_probability": column,
         "ambiguous": inference.ambiguous,
         "state": None
         if inference.state_index is None
@@ -542,22 +540,22 @@ def _pretty_lines(value, indent: int = 0) -> list[str]:
                     cells = "  ".join(f"{c:.6g}".rjust(width) for c in row)
                     lines.append(f"{pad}  [{cells}]")
             else:
-                lines.append(f"{pad}{key}: {json.dumps(jsonable(item))}")
+                lines.append(f"{pad}{key}: {json.dumps(item)}")
     elif isinstance(value, list):
         for item in value:
             if isinstance(item, (dict, list)):
                 lines.extend(_pretty_lines(item, indent))
             else:
-                lines.append(f"{pad}- {json.dumps(jsonable(item))}")
+                lines.append(f"{pad}- {json.dumps(item)}")
     else:
-        lines.append(f"{pad}{json.dumps(jsonable(value))}")
+        lines.append(f"{pad}{json.dumps(value)}")
     return lines
 
 
 def _render(doc: dict, ns) -> str:
     if ns.format == "json":
         return dumps_report(doc)
-    lines = _pretty_lines(doc)
+    lines = _pretty_lines(jsonable(doc))
     if "verdict" in doc and sys.stdout.isatty() and not os.environ.get("NO_COLOR"):
         good = doc["verdict"] in ("consistent", "feasible", "matched", "pass", "partitional")
         color = "\033[32m" if good else "\033[31m"

@@ -14,6 +14,7 @@ function, so concurrent use needs no coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -153,9 +154,15 @@ class StateBeliefMatrix:
     def n_states(self) -> int:
         return self.entries.shape[1]
 
+    @cached_property
+    def _svd(self):
+        """The one SVD of these beliefs; rank, regression and null space all read it."""
+        from .linalg import _SVD  # linalg imports this module
+
+        return _SVD.of(self.entries)
+
     def rank(self, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-        s = np.linalg.svd(self.entries, compute_uv=False)
-        return int(np.sum(s > tol.rank_cutoff(s)))
+        return self._svd.rank(tol)
 
     def has_full_column_rank(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
         return self.rank(tol) == self.n_states
@@ -344,16 +351,18 @@ class PlausibilityReport:
 
 
 def _row_violations(matrix: np.ndarray, row_labels, col_labels, name: str, tol: Tolerances):
+    """Per offending row: its negative entries in column order, then its row sum."""
+    negative = matrix < -tol.tol_entry
+    totals = matrix.sum(axis=1)
+    off_sum = np.abs(totals - 1.0) > tol.tol_stochastic
     found = []
-    for i, row in enumerate(matrix):
-        for j, value in enumerate(row):
-            if value < -tol.tol_entry:
-                found.append(
-                    Violation("negative entry", f"{name}[{row_labels[i]}, {col_labels[j]}]", float(value))
-                )
-        total = float(row.sum())
-        if abs(total - 1.0) > tol.tol_stochastic:
-            found.append(Violation("row sum", f"{name} row {row_labels[i]}", total))
+    for i in np.flatnonzero(negative.any(axis=1) | off_sum):
+        found += [
+            Violation("negative entry", f"{name}[{row_labels[i]}, {col_labels[j]}]", float(matrix[i, j]))
+            for j in np.flatnonzero(negative[i])
+        ]
+        if off_sum[i]:
+            found.append(Violation("row sum", f"{name} row {row_labels[i]}", float(totals[i])))
     return found
 
 
@@ -372,10 +381,11 @@ def validate_landscape(
         raise StructuralError(f"signal axis: B has {B.n_signals} rows, Q has {Q.n_signals}")
     violations = _row_violations(B.entries, B.signal_labels, B.state_labels, "B", tol)
     violations += _row_violations(Q.entries, Q.signal_labels, Q.signal_labels, "Q", tol)
-    for j in range(B.n_states):
-        column = B.entries[:, j]
-        if np.all(np.abs(column) <= tol.tol_entry):
-            violations.append(Violation("zero column", f"B column {B.state_labels[j]}", 0.0))
+    zero_columns = np.all(np.abs(B.entries) <= tol.tol_entry, axis=0)
+    violations += [
+        Violation("zero column", f"B column {B.state_labels[j]}", 0.0)
+        for j in np.flatnonzero(zero_columns)
+    ]
     rank = B.rank(tol)
     return PlausibilityReport(
         plausible=not violations,

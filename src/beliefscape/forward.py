@@ -52,12 +52,7 @@ def posterior_matrix(
     Signals with zero marginal probability would give 0/0 rows; they are
     dropped with a warning, shrinking the signal set.
     """
-    keep = _surviving_signals(env, tol)
-    joint = env.prior.entries[:, None] * env.structure.entries  # states x signals
-    marginal = joint.sum(axis=0)
-    beliefs = joint[:, keep].T / marginal[keep][:, None]
-    labels = tuple(l for l, k in zip(env.signal_labels, keep) if k)
-    return StateBeliefMatrix(beliefs, state_labels=env.state_labels, signal_labels=labels)
+    return generate_landscape(env, tol).B
 
 
 def hypothetical_matrix(

@@ -12,7 +12,7 @@ diagnostics, and crowd-wisdom state inference round out the toolbox.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
@@ -20,6 +20,7 @@ import scipy.optimize
 from .core import (
     DEFAULT_TOLERANCES,
     BeliefLandscape,
+    BeliefscapeError,
     InconsistentLandscapeError,
     InformationStructure,
     InformationalEnvironment,
@@ -37,10 +38,10 @@ from .core import (
 )
 from .forward import generate_landscape
 from .linalg import (
+    EigenvalueOneResult,
     NullSpaceBasis,
     least_squares_coefficients,
     min_norm_solution,
-    null_space_basis,
     regression_operator,
     unit_eigenvector_eigenvalue_one,
 )
@@ -96,6 +97,28 @@ class PriorFamily:
         return Prior(mean, state_labels=self.state_labels)
 
 
+def _prior_family(eigen: EigenvalueOneResult, labels: tuple[str, ...]) -> PriorFamily | None:
+    """The prior an accuracy matrix's eigenvalue-1 eigenvectors identify; None without one."""
+    if eigen.kind == "none":
+        return None
+    if eigen.kind == "unique":
+        return PriorFamily(
+            kind="unique", state_labels=labels, unique_prior=Prior(eigen.vector, state_labels=labels)
+        )
+    class_priors = tuple(
+        ClassPrior(
+            states=members,
+            state_labels=tuple(labels[i] for i in members),
+            weights=vector[list(members)],
+        )
+        for members, vector in zip(eigen.family_classes, eigen.family)
+    )
+    return PriorFamily(kind="family", state_labels=labels, class_priors=class_priors)
+
+
+_NO_PRIOR = "the peer-accuracy matrix has no eigenvalue-1 eigenvector"
+
+
 def identify_prior(
     beliefs: StateBeliefMatrix,
     structure: InformationStructure,
@@ -112,27 +135,10 @@ def identify_prior(
             f" structure has {structure.n_states}"
         )
     accuracy = peer_accuracy_matrix(beliefs, structure)
-    result = unit_eigenvector_eigenvalue_one(accuracy, tol)
-    if result.kind == "none":
-        raise NotModelGeneratedError(
-            "the peer-accuracy matrix has no eigenvalue-1 eigenvector"
-        )
-    labels = beliefs.state_labels
-    if result.kind == "unique":
-        return PriorFamily(
-            kind="unique",
-            state_labels=labels,
-            unique_prior=Prior(result.vector, state_labels=labels),
-        )
-    class_priors = tuple(
-        ClassPrior(
-            states=members,
-            state_labels=tuple(labels[i] for i in members),
-            weights=vector[list(members)],
-        )
-        for members, vector in zip(result.family_classes, result.family)
-    )
-    return PriorFamily(kind="family", state_labels=labels, class_priors=class_priors)
+    prior = _prior_family(unit_eigenvector_eigenvalue_one(accuracy, tol), beliefs.state_labels)
+    if prior is None:
+        raise NotModelGeneratedError(_NO_PRIOR)
+    return prior
 
 
 def peer_accuracy_matrix(beliefs: StateBeliefMatrix, structure: InformationStructure) -> np.ndarray:
@@ -214,7 +220,7 @@ def identify_structure(
         raise RankDeficientError(
             "belief matrix has dependent columns; reduce dependencies first"
         )
-    raw = regression_operator(beliefs.entries, tol) @ q
+    raw = beliefs._svd.pinv(tol) @ q
     tidy, consistent, n_clipped, negative_ij = _tidy_structure(raw, tol)
     structure = InformationStructure(
         tidy, state_labels=beliefs.state_labels, signal_labels=beliefs.signal_labels
@@ -250,7 +256,7 @@ def _roundtrip_errors(
             regenerated = generate_landscape(
                 InformationalEnvironment(structure, prior), tol
             )
-    except Exception:
+    except BeliefscapeError:
         return float("inf"), float("inf")
     if regenerated.B.entries.shape != landscape.B.entries.shape:
         return float("inf"), float("inf")
@@ -260,29 +266,35 @@ def _roundtrip_errors(
     )
 
 
+def _regression_identification(
+    landscape: BeliefLandscape, tol: Tolerances
+) -> tuple[IdentificationResult, IdentificationResult | None]:
+    """Structure, prior, peer accuracy and round trip, each computed once.
+
+    Returns the structure-only result and the full one; the full one is None
+    when the peer-accuracy matrix has no eigenvalue-1 eigenvector.
+    """
+    partial = identify_structure(landscape.B, landscape.Q, tol)
+    accuracy = peer_accuracy_matrix(landscape.B, partial.structure)
+    prior = _prior_family(unit_eigenvector_eigenvalue_one(accuracy, tol), landscape.state_labels)
+    if prior is None:
+        return partial, None
+    b_err, q_err = _roundtrip_errors(landscape, partial.structure, prior.representative(), tol)
+    diagnostics = replace(
+        partial.diagnostics, roundtrip_belief_error=b_err, roundtrip_hypothetical_error=q_err
+    )
+    full = replace(partial, prior=prior, peer_accuracy=accuracy, diagnostics=diagnostics)
+    return partial, full
+
+
 def identify(
     landscape: BeliefLandscape, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> IdentificationResult:
     """Full regression identification: structure, prior, accuracy, round trip."""
-    partial = identify_structure(landscape.B, landscape.Q, tol)
-    prior = identify_prior(landscape.B, partial.structure, tol)
-    accuracy = peer_accuracy_matrix(landscape.B, partial.structure)
-    b_err, q_err = _roundtrip_errors(landscape, partial.structure, prior.representative(), tol)
-    diagnostics = StructureDiagnostics(
-        residual=partial.diagnostics.residual,
-        negative_entries=partial.diagnostics.negative_entries,
-        max_row_sum_error=partial.diagnostics.max_row_sum_error,
-        clipped_entries=partial.diagnostics.clipped_entries,
-        roundtrip_belief_error=b_err,
-        roundtrip_hypothetical_error=q_err,
-    )
-    return IdentificationResult(
-        structure=partial.structure,
-        prior=prior,
-        peer_accuracy=accuracy,
-        diagnostics=diagnostics,
-        consistent_structure=partial.consistent_structure,
-    )
+    _, full = _regression_identification(landscape, tol)
+    if full is None:
+        raise NotModelGeneratedError(_NO_PRIOR)
+    return full
 
 
 # --------------------------------------------------------------------------
@@ -310,39 +322,13 @@ def consistency_check(
     Plausibility of the inputs is nowhere near sufficient; most row-stochastic
     hypothetical matrices fail the round trip.
     """
-    partial = identify_structure(landscape.B, landscape.Q, tol)
-    failed = []
-    if not partial.consistent_structure:
-        failed.append("nonnegative_structure")
-    prior = None
-    try:
-        prior = identify_prior(landscape.B, partial.structure, tol)
-    except NotModelGeneratedError:
-        failed.append("prior")
-    if prior is not None and any(m.min() < -tol.tol_entry for m in prior.members()):
-        failed.append("prior")
-        prior = None
-    if prior is None:
+    partial, full = _regression_identification(landscape, tol)
+    failed = [] if partial.consistent_structure else ["nonnegative_structure"]
+    if full is None or any(m.min() < -tol.tol_entry for m in full.prior.members()):
+        return ConsistencyVerdict(False, (*failed, "prior", "reproduction"), partial)
+    diag = full.diagnostics
+    if diag.roundtrip_belief_error > tol.tol_match or diag.roundtrip_hypothetical_error > tol.tol_match:
         failed.append("reproduction")
-        return ConsistencyVerdict(False, tuple(failed), partial)
-    b_err, q_err = _roundtrip_errors(landscape, partial.structure, prior.representative(), tol)
-    if b_err > tol.tol_match or q_err > tol.tol_match:
-        failed.append("reproduction")
-    diagnostics = StructureDiagnostics(
-        residual=partial.diagnostics.residual,
-        negative_entries=partial.diagnostics.negative_entries,
-        max_row_sum_error=partial.diagnostics.max_row_sum_error,
-        clipped_entries=partial.diagnostics.clipped_entries,
-        roundtrip_belief_error=b_err,
-        roundtrip_hypothetical_error=q_err,
-    )
-    full = IdentificationResult(
-        structure=partial.structure,
-        prior=prior,
-        peer_accuracy=peer_accuracy_matrix(landscape.B, partial.structure),
-        diagnostics=diagnostics,
-        consistent_structure=partial.consistent_structure,
-    )
     return ConsistencyVerdict(not failed, tuple(failed), full)
 
 
@@ -531,33 +517,16 @@ def identify_underdetermined(
     """
     b = landscape.B.entries
     q = landscape.Q.entries
-    ridge_limit = min_norm_solution(b, q, tol, reg=reg)
-    basis = null_space_basis(b, tol)
-    accuracy = b.T @ ridge_limit.T
-    eigen = unit_eigenvector_eigenvalue_one(accuracy, tol)
-    if eigen.kind == "none":
+    if reg is None:
+        ridge_limit = landscape.B._svd.pinv(tol) @ q
+    else:
+        ridge_limit = min_norm_solution(b, q, tol, reg=reg)
+    basis = landscape.B._svd.null_basis(tol)
+    labels = landscape.state_labels
+    prior = _prior_family(unit_eigenvector_eigenvalue_one(b.T @ ridge_limit.T, tol), labels)
+    if prior is None:
         raise NotModelGeneratedError(
             "the ridge-limit accuracy matrix has no eigenvalue-1 eigenvector"
-        )
-    labels = landscape.state_labels
-    if eigen.kind == "unique":
-        prior = PriorFamily(
-            kind="unique",
-            state_labels=labels,
-            unique_prior=Prior(eigen.vector, state_labels=labels),
-        )
-    else:
-        prior = PriorFamily(
-            kind="family",
-            state_labels=labels,
-            class_priors=tuple(
-                ClassPrior(
-                    states=members,
-                    state_labels=tuple(labels[i] for i in members),
-                    weights=vector[list(members)],
-                )
-                for members, vector in zip(eigen.family_classes, eigen.family)
-            ),
         )
     restored = restore_feasibility(ridge_limit, basis, tol)
     return UnderdeterminedResult(
@@ -775,39 +744,29 @@ def rationalize_noncommon(
     entry by entry; it exists whenever the structure supports the beliefs.
     """
     partial = identify_structure(landscape.B, landscape.Q, tol)
-    structure = partial.structure.entries
+    weights = partial.structure.entries.T  # signals x states, aligned with the beliefs
     b = landscape.B.entries
-    q = landscape.Q.entries
-    type_priors = []
-    belief_residuals = []
-    hypothetical_residuals = []
-    for s in range(landscape.n_signals):
-        ratios = np.zeros(landscape.n_states)
-        for theta in range(landscape.n_states):
-            belief = b[s, theta]
-            weight = structure[theta, s]
-            if weight > tol.tol_entry:
-                ratios[theta] = max(belief, 0.0) / weight
-            elif abs(belief) <= tol.tol_entry:
-                ratios[theta] = 0.0
-            else:
-                raise StructureSupportError(
-                    f"structure puts no probability on signal {landscape.signal_labels[s]}"
-                    f" in state {landscape.state_labels[theta]}, but the belief there"
-                    f" is {belief:.6g}"
-                )
-        prior = ratios / ratios.sum()
-        reproduced_b = prior * structure[:, s]
-        reproduced_b = reproduced_b / reproduced_b.sum()
-        reproduced_q = b[s, :] @ structure
-        type_priors.append(Prior(prior, state_labels=landscape.state_labels))
-        belief_residuals.append(float(np.max(np.abs(reproduced_b - b[s, :]))))
-        hypothetical_residuals.append(float(np.max(np.abs(reproduced_q - q[s, :]))))
+    supported = weights > tol.tol_entry
+    unsupported = ~supported & (np.abs(b) > tol.tol_entry)
+    if unsupported.any():
+        s, theta = np.argwhere(unsupported)[0]  # first offender, signal-major
+        raise StructureSupportError(
+            f"structure puts no probability on signal {landscape.signal_labels[s]}"
+            f" in state {landscape.state_labels[theta]}, but the belief there"
+            f" is {b[s, theta]:.6g}"
+        )
+    ratios = np.divide(np.maximum(b, 0.0), weights, out=np.zeros_like(b), where=supported)
+    priors = ratios / ratios.sum(axis=1, keepdims=True)
+    reproduced_b = priors * weights
+    reproduced_b = reproduced_b / reproduced_b.sum(axis=1, keepdims=True)
+    reproduced_q = b @ partial.structure.entries
     return NonCommonPriorRationalization(
         structure=partial.structure,
-        type_priors=tuple(type_priors),
-        belief_residuals=tuple(belief_residuals),
-        hypothetical_residuals=tuple(hypothetical_residuals),
+        type_priors=tuple(Prior(p, state_labels=landscape.state_labels) for p in priors),
+        belief_residuals=tuple(np.max(np.abs(reproduced_b - b), axis=1).tolist()),
+        hypothetical_residuals=tuple(
+            np.max(np.abs(reproduced_q - landscape.Q.entries), axis=1).tolist()
+        ),
     )
 
 
@@ -884,6 +843,15 @@ def reduce_dependencies(
     b = landscape.B.entries
     n_states = landscape.n_states
     target_rank = landscape.B.rank(tol)
+    if target_rank == n_states:
+        return ReductionResult(
+            reduced=landscape,
+            kept_states=tuple(range(n_states)),
+            removed_states=(),
+            mixing_weights=(),
+            column_scale=np.ones(n_states),
+            state_labels=landscape.state_labels,
+        )
     kept: list[int] = []
     for j in range(n_states):
         if len(kept) == target_rank:
@@ -893,20 +861,10 @@ def reduce_dependencies(
         if int(np.sum(s > tol.rank_cutoff(s))) == len(kept) + 1:
             kept.append(j)
     removed = [j for j in range(n_states) if j not in kept]
-    if not removed:
-        return ReductionResult(
-            reduced=landscape,
-            kept_states=tuple(range(n_states)),
-            removed_states=(),
-            mixing_weights=(),
-            column_scale=np.ones(n_states),
-            state_labels=landscape.state_labels,
-        )
     kept_matrix = b[:, kept]
-    weights = []
-    for j in removed:
-        w = least_squares_coefficients(kept_matrix, b[:, j], tol)
-        residual = float(np.max(np.abs(kept_matrix @ w - b[:, j])))
+    coefficients = regression_operator(kept_matrix, tol) @ b[:, removed]
+    residuals = np.max(np.abs(kept_matrix @ coefficients - b[:, removed]), axis=0)
+    for j, w, residual in zip(removed, coefficients.T, residuals):
         if residual > tol.tol_match:
             raise NotConvexDependentError(
                 f"column {landscape.state_labels[j]} is not in the span of the kept columns"
@@ -916,8 +874,8 @@ def reduce_dependencies(
                 f"column {landscape.state_labels[j]} needs negative weight"
                 f" {w.min():.6g} on a kept column"
             )
-        weights.append(np.clip(w, 0.0, None))
-    scale = 1.0 + np.sum(np.stack(weights), axis=0)
+    weights = np.clip(coefficients.T, 0.0, None)
+    scale = 1.0 + weights.sum(axis=0)
     reduced_b = kept_matrix * scale[None, :]
     kept_labels = tuple(landscape.state_labels[j] for j in kept)
     reduced = BeliefLandscape(

@@ -2,8 +2,8 @@
 
 Least squares, minimum-norm and ridge solves with general regularizers, null
 spaces, eigenvalue-1 eigenvector extraction, and irreducibility analysis.
-Solves go through orthogonal factorizations (QR for full-rank least squares,
-SVD for pseudoinverses and null spaces); the normal-equation formulas define
+Rank tests, pseudoinverses and null spaces all read one SVD of the matrix
+(``_SVD``; a belief matrix keeps its own). The normal-equation formulas define
 the values, not the algorithms.
 """
 
@@ -31,6 +31,33 @@ class NullSpaceBasis:
         if self.dimension == 0:
             return np.zeros((n, 0))
         return np.column_stack(self.vectors)
+
+
+@dataclass(frozen=True)
+class _SVD:
+    """One SVD of a matrix: thin, or full when it is wide, so ``vt`` spans the row space.
+    Cutoffs are ``tol.rank_cutoff``; the pseudoinverse is formed as numpy.linalg.pinv's."""
+
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+
+    @classmethod
+    def of(cls, matrix) -> "_SVD":
+        matrix = np.asarray(matrix, dtype=float)
+        return cls(*np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1]))
+
+    def rank(self, tol: Tolerances) -> int:
+        return int(np.sum(self.s > tol.rank_cutoff(self.s)))
+
+    def pinv(self, tol: Tolerances) -> np.ndarray:
+        large = self.s > tol.rank_cutoff(self.s)
+        inverse = np.divide(1.0, self.s, out=np.zeros_like(self.s), where=large)
+        return self.vt[: self.s.size].T @ (inverse[:, None] * self.u.T)
+
+    def null_basis(self, tol: Tolerances) -> NullSpaceBasis:
+        rows = self.vt[self.rank(tol) :]
+        return NullSpaceBasis(tuple(np.ascontiguousarray(v) for v in rows), rows.shape[0])
 
 
 @dataclass(frozen=True)
@@ -96,39 +123,21 @@ class Regularizer:
 def _as_regularizer_matrix(reg, n: int) -> np.ndarray | None:
     if reg is None:
         return None
-    if isinstance(reg, Regularizer):
-        m = reg.matrix
-    else:
-        m = Regularizer(np.asarray(reg, dtype=float)).matrix
+    m = reg.matrix if isinstance(reg, Regularizer) else Regularizer(np.asarray(reg, dtype=float)).matrix
     if m.shape != (n, n):
         raise ValueError(f"regularizer shape {m.shape} does not match {n} columns")
     return m
 
 
-def _require_full_column_rank(matrix: np.ndarray, tol: Tolerances) -> None:
-    s = np.linalg.svd(matrix, compute_uv=False)
-    cutoff = tol.rank_cutoff(s)
-    rank = int(np.sum(s > cutoff))
-    if rank < matrix.shape[1]:
-        raise RankDeficientError(
-            f"matrix has column rank {rank} < {matrix.shape[1]}; remove dependent"
-            " columns or use the minimum-norm path"
-        )
-
-
 def least_squares_coefficients(
     matrix: np.ndarray, target: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:
-    """Coefficients beta minimizing ||target - matrix @ beta||, via QR.
+    """Coefficients beta minimizing ||target - matrix @ beta||.
 
     Requires full column rank; rank deficiency raises instead of silently
     picking one of many minimizers.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    target = np.asarray(target, dtype=float)
-    _require_full_column_rank(matrix, tol)
-    q, r = scipy.linalg.qr(matrix, mode="economic")
-    return scipy.linalg.solve_triangular(r, q.T @ target)
+    return regression_operator(matrix, tol) @ np.asarray(target, dtype=float)
 
 
 def regression_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -136,9 +145,14 @@ def regression_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
 
     Requires full column rank, in which case it equals the pseudoinverse.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    _require_full_column_rank(matrix, tol)
-    return np.linalg.pinv(matrix, rcond=tol.tol_rank)
+    svd = _SVD.of(matrix)
+    rank, n_cols = svd.rank(tol), svd.vt.shape[1]
+    if rank < n_cols:
+        raise RankDeficientError(
+            f"matrix has column rank {rank} < {n_cols}; remove dependent"
+            " columns or use the minimum-norm path"
+        )
+    return svd.pinv(tol)
 
 
 def min_norm_solution(
@@ -158,10 +172,10 @@ def min_norm_solution(
     targets = np.asarray(targets, dtype=float)
     reg_matrix = _as_regularizer_matrix(reg, matrix.shape[1])
     if reg_matrix is None:
-        return np.linalg.pinv(matrix, rcond=tol.tol_rank) @ targets
+        return _SVD.of(matrix).pinv(tol) @ targets
     chol = np.linalg.cholesky(reg_matrix)
     whitened = scipy.linalg.solve_triangular(chol, matrix.T, lower=True).T
-    y = np.linalg.pinv(whitened, rcond=tol.tol_rank) @ targets
+    y = _SVD.of(whitened).pinv(tol) @ targets
     return scipy.linalg.solve_triangular(chol.T, y, lower=False)
 
 
@@ -190,10 +204,7 @@ def ridge_solution_at(
 
 def null_space_basis(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> NullSpaceBasis:
     """Orthonormal basis of {v : matrix @ v = 0}; empty when full column rank."""
-    matrix = np.asarray(matrix, dtype=float)
-    basis = scipy.linalg.null_space(matrix, rcond=tol.tol_rank)
-    vectors = tuple(np.ascontiguousarray(basis[:, j]) for j in range(basis.shape[1]))
-    return NullSpaceBasis(vectors=vectors, dimension=basis.shape[1])
+    return _SVD.of(matrix).null_basis(tol)
 
 
 def irreducibility(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> ClassDecomposition:
@@ -211,19 +222,14 @@ def irreducibility(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     n_components, labels = connected_components(
         csr_matrix(adjacency), directed=True, connection="strong"
     )
-    groups: dict[int, list[int]] = {}
-    for index, label in enumerate(labels):
-        groups.setdefault(int(label), []).append(index)
-    classes = sorted((tuple(members) for members in groups.values()), key=lambda c: c[0])
-    class_of = {index: k for k, members in enumerate(classes) for index in members}
-    edges = set()
-    for j in range(n):
-        for i in range(n):
-            if adjacency[j, i] and class_of[j] != class_of[i]:
-                edges.add((class_of[j], class_of[i]))
-    closed = tuple(
-        all(start != k for start, _ in edges) for k in range(len(classes))
+    classes = sorted(
+        (tuple(np.flatnonzero(labels == label).tolist()) for label in range(n_components)),
+        key=lambda c: c[0],
     )
+    class_of = {index: k for k, members in enumerate(classes) for index in members}
+    pairs = ((class_of[j], class_of[i]) for j, i in zip(*np.nonzero(adjacency)))
+    edges = {(a, b) for a, b in pairs if a != b}
+    closed = tuple(all(start != k for start, _ in edges) for k in range(len(classes)))
     return ClassDecomposition(
         classes=tuple(classes),
         closed=closed,
@@ -232,11 +238,16 @@ def irreducibility(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     )
 
 
-def _simplex_normalize(vector: np.ndarray) -> np.ndarray | None:
+def _fixed_direction(matrix: np.ndarray, tol: Tolerances) -> tuple[int, np.ndarray | None]:
+    """Dimension of the null space of (matrix - I); its first vector scaled to sum 1, or None."""
+    basis = _SVD.of(matrix - np.eye(matrix.shape[0])).null_basis(tol)
+    if basis.dimension == 0:
+        return 0, None
+    vector = basis.vectors[0]
     total = float(vector.sum())
     if abs(total) < 1e-12 * max(1.0, float(np.abs(vector).max())):
-        return None
-    return vector / total
+        return basis.dimension, None
+    return basis.dimension, vector / total
 
 
 def unit_eigenvector_eigenvalue_one(
@@ -254,14 +265,10 @@ def unit_eigenvector_eigenvalue_one(
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    basis = scipy.linalg.null_space(matrix - np.eye(n), rcond=tol.tol_rank)
-    dimension = basis.shape[1]
-    if dimension == 0:
+    dimension, vector = _fixed_direction(matrix, tol)
+    if dimension == 0 or (dimension == 1 and vector is None):
         return EigenvalueOneResult(kind="none")
     if dimension == 1:
-        vector = _simplex_normalize(basis[:, 0])
-        if vector is None:
-            return EigenvalueOneResult(kind="none")
         return EigenvalueOneResult(kind="unique", vector=vector)
 
     decomposition = irreducibility(matrix, tol)
@@ -270,12 +277,8 @@ def unit_eigenvector_eigenvalue_one(
     for members, is_closed in zip(decomposition.classes, decomposition.closed):
         if not is_closed:
             continue
-        idx = np.array(members)
-        sub = matrix[np.ix_(idx, idx)]
-        sub_basis = scipy.linalg.null_space(sub - np.eye(len(members)), rcond=tol.tol_rank)
-        if sub_basis.shape[1] == 0:
-            continue
-        local = _simplex_normalize(sub_basis[:, 0])
+        idx = list(members)
+        _, local = _fixed_direction(matrix[np.ix_(idx, idx)], tol)
         if local is None:
             continue
         full = np.zeros(n)

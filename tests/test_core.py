@@ -103,6 +103,40 @@ class TestValidateLandscape:
         kinds = {v.kind for v in report.violations}
         assert {"row sum", "negative entry"} <= kinds
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_violations_in_reference_order(self, seed):
+        # Per row: negatives in column order, then the row sum; B before Q;
+        # zero columns last. The loop below is the order's reference.
+        rng = np.random.default_rng(seed)
+        b = rng.dirichlet(np.ones(5), size=4)
+        b[rng.random(b.shape) < 0.2] *= -1.0
+        b[:, rng.integers(5)] = 0.0
+        q = rng.dirichlet(np.ones(4), size=4)
+        q[rng.integers(4), rng.integers(4)] = -0.3
+        B, Q = StateBeliefMatrix(b), HypotheticalBeliefMatrix(q)
+        tol = Tolerances()
+
+        def reference(matrix, rows, cols, name):
+            found = []
+            for i, row in enumerate(matrix):
+                for j, value in enumerate(row):
+                    if value < -tol.tol_entry:
+                        found.append(("negative entry", f"{name}[{rows[i]}, {cols[j]}]", value))
+                if abs(row.sum() - 1.0) > tol.tol_stochastic:
+                    found.append(("row sum", f"{name} row {rows[i]}", row.sum()))
+            return found
+
+        expected = reference(b, B.signal_labels, B.state_labels, "B")
+        expected += reference(q, Q.signal_labels, Q.signal_labels, "Q")
+        expected += [
+            ("zero column", f"B column {B.state_labels[j]}", 0.0)
+            for j in range(5)
+            if np.all(np.abs(b[:, j]) <= tol.tol_entry)
+        ]
+        got = [(v.kind, v.where, v.value) for v in validate_landscape(B, Q, tol).violations]
+        assert [g[:2] for g in got] == [e[:2] for e in expected]
+        np.testing.assert_allclose([g[2] for g in got], [e[2] for e in expected], atol=1e-15)
+
     def test_dimension_mismatch_is_structural(self):
         b = StateBeliefMatrix([[0.5, 0.5]])
         q = HypotheticalBeliefMatrix(np.eye(2))

@@ -1,0 +1,101 @@
+"""Each belief matrix is factorized once.
+
+Rank tests, the regression, the minimum-norm solution and the null space all
+read one SVD of B, kept on the StateBeliefMatrix. These tests count every
+SVD call whose input equals B, through each name an SVD can be reached by:
+the public numpy and scipy functions and the module globals that
+``numpy.linalg.pinv`` and ``scipy.linalg.null_space`` call.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from beliefscape import (
+    consistency_check,
+    fixtures,
+    generate_landscape,
+    identify_underdetermined,
+    rationalize_noncommon,
+    sample_environment,
+    validate_landscape,
+)
+from beliefscape.cli import main
+from beliefscape.fileio import load_landscape, save_landscape
+
+
+def _numpy_linalg_module():
+    """The module whose global ``svd`` numpy.linalg.pinv calls."""
+    try:
+        return importlib.import_module("numpy.linalg._linalg")  # numpy >= 2
+    except ImportError:
+        return importlib.import_module("numpy.linalg.linalg")
+
+
+_SVD_HOMES = (
+    np.linalg,
+    _numpy_linalg_module(),
+    scipy.linalg,
+    sys.modules[scipy.linalg.null_space.__module__],
+)
+
+
+@pytest.fixture
+def svd_inputs(monkeypatch):
+    """Copies of every matrix handed to an SVD while the test runs."""
+    seen: list[np.ndarray] = []
+
+    def counting(original):
+        def svd(a, *args, **kwargs):
+            seen.append(np.array(a, dtype=float, copy=True))
+            return original(a, *args, **kwargs)
+
+        return svd
+
+    for home in _SVD_HOMES:
+        monkeypatch.setattr(home, "svd", counting(home.svd))
+    return seen
+
+
+def svds_of(seen: list[np.ndarray], matrix: np.ndarray) -> int:
+    return sum(1 for a in seen if a.shape == matrix.shape and np.array_equal(a, matrix))
+
+
+LANDSCAPES = {
+    "symmetric_binary": lambda: fixtures.symmetric_binary_landscape(9 / 16, 9 / 16),
+    "truth_or_noise": lambda: fixtures.truth_or_noise_landscape(0.5),
+    "sampled_4x6": lambda: generate_landscape(
+        sample_environment(np.random.default_rng(3), 4, 6)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANDSCAPES))
+def test_validate_check_rationalize_factorize_once(name, svd_inputs):
+    landscape = LANDSCAPES[name]()
+    validate_landscape(landscape.B, landscape.Q)
+    consistency_check(landscape)
+    rationalize_noncommon(landscape)
+    assert svds_of(svd_inputs, landscape.B.entries) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "identify"])
+def test_cli_factorizes_once(command, tmp_path, svd_inputs, capsys):
+    path = str(tmp_path / "land.json")
+    save_landscape(fixtures.truth_or_noise_landscape(0.5), path)
+    b = load_landscape(path)[0].B.entries
+    svd_inputs.clear()
+    assert main([command, path]) == 0
+    capsys.readouterr()
+    assert svds_of(svd_inputs, b) == 1
+
+
+def test_underdetermined_factorizes_once(svd_inputs):
+    landscape = fixtures.two_signal_three_state_landscape()
+    identify_underdetermined(landscape)
+    assert svds_of(svd_inputs, landscape.B.entries) == 1

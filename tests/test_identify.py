@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from beliefscape import (
     BeliefLandscape,
+    DegenerateEnvironmentError,
     HypotheticalBeliefMatrix,
     InformationStructure,
     StateBeliefMatrix,
@@ -23,6 +26,9 @@ from beliefscape import (
 from beliefscape import fixtures
 
 from conftest import random_beliefs, random_stochastic
+
+# The package's ``identify`` attribute is the function, not the module.
+identify_module = importlib.import_module("beliefscape.identify")
 
 
 class TestIdentifyStructure:
@@ -140,6 +146,25 @@ class TestIdentify:
             np.testing.assert_allclose(
                 result.prior.unique_prior.entries, env.prior.entries, atol=1e-8
             )
+
+
+class TestRoundTripErrors:
+    def test_library_error_reads_as_infinite_error(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateEnvironmentError("every signal has zero marginal probability")
+
+        monkeypatch.setattr(identify_module, "generate_landscape", degenerate)
+        diagnostics = identify(fixtures.symmetric_binary_landscape(5 / 8, 5 / 8)).diagnostics
+        assert diagnostics.roundtrip_belief_error == float("inf")
+        assert diagnostics.roundtrip_hypothetical_error == float("inf")
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a library error")
+
+        monkeypatch.setattr(identify_module, "generate_landscape", broken)
+        with pytest.raises(TypeError, match="not a library error"):
+            identify(fixtures.symmetric_binary_landscape(5 / 8, 5 / 8))
 
 
 class TestConsistencyCheck:
@@ -306,6 +331,34 @@ class TestRationalization:
             np.testing.assert_allclose(rat.structure.entries, planted, atol=1e-9)
             assert max(rat.belief_residuals) <= 1e-8
             assert max(rat.hypothetical_residuals) <= 1e-8
+
+    def test_matches_per_type_loop(self):
+        # The per-type, per-state loop is the reference for the vectorised form.
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            beliefs = random_beliefs(rng, 6, 4)
+            planted = random_stochastic(rng, 4, 6)
+            land = BeliefLandscape(beliefs, HypotheticalBeliefMatrix(beliefs.entries @ planted))
+            rat = rationalize_noncommon(land)
+            b, structure = beliefs.entries, rat.structure.entries
+            for s, prior in enumerate(rat.type_priors):
+                ratios = np.array([b[s, t] / structure[t, s] for t in range(4)])
+                np.testing.assert_allclose(prior.entries, ratios / ratios.sum(), rtol=1e-14)
+                reproduced = prior.entries * structure[:, s]
+                assert rat.belief_residuals[s] == pytest.approx(
+                    np.max(np.abs(reproduced / reproduced.sum() - b[s])), abs=1e-15
+                )
+                assert rat.hypothetical_residuals[s] == pytest.approx(
+                    np.max(np.abs(b[s] @ structure - land.Q.entries[s])), abs=1e-15
+                )
+
+    def test_first_unsupported_belief_is_named(self):
+        # Gaps at (s2, th2) and (s3, th1): signal-major order names s2 first.
+        beliefs = StateBeliefMatrix([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5], [0.25, 0.25, 0.5]])
+        structure = np.array([[0.5, 0.0, 0.0], [0.5, 0.0, 0.5], [0.5, 0.25, 0.25]])
+        land = BeliefLandscape(beliefs, HypotheticalBeliefMatrix(beliefs.entries @ structure))
+        with pytest.raises(StructureSupportError, match="signal s2 in state th2"):
+            rationalize_noncommon(land)
 
     def test_unsupported_belief_raises(self):
         beliefs = StateBeliefMatrix(np.eye(2))
