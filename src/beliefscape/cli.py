@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    DEFAULT_TOLERANCES,
     BeliefscapeError,
     DroppedSignalWarning,
     InconsistentLandscapeError,
@@ -78,12 +79,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_TOLERANCE_NAMES = ("stochastic", "entry", "rank", "match")  # --tol-<name>, Tolerances.tol_<name>
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-stochastic", type=float, default=1e-9, metavar="X")
-    common.add_argument("--tol-entry", type=float, default=1e-9, metavar="X")
-    common.add_argument("--tol-rank", type=float, default=1e-10, metavar="X")
-    common.add_argument("--tol-match", type=float, default=1e-8, metavar="X")
+    for name in _TOLERANCE_NAMES:
+        default = getattr(DEFAULT_TOLERANCES, f"tol_{name}")
+        common.add_argument(f"--tol-{name}", type=float, default=default, metavar="X")
     common.add_argument("--format", choices=("json", "pretty"), default="json")
     common.add_argument("--no-validate", action="store_true")
     return common
@@ -135,12 +138,7 @@ def build_parser() -> _Parser:
 
 
 def _tolerances(ns: argparse.Namespace) -> Tolerances:
-    return Tolerances(
-        tol_stochastic=ns.tol_stochastic,
-        tol_entry=ns.tol_entry,
-        tol_rank=ns.tol_rank,
-        tol_match=ns.tol_match,
-    )
+    return Tolerances(**{f"tol_{name}": getattr(ns, f"tol_{name}") for name in _TOLERANCE_NAMES})
 
 
 def _report(ns, argv, inputs, result, verdict=None, warning_list=()):
@@ -148,12 +146,7 @@ def _report(ns, argv, inputs, result, verdict=None, warning_list=()):
         "command": ns.command,
         "argv": list(argv),
         "inputs": dict(inputs),
-        "tolerances": {
-            "stochastic": ns.tol_stochastic,
-            "entry": ns.tol_entry,
-            "rank": ns.tol_rank,
-            "match": ns.tol_match,
-        },
+        "tolerances": {name: getattr(ns, f"tol_{name}") for name in _TOLERANCE_NAMES},
     }
     if verdict is not None:
         doc["verdict"] = verdict

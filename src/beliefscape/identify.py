@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .core import (
     DEFAULT_TOLERANCES,
@@ -404,6 +403,8 @@ def _restore_one_direction(
 def _restore_general(
     ridge_limit: np.ndarray, basis: np.ndarray, totals: np.ndarray, tol: Tolerances
 ) -> tuple[str, np.ndarray | None]:
+    import scipy.optimize
+
     n_states, n_signals = ridge_limit.shape
     k = basis.shape[1]
     n_vars = k * n_signals  # coefficient r for column j sits at index j * k + r
@@ -549,6 +550,8 @@ def reconstruct_from_prior(
     (they are the signal marginals), then rescales: structure[state, signal]
     = belief * weight / prior.
     """
+    import scipy.optimize
+
     if beliefs.n_states != prior.n_states:
         raise StructuralError(
             f"state axis: beliefs have {beliefs.n_states} states, prior has {prior.n_states}"
@@ -838,7 +841,10 @@ def reduce_dependencies(
 
     Columns are kept greedily in index order while they increase the rank;
     each dropped column must be a nonnegative mixture of the kept ones,
-    otherwise the split-state reading does not apply.
+    otherwise the split-state reading does not apply. A QR of the candidate
+    columns finds the first one that adds no rank (|R[j, j]| at or below B's
+    rank cutoff); once it is dropped the next QR tests the rest, so a B whose
+    dependent columns all come last needs one QR.
     """
     b = landscape.B.entries
     n_states = landscape.n_states
@@ -852,14 +858,16 @@ def reduce_dependencies(
             column_scale=np.ones(n_states),
             state_labels=landscape.state_labels,
         )
-    kept: list[int] = []
-    for j in range(n_states):
-        if len(kept) == target_rank:
+    cutoff = tol.rank_cutoff(landscape.B._svd.s)
+    kept = list(range(n_states))
+    for _ in range(n_states - target_rank):
+        # Pivots after the first weak one are measured against a noise direction of Q.
+        weak = np.abs(np.linalg.qr(b[:, kept], mode="r").diagonal()) <= cutoff
+        first = int(np.argmax(weak)) if weak.any() else weak.size
+        if first >= target_rank:
             break
-        candidate = b[:, kept + [j]]
-        s = np.linalg.svd(candidate, compute_uv=False)
-        if int(np.sum(s > tol.rank_cutoff(s))) == len(kept) + 1:
-            kept.append(j)
+        del kept[first]
+    kept = kept[:target_rank]
     removed = [j for j in range(n_states) if j not in kept]
     kept_matrix = b[:, kept]
     coefficients = regression_operator(kept_matrix, tol) @ b[:, removed]

@@ -4,7 +4,8 @@ Least squares, minimum-norm and ridge solves with general regularizers, null
 spaces, eigenvalue-1 eigenvector extraction, and irreducibility analysis.
 Rank tests, pseudoinverses and null spaces all read one SVD of the matrix
 (``_SVD``; a belief matrix keeps its own). The normal-equation formulas define
-the values, not the algorithms.
+the values, not the algorithms. Everything here is numpy; only the ridge solve
+imports scipy, when it is called.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import DEFAULT_TOLERANCES, RankDeficientError, Tolerances
 
@@ -73,9 +71,6 @@ class ClassDecomposition:
     irreducible: bool
     class_edges: tuple[tuple[int, int], ...]
 
-    def closed_classes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c for c, is_closed in zip(self.classes, self.closed) if is_closed)
-
 
 @dataclass(frozen=True)
 class EigenvalueOneResult:
@@ -114,10 +109,6 @@ class Regularizer:
             raise ValueError("regularizer must be positive definite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls, n: int) -> "Regularizer":
-        return cls(np.eye(n))
 
 
 def _as_regularizer_matrix(reg, n: int) -> np.ndarray | None:
@@ -174,9 +165,9 @@ def min_norm_solution(
     if reg_matrix is None:
         return _SVD.of(matrix).pinv(tol) @ targets
     chol = np.linalg.cholesky(reg_matrix)
-    whitened = scipy.linalg.solve_triangular(chol, matrix.T, lower=True).T
+    whitened = np.linalg.solve(chol, matrix.T).T
     y = _SVD.of(whitened).pinv(tol) @ targets
-    return scipy.linalg.solve_triangular(chol.T, y, lower=False)
+    return np.linalg.solve(chol.T, y)
 
 
 def ridge_solution_at(
@@ -190,6 +181,8 @@ def ridge_solution_at(
     Well-defined for every lam > 0 since the regularized normal matrix is
     positive definite. ``reg`` defaults to the identity.
     """
+    import scipy.linalg  # reproduces the golden ridge reports to 1e-11; numpy's solves do not
+
     if lam <= 0:
         raise ValueError("lam must be strictly positive")
     matrix = np.asarray(matrix, dtype=float)
@@ -219,13 +212,13 @@ def irreducibility(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     if matrix.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     adjacency = (matrix > tol.tol_entry).T  # row j -> column i
-    n_components, labels = connected_components(
-        csr_matrix(adjacency), directed=True, connection="strong"
-    )
-    classes = sorted(
-        (tuple(np.flatnonzero(labels == label).tolist()) for label in range(n_components)),
-        key=lambda c: c[0],
-    )
+    # Reachability by repeated squaring of (adjacency | I); float products are
+    # exact on 0/1 entries and much faster than boolean ones.
+    reach = (adjacency | np.eye(n, dtype=bool)).astype(float)
+    for _ in range((n - 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    mutual = (reach > 0) & (reach > 0).T  # row i: the class of i
+    classes = sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual})
     class_of = {index: k for k, members in enumerate(classes) for index in members}
     pairs = ((class_of[j], class_of[i]) for j, i in zip(*np.nonzero(adjacency)))
     edges = {(a, b) for a, b in pairs if a != b}
@@ -233,7 +226,7 @@ def irreducibility(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     return ClassDecomposition(
         classes=tuple(classes),
         closed=closed,
-        irreducible=n_components == 1,
+        irreducible=len(classes) == 1,
         class_edges=tuple(sorted(edges)),
     )
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefscape import (
     RankDeficientError,
@@ -274,3 +276,49 @@ class TestIrreducibility:
                     assert leaving.size == 0 or leaving.max() <= tol.tol_entry
                 else:
                     assert leaving.max() > tol.tol_entry
+
+    def test_long_cycle_is_one_class(self):
+        # Reaching back to the start takes n - 1 steps: every squaring counts.
+        n = 40
+        m = np.roll(np.eye(n), 1, axis=0)
+        decomposition = irreducibility(m)
+        assert decomposition.irreducible
+        assert decomposition.classes == (tuple(range(n)),)
+        opened = m.copy()
+        opened[0, n - 1] = 0.0  # break the cycle into a chain of singletons
+        chain = irreducibility(opened)
+        assert chain.classes == tuple((i,) for i in range(n))
+        assert chain.closed == (False,) * (n - 1) + (True,)
+
+
+@st.composite
+def edge_patterns(draw):
+    n = draw(st.integers(1, 24))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    m = np.zeros((n, n))
+    for j, i in edges:
+        m[i, j] = draw(st.sampled_from([1e-10, 0.3, 1.0]))  # 1e-10 sits below tol_entry
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_patterns())
+def test_irreducibility_matches_scipy_strong_components(m):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = (m > Tolerances().tol_entry).T
+    count, labels = connected_components(csr_matrix(adjacency), directed=True, connection="strong")
+    classes = sorted(tuple(np.flatnonzero(labels == k).tolist()) for k in range(count))
+    index = {labels[c[0]]: k for k, c in enumerate(classes)}
+    edges = {
+        (index[labels[j]], index[labels[i]])
+        for j, i in zip(*np.nonzero(adjacency))
+        if labels[j] != labels[i]
+    }
+    decomposition = irreducibility(m)
+    assert decomposition.classes == tuple(classes)
+    assert decomposition.class_edges == tuple(sorted(edges))
+    assert decomposition.closed == tuple(all(a != k for a, _ in edges) for k in range(count))
+    assert decomposition.irreducible == (count == 1)

@@ -98,6 +98,30 @@ class TestGeneralReduction:
             regenerated = posterior_matrix(InformationalEnvironment(structure, prior))
             np.testing.assert_allclose(regenerated.entries, b_full, atol=1e-8)
 
+    def test_dependent_column_before_a_kept_one_on_wide_beliefs(self):
+        # Three signals, four states; state th3 splits over th1 and th2, and
+        # th4 comes after it. A single unpivoted QR of the 3x4 beliefs has no
+        # pivot for th4, so it would keep two states instead of three.
+        rng = np.random.default_rng(77)
+        weights = np.array([0.4, 0.6, 0.0])
+        for _ in range(10):
+            env = sample_environment(rng, 3, 3)
+            reduced_land = generate_landscape(env)
+            b_kept = reduced_land.B.entries / (1.0 + weights)[None, :]
+            b_full = np.column_stack([b_kept[:, :2], b_kept @ weights, b_kept[:, 2]])
+            land = BeliefLandscape(
+                StateBeliefMatrix(b_full, signal_labels=reduced_land.signal_labels),
+                reduced_land.Q,
+            )
+            reduction = reduce_dependencies(land)
+            assert reduction.kept_states == (0, 1, 3)
+            assert reduction.removed_states == (2,)
+            np.testing.assert_allclose(reduction.mixing_weights[0], weights, atol=1e-8)
+            result = identify(reduction.reduced)
+            structure, prior = reduction.embed(result.structure, result.prior.unique_prior)
+            regenerated = posterior_matrix(InformationalEnvironment(structure, prior))
+            np.testing.assert_allclose(regenerated.entries, b_full, atol=1e-8)
+
     def test_dependency_needing_negative_weight_is_rejected(self):
         # Third column is 1.2 * first - 0.2 * second: dependent, but not a
         # nonnegative mixture, so no split-state reading exists.

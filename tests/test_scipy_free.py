@@ -1,0 +1,83 @@
+"""scipy stays unloaded on the common paths.
+
+numpy does every factorization and graph search; scipy is imported only
+inside the three solvers that need it: LP restoration (two or more free
+directions), ``reconstruct_from_prior`` and the ridge solve behind
+``ridge --lambda``. The test process itself has scipy loaded, so each probe
+runs in a fresh interpreter and reports the scipy modules loaded after each
+step.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_golden_reports import CASES, write_inputs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# A step is a module name to import or an argv list for the CLI.
+PROBE = """
+import contextlib, importlib, io, json, sys
+
+for step in json.loads(sys.argv[1]):
+    if isinstance(step, str):
+        importlib.import_module(step)
+    else:
+        from beliefscape.cli import main
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main(step)
+    print(json.dumps([step, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+SCIPY_CASES = ("ridge_lambda", "ridge_lp")
+COMMON_STEPS = (
+    ["beliefscape.cli"]
+    + [CASES[case] for case in sorted(set(CASES) - set(SCIPY_CASES))]
+    + [["selftest"], ["ridge", "scarce.json"]]  # ridge: 1-D null space, closed form
+)
+
+
+def probe(steps, cwd: Path) -> list:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(steps)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return [json.loads(line) for line in result.stdout.splitlines()]
+
+
+@pytest.fixture
+def inputs_dir(tmp_path):
+    write_inputs(tmp_path)
+    return tmp_path
+
+
+def test_import_beliefscape_loads_no_scipy(tmp_path):
+    assert probe(["beliefscape"], tmp_path) == [["beliefscape", []]]
+
+
+def test_common_commands_load_no_scipy(inputs_dir):
+    reports = probe(COMMON_STEPS, inputs_dir)
+    assert [step for step, _ in reports] == list(COMMON_STEPS)
+    for step, loaded in reports:
+        assert loaded == [], f"{step} loaded {loaded[:3]}"
+
+
+@pytest.mark.parametrize("case", SCIPY_CASES)
+def test_the_scipy_solvers_load_it(case, inputs_dir):
+    # Control: the probe does see scipy when a solver imports it.
+    [(step, loaded)] = probe([CASES[case]], inputs_dir)
+    assert "scipy" in loaded
