@@ -230,6 +230,22 @@ def _load_matrix_file(path: str) -> np.ndarray:
         return np.array(rows, dtype=float)
     except (TypeError, ValueError):
         raise ParseError(f"{name}: expected a numeric matrix") from None
+    except OverflowError:
+        where = f"matrix{_overflow(rows)}"
+        raise ParseError(f"{name}: number too large for a float at {where}") from None
+
+
+def _overflow(rows: list) -> str:
+    """The 1-based place of the first cell of rows (or of a flat list) that no float holds."""
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row if isinstance(row, list) else [row]):
+            try:
+                float(cell)
+            except OverflowError:
+                return f"[{i + 1}, {j + 1}]" if isinstance(row, list) else f"[{i + 1}]"
+            except (TypeError, ValueError):
+                pass
+    return ""
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 JSON is canonical; CSV is provided for matrices kept in spreadsheets.
 Numbers are written as decimals with 12 significant digits, which makes
-save/load round trips byte-stable after the first save.
+save/load round trips byte-stable after the first save. Reports and JSON
+files are written by this module's own encoder (``dumps_report``). Its
+output is byte-identical to the standard library's indent-2 ``json.dumps``
+of the 12-digit values, but it formats each list of floats in one call
+instead of number by number.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import hashlib
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps uses for str
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +41,28 @@ def round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
+def _g12(values: list) -> list[str]:
+    """``f"{v:.12g}"`` of every value, formatted in one call."""
+    return (("%.12g " * len(values)) % tuple(values)).split()
+
+
+def _float_tokens(values: list[float]) -> list[str]:
+    """The JSON text of ``round12(v)`` for each float ``v``.
+
+    A 12-digit token with a point and no exponent is already the repr of the
+    rounded value. The others (integral values, exponents, nan and inf) are
+    encoded again from the rounded float.
+    """
+    return [t if "." in t and "e" not in t else json.dumps(float(t)) for t in _g12(values)]
+
+
 def jsonable(value):
     """Recursively convert arrays and numbers into JSON-ready values."""
     if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
+        if value.dtype.kind == "f":
+            rounded = np.array(_g12(value.ravel().tolist()), dtype=float)
+            return rounded.reshape(value.shape).tolist()
+        value = value.tolist()
     if isinstance(value, (np.floating, float)):
         return round12(float(value))
     if isinstance(value, (np.integer, int)) or isinstance(value, bool):
@@ -52,7 +75,37 @@ def jsonable(value):
 
 
 def dumps_report(doc: dict) -> str:
-    return json.dumps(jsonable(doc), indent=2) + "\n"
+    """The standard library's indent-2 JSON of ``jsonable(doc)`` plus a newline, byte for byte."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """Indent-2 JSON of ``jsonable(value)``; ``newline`` starts a line at this depth."""
+    if type(value) is str:
+        return _quote(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = {str(k): v for k, v in value.items()}
+        body = (f"{_quote(k)}: {_encode(v, inner)}" for k, v in items.items())
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        separator = "," + inner
+        if set(map(type, value)) == {float}:
+            body = separator.join(["%.12g"] * len(value)) % tuple(value)
+            # unless every token has a point (nan and inf have none) and none an exponent
+            if body.count(".") != len(value) or "e" in body:
+                body = separator.join(_float_tokens(value))
+        else:
+            body = separator.join([_encode(v, inner) for v in value])
+        return "[" + inner + body + newline + "]"
+    return json.dumps(jsonable(value))
 
 
 def sha256_hex(data: bytes) -> str:
@@ -79,16 +132,11 @@ def _matrix(doc: dict, key: str, n_rows: int, n_cols: int, source: str) -> np.nd
     if not isinstance(rows, list) or len(rows) != n_rows:
         got = len(rows) if isinstance(rows, list) else type(rows).__name__
         raise ParseError(f"{source}: '{key}' must have {n_rows} rows, got {got}")
-    out = np.empty((n_rows, n_cols))
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n_cols:
             got = len(row) if isinstance(row, list) else type(row).__name__
             raise ParseError(f"{source}: {key} row {i + 1} must have {n_cols} columns, got {got}")
-        for j, cell in enumerate(row):
-            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
-                raise ParseError(f"{source}: non-numeric cell at {key}[{i + 1}, {j + 1}]")
-            out[i, j] = float(cell)
-    return out
+    return _numbers(rows, key, source, vector=False)
 
 
 def _vector(doc: dict, key: str, n: int, source: str) -> np.ndarray:
@@ -96,12 +144,30 @@ def _vector(doc: dict, key: str, n: int, source: str) -> np.ndarray:
     if not isinstance(values, list) or len(values) != n:
         got = len(values) if isinstance(values, list) else type(values).__name__
         raise ParseError(f"{source}: '{key}' must have {n} entries, got {got}")
-    out = np.empty(n)
-    for j, cell in enumerate(values):
-        if isinstance(cell, bool) or not isinstance(cell, (int, float)):
-            raise ParseError(f"{source}: non-numeric cell at {key}[{j + 1}]")
-        out[j] = float(cell)
-    return out
+    return _numbers([values], key, source, vector=True)[0]
+
+
+def _numbers(rows: list[list], key: str, source: str, vector: bool) -> np.ndarray:
+    """Rows of equal length as one float array; a bad cell is named by its 1-based place.
+
+    JSON numbers (int or float, not bool) pass; huge integers that no float
+    holds do not.
+    """
+    if {type(cell) for row in rows for cell in row} <= {float, int}:
+        try:
+            return np.array(rows, dtype=float)
+        except OverflowError:
+            pass
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            where = f"{key}[{j + 1}]" if vector else f"{key}[{i + 1}, {j + 1}]"
+            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+                raise ParseError(f"{source}: non-numeric cell at {where}")
+            try:
+                float(cell)
+            except OverflowError:
+                raise ParseError(f"{source}: number too large for a float at {where}") from None
+    return np.array(rows, dtype=float)
 
 
 def landscape_from_doc(doc: dict, source: str = "<input>") -> BeliefLandscape:

@@ -1,0 +1,230 @@
+"""Serialization and parsing in ``beliefscape.fileio``.
+
+``dumps_report`` and ``jsonable`` format floats a list at a time; the
+per-element conversion plus ``json.dumps(indent=2)`` they replaced is kept
+here as the reference, and their output must match it byte for byte.
+Matrix and vector cells are converted in one step; a bad cell must still be
+named by its place.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from beliefscape import cli, fixtures
+from beliefscape.fileio import (
+    ParseError,
+    dumps_report,
+    environment_from_doc,
+    environment_to_doc,
+    jsonable,
+    landscape_from_doc,
+    landscape_to_doc,
+    round12,
+)
+from test_golden_reports import CASES, write_inputs
+
+
+def reference_jsonable(value):
+    """The element-by-element conversion, as it was before the one-call formatting."""
+    if isinstance(value, np.ndarray):
+        return [reference_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, float)):
+        return round12(float(value))
+    if isinstance(value, (np.integer, int)) or isinstance(value, bool):
+        return int(value) if not isinstance(value, bool) else value
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    return value
+
+
+def reference_dumps(doc) -> str:
+    return json.dumps(reference_jsonable(doc), indent=2) + "\n"
+
+
+# --------------------------------------------------------------------------
+# Byte identity with the reference
+# --------------------------------------------------------------------------
+
+any_float = st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# every double, plus the ranges reports hold and the band where 12-digit %g
+# switches to an exponent while repr does not (1e12 to 1e16)
+floats = st.one_of(
+    any_float,
+    st.floats(0, 1),
+    st.floats(-1e-3, 1e-3),
+    st.floats(1e11, 1e17),
+    st.integers(-(10**6), 10**6).map(float),
+)
+float_arrays = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6), elements=floats
+)
+scalars = st.one_of(
+    floats,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    floats.map(np.float64),
+)
+documents = st.recursive(
+    st.one_of(scalars, float_arrays, st.lists(floats, max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        # int keys may collide with their str form; the later value wins
+        st.dictionaries(st.one_of(st.text(), st.integers(-3, 3)), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_dumps_report_matches_reference(doc):
+    assert dumps_report(doc) == reference_dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_jsonable_matches_reference(doc):
+    # json.dumps tells nan, -0.0, 1 and 1.0 apart where == does not
+    assert json.dumps(jsonable(doc)) == json.dumps(reference_jsonable(doc))
+
+
+def test_zero_dimensional_array_is_a_scalar():
+    assert jsonable(np.array(2.5)) == 2.5 and jsonable(np.array(1 / 3)) == round12(1 / 3)
+
+
+def _stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(list(argv))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_stdout_is_the_reference_encoding(case, tmp_path, monkeypatch):
+    """Exact and platform-independent, unlike the golden files' float tolerance."""
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = CASES[case]
+    stdout = _stdout(argv)
+    if "--format" in argv:
+        doc = json.loads(_stdout(["json" if a == "pretty" else a for a in argv]))
+        doc["argv"] = argv
+        expected = "\n".join(cli._pretty_lines(reference_jsonable(doc))) + "\n"
+    else:
+        expected = reference_dumps(json.loads(stdout))
+    assert stdout == expected
+
+
+def test_saved_documents_match_reference():
+    land = fixtures.truth_or_noise_landscape(0.3)
+    env = fixtures.truth_or_noise_environment(0.3)
+    for doc in (landscape_to_doc(land), environment_to_doc(env)):
+        assert dumps_report(doc) == reference_dumps(doc)
+    assert landscape_to_doc(land)["B"] == reference_jsonable(land.B.entries)
+    assert environment_to_doc(env)["I"] == reference_jsonable(env.structure.entries)
+
+
+# --------------------------------------------------------------------------
+# Parsing: one conversion, bad cells still located
+# --------------------------------------------------------------------------
+
+
+def _landscape_doc() -> dict:
+    return landscape_to_doc(fixtures.truth_or_noise_landscape(0.5))
+
+
+def _environment_doc() -> dict:
+    return environment_to_doc(fixtures.truth_or_noise_environment(0.5))
+
+
+BAD_CELLS = [True, False, "0.5", None, [0.5]]
+
+
+@pytest.mark.parametrize("cell", BAD_CELLS, ids=repr)
+@pytest.mark.parametrize("key", ["B", "Q"])
+def test_non_numeric_landscape_cell_located(key, cell):
+    doc = _landscape_doc()
+    doc[key][1][0] = cell
+    with pytest.raises(ParseError, match=rf"non-numeric cell at {key}\[2, 1\]$"):
+        landscape_from_doc(doc)
+
+
+@pytest.mark.parametrize("cell", BAD_CELLS, ids=repr)
+def test_non_numeric_environment_cell_located(cell):
+    doc = _environment_doc()
+    doc["I"][1][1] = cell
+    with pytest.raises(ParseError, match=r"non-numeric cell at I\[2, 2\]$"):
+        environment_from_doc(doc)
+    doc = _environment_doc()
+    doc["prior"][1] = cell
+    with pytest.raises(ParseError, match=r"non-numeric cell at prior\[2\]$"):
+        environment_from_doc(doc)
+
+
+def test_first_bad_cell_in_reading_order_is_named():
+    doc = _landscape_doc()
+    doc["B"][1][1] = "x"
+    doc["B"][0][1] = None
+    with pytest.raises(ParseError, match=r"B\[1, 2\]$"):
+        landscape_from_doc(doc)
+
+
+def test_numpy_float_cells_load():
+    doc = _landscape_doc()
+    expected = landscape_from_doc(doc)
+    doc["B"] = [[np.float64(c) for c in row] for row in doc["B"]]
+    doc["Q"][0] = [np.float64(c) for c in doc["Q"][0]]
+    loaded = landscape_from_doc(doc)
+    assert np.array_equal(loaded.B.entries, expected.B.entries)
+    assert np.array_equal(loaded.Q.entries, expected.Q.entries)
+
+
+def test_integer_cells_load_as_floats():
+    doc = _environment_doc()
+    doc["I"] = [[1] + [0] * (len(doc["signals"]) - 1) for _ in doc["states"]]
+    structure = environment_from_doc(doc).structure.entries
+    assert structure.dtype == float and structure[0, 0] == 1.0
+
+
+HUGE = 10**400  # a JSON integer literal no float holds
+
+
+def test_huge_integer_cell_located():
+    doc = _landscape_doc()
+    doc["B"][1][1] = HUGE
+    with pytest.raises(ParseError, match=r"too large for a float at B\[2, 2\]$"):
+        landscape_from_doc(doc)
+    doc = _environment_doc()
+    doc["prior"][0] = -HUGE
+    with pytest.raises(ParseError, match=r"too large for a float at prior\[1\]$"):
+        environment_from_doc(doc)
+
+
+def test_huge_integer_in_files_is_a_structural_error(tmp_path, capsys):
+    path = tmp_path / "land.json"
+    doc = landscape_to_doc(fixtures.two_signal_three_state_landscape())
+    doc["B"][1][1] = HUGE
+    path.write_text(json.dumps(doc))
+    assert cli.main(["identify", str(path)]) == cli.EXIT_ERROR
+    assert "B[2, 2]" in capsys.readouterr().err
+
+    path.write_text(json.dumps(landscape_to_doc(fixtures.two_signal_three_state_landscape())))
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, HUGE]]}))
+    assert cli.main(["ridge", str(path), "--reg", str(reg)]) == cli.EXIT_ERROR
+    assert "matrix[3, 3]" in capsys.readouterr().err
