@@ -298,6 +298,22 @@ class TestMoreCommands:
         assert doc["verdict"] == "pass"
         assert doc["result"]["failed"] == 0
 
+    def test_failed_selftest_exits_1(self, monkeypatch, capsys):
+        checks = [("round trip", True, ""), ("prior injectivity", False, "worst 0.3")]
+        monkeypatch.setattr("beliefscape.cli.run_selftest", lambda seed, trials: checks)
+        code, out = run_cli(["selftest"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdict"] == "fail"
+        assert doc["result"] == {
+            "passed": 1,
+            "failed": 1,
+            "checks": [
+                {"name": "round trip", "ok": True},
+                {"name": "prior injectivity", "ok": False, "detail": "worst 0.3"},
+            ],
+        }
+
     def test_environment_csv_round_trip(self, tmp_path, capsys):
         from beliefscape.fileio import load_environment
 

@@ -22,7 +22,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefscape import fixtures, generate_landscape, sample_environment
+from beliefscape import (
+    BeliefLandscape,
+    HypotheticalBeliefMatrix,
+    StateBeliefMatrix,
+    fixtures,
+    generate_landscape,
+    sample_environment,
+)
 from beliefscape.cli import main
 from beliefscape.fileio import save_environment, save_landscape
 
@@ -44,11 +51,17 @@ CASES = {
     "infer_state": ["infer-state", "env.json", "--signal", "reveal-th2", "--share", "0.5"],
     "generate": ["generate", "env.json"],
     "identify_pretty": ["identify", "--format", "pretty", "a58.json"],
+    "partition_not_partitional": ["partition", "ton.json"],
+    "check_infeasible": ["check", "infeas.json"],
+    "ridge_infeasible": ["ridge", "infeas.json"],
+    "check_infeasible_pretty": ["check", "--format", "pretty", "infeas.json"],
+    "reduce_verdict_error": ["reduce", "--no-validate", "negw.json"],
 }
 
 
 def write_inputs(directory: Path) -> None:
     """The fixture files every case reads, under the names CASES uses."""
+    c1, c2 = np.array([0.5, 0.25]), np.array([0.25, 0.5])
     landscapes = {
         "ton.json": fixtures.truth_or_noise_landscape(0.5),
         "a916.json": fixtures.symmetric_binary_landscape(9 / 16, 9 / 16),
@@ -58,6 +71,16 @@ def write_inputs(directory: Path) -> None:
         "scarce4.json": generate_landscape(sample_environment(np.random.default_rng(7), 4, 2)),
         "partition.json": fixtures.coarse_partition_landscape([0.25, 1 / 6, 1 / 3, 0.25]),
         "split.json": fixtures.split_state_landscape(),
+        # two signals, three states, and peer predictions no stochastic structure meets
+        "infeas.json": BeliefLandscape(
+            StateBeliefMatrix(fixtures.TWO_SIGNAL_THREE_STATE_B),
+            HypotheticalBeliefMatrix([[0.9, 0.1], [0.1, 0.9]]),
+        ),
+        # third column is 1.2 * first - 0.2 * second: a dependency no mixture explains
+        "negw.json": BeliefLandscape(
+            StateBeliefMatrix(np.column_stack([c1, c2, 1.2 * c1 - 0.2 * c2])),
+            HypotheticalBeliefMatrix(np.eye(2)),
+        ),
     }
     for name, landscape in landscapes.items():
         save_landscape(landscape, str(directory / name))
