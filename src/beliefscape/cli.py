@@ -2,8 +2,10 @@
 
 Reads landscape or environment files (JSON, or paired CSV matrices), runs the
 forward or inverse procedures, and prints a deterministic report to standard
-output. ``-`` means standard input or output. Exit codes: 0 success,
-1 structural error, 2 inconsistent/infeasible/ambiguous verdict, 64 usage.
+output. ``-`` means standard input or output. Each command's handler returns
+what it found; ``main`` writes the one report and maps its verdict to the exit
+code: 0 success, 1 structural error or failed selftest, 2 inconsistent,
+infeasible or ambiguous verdict, 64 usage.
 """
 
 from __future__ import annotations
@@ -32,8 +34,13 @@ from .core import (
 )
 from .fileio import (
     ParseError,
+    _matrix,
+    _read_csv_matrix,
+    beliefs_and_column_from_doc,
     dumps_report,
+    environment_from_doc,
     jsonable,
+    landscape_from_doc,
     landscape_to_doc,
     load_environment,
     load_landscape,
@@ -55,7 +62,7 @@ from .identify import (
     reduce_dependencies,
     signal_priors_identify,
 )
-from .linalg import ridge_solution_at
+from .linalg import Regularizer, ridge_solution_at
 from .selfcheck import run_selftest
 
 EXIT_OK = 0
@@ -71,6 +78,10 @@ _VERDICT_ERRORS = (
     StructureSupportError,
 )
 
+# Verdicts that end in a nonzero exit; every other verdict, or none, exits 0.
+_VERDICT_EXIT = {"inconsistent": EXIT_VERDICT, "infeasible": EXIT_VERDICT,
+                 "ambiguous": EXIT_VERDICT, "fail": EXIT_ERROR}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 64 here
@@ -82,19 +93,24 @@ class _Parser(argparse.ArgumentParser):
 _TOLERANCE_NAMES = ("stochastic", "entry", "rank", "match")  # --tol-<name>, Tolerances.tol_<name>
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    for name in _TOLERANCE_NAMES:
-        default = getattr(DEFAULT_TOLERANCES, f"tol_{name}")
-        common.add_argument(f"--tol-{name}", type=float, default=default, metavar="X")
-    common.add_argument("--format", choices=("json", "pretty"), default="json")
-    common.add_argument("--no-validate", action="store_true")
-    return common
+def _positive_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"invalid positive finite value: {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="beliefscape", description=__doc__)
-    common = _common_flags()
+    common = argparse.ArgumentParser(add_help=False)  # the flags every command takes
+    for name in _TOLERANCE_NAMES:
+        default = getattr(DEFAULT_TOLERANCES, f"tol_{name}")
+        common.add_argument(f"--tol-{name}", type=_positive_finite, default=default, metavar="X")
+    common.add_argument("--format", choices=("json", "pretty"), default="json")
+    common.add_argument("--no-validate", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("generate", parents=[common], help="landscape from an environment file")
@@ -110,7 +126,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ridge", parents=[common], help="minimum-norm route (more states than signals)")
     p.add_argument("path")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, metavar="X")
+    p.add_argument("--lambda", dest="lam", type=_positive_finite, default=None, metavar="X")
     p.add_argument("--reg", default=None, metavar="FILE", help="regularizer matrix file")
 
     p = sub.add_parser("check", parents=[common], help="consistency verdict for a landscape")
@@ -135,10 +151,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=50)
 
     return parser
-
-
-def _tolerances(ns: argparse.Namespace) -> Tolerances:
-    return Tolerances(**{f"tol_{name}": getattr(ns, f"tol_{name}") for name in _TOLERANCE_NAMES})
 
 
 def _report(ns, argv, inputs, result, verdict=None, warning_list=()):
@@ -218,46 +230,29 @@ def _load_validated_landscape(ns, tol):
     return landscape, digests
 
 
-def _load_matrix_file(path: str) -> np.ndarray:
+def _load_regularizer(path: str, n_states: int) -> Regularizer:
+    """The --reg matrix: a JSON {"matrix": rows} or a CSV matrix, n_states x n_states."""
     if path.endswith(".csv"):
-        from .fileio import _read_csv_matrix
-
-        _, _, matrix = _read_csv_matrix(Path(path))
-        return matrix
-    doc, _, name = read_document(path)
-    rows = doc.get("matrix", doc) if isinstance(doc, dict) else doc
+        doc = {"matrix": _read_csv_matrix(Path(path))[2].tolist()}
+    else:
+        doc, _, path = read_document(path)
     try:
-        return np.array(rows, dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError(f"{name}: expected a numeric matrix") from None
-    except OverflowError:
-        where = f"matrix{_overflow(rows)}"
-        raise ParseError(f"{name}: number too large for a float at {where}") from None
-
-
-def _overflow(rows: list) -> str:
-    """The 1-based place of the first cell of rows (or of a flat list) that no float holds."""
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row if isinstance(row, list) else [row]):
-            try:
-                float(cell)
-            except OverflowError:
-                return f"[{i + 1}, {j + 1}]" if isinstance(row, list) else f"[{i + 1}]"
-            except (TypeError, ValueError):
-                pass
-    return ""
+        return Regularizer(_matrix(doc, "matrix", n_states, n_states, path))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
-# Command handlers: each writes its report and returns (exit_code, doc)
+# Command handlers: each returns (inputs, result, verdict, warnings), which
+# main turns into the one report and the exit code; None means the handler
+# wrote its own output (generate's pipeline mode).
 # --------------------------------------------------------------------------
 
 
-def _cmd_generate(ns, tol, argv):
+def _cmd_generate(ns, tol):
     env, digests = load_environment(ns.path)
     if not ns.no_validate:
         _validate_or_fail("environment", validate_environment(env, tol))
-    caught: list[str] = []
     with warnings.catch_warnings(record=True) as buffer:
         warnings.simplefilter("always", DroppedSignalWarning)
         landscape = generate_landscape(env, tol)
@@ -265,66 +260,56 @@ def _cmd_generate(ns, tol, argv):
     if ns.output is None or ns.output == "-":
         # Pipeline mode: stdout carries the landscape document itself.
         sys.stdout.write(dumps_report(landscape_to_doc(landscape)))
-        return EXIT_OK, None
+        return None
     save_landscape(landscape, ns.output)
     result = {
         "output": ns.output,
         "states": list(landscape.state_labels),
         "signals": list(landscape.signal_labels),
     }
-    doc = _report(ns, argv, digests, result, warning_list=caught)
-    sys.stdout.write(_render(doc, ns))
-    return EXIT_OK, doc
+    return digests, result, None, caught
 
 
-def _cmd_identify(ns, tol, argv):
+def _cmd_identify(ns, tol):
     if ns.column is not None:
         if ns.path != "-" and ns.path.endswith(".csv"):
             raise ParseError("--column expects a JSON landscape document")
         landscape_doc, raw, name = read_document(ns.path)
-        from .fileio import beliefs_and_column_from_doc
-
         beliefs, column = beliefs_and_column_from_doc(landscape_doc, ns.column, name)
-        coefficients = identify_single_column(beliefs, column, tol)
         result = {
             "signal": ns.column,
             "states": list(beliefs.state_labels),
-            "per_state_probability": coefficients,
+            "per_state_probability": identify_single_column(beliefs, column, tol),
         }
-        doc = _report(ns, argv, {name: sha256_hex(raw)}, result)
-        sys.stdout.write(_render(doc, ns))
-        return EXIT_OK, doc
+        return {name: sha256_hex(raw)}, result, None, ()
     landscape, digests = _load_validated_landscape(ns, tol)
     verdict = consistency_check(landscape, tol)
     result = _identification_payload(verdict.identification)
     result["consistency"] = {"consistent": verdict.consistent, "failed": list(verdict.failed)}
     label = "consistent" if verdict.consistent else "inconsistent"
-    doc = _report(ns, argv, digests, result, verdict=label,
-                  warning_list=_clip_warnings(verdict.identification))
-    sys.stdout.write(_render(doc, ns))
-    return EXIT_OK if verdict.consistent else EXIT_VERDICT, doc
+    return digests, result, label, _clip_warnings(verdict.identification)
 
 
-def _cmd_sp(ns, tol, argv):
+def _cmd_sp(ns, tol):
     landscape, digests = _load_validated_landscape(ns, tol)
     sp = signal_priors_identify(landscape, tol)
-    result = {"kind": sp.kind, "prior": _prior_payload(sp.prior)}
+    result = {
+        "kind": sp.kind,
+        "prior": _prior_payload(sp.prior),
+        "signals": list(landscape.signal_labels),
+    }
     if sp.kind == "unique":
-        result["signals"] = list(landscape.signal_labels)
         result["marginal"] = sp.marginal.entries
         if sp.structure is not None:
             result["structure"] = sp.structure.entries
     else:
-        result["signals"] = list(landscape.signal_labels)
         result["marginal_family"] = list(sp.marginal_family)
-    doc = _report(ns, argv, digests, result)
-    sys.stdout.write(_render(doc, ns))
-    return EXIT_OK, doc
+    return digests, result, None, ()
 
 
-def _cmd_ridge(ns, tol, argv):
+def _cmd_ridge(ns, tol):
     landscape, digests = _load_validated_landscape(ns, tol)
-    reg = _load_matrix_file(ns.reg) if ns.reg else None
+    reg = _load_regularizer(ns.reg, landscape.n_states) if ns.reg else None
     under = identify_underdetermined(landscape, tol, reg=reg)
     result = {
         "states": list(under.state_labels),
@@ -346,31 +331,12 @@ def _cmd_ridge(ns, tol, argv):
             "solution": at_lambda,
             "gap_to_limit": float(np.max(np.abs(at_lambda - under.ridge_limit))),
         }
-    infeasible = under.restored.kind == "infeasible"
-    doc = _report(ns, argv, digests, result, verdict="infeasible" if infeasible else "feasible")
-    sys.stdout.write(_render(doc, ns))
-    return EXIT_VERDICT if infeasible else EXIT_OK, doc
+    return digests, result, "infeasible" if under.restored.kind == "infeasible" else "feasible", ()
 
 
-def _cmd_check(ns, tol, argv):
+def _cmd_check(ns, tol):
     landscape, digests = _load_validated_landscape(ns, tol)
-    plain_path = (
-        landscape.n_states <= landscape.n_signals and landscape.B.has_full_column_rank(tol)
-    )
-    warning_list: list[str] = []
-    if plain_path:
-        verdict = consistency_check(landscape, tol)
-        result = {
-            "route": "regression",
-            "consistent": verdict.consistent,
-            "failed": list(verdict.failed),
-        }
-        if verdict.identification is not None:
-            result["diagnostics"] = _identification_payload(verdict.identification)["diagnostics"]
-            warning_list = _clip_warnings(verdict.identification)
-        label = "consistent" if verdict.consistent else "inconsistent"
-        code = EXIT_OK if verdict.consistent else EXIT_VERDICT
-    else:
+    if landscape.n_states > landscape.n_signals or not landscape.B.has_full_column_rank(tol):
         under = identify_underdetermined(landscape, tol)
         feasible = under.restored.kind != "infeasible"
         result = {
@@ -379,14 +345,20 @@ def _cmd_check(ns, tol, argv):
             "restoration_kind": under.restored.kind,
             "residual": under.residual,
         }
-        label = "feasible" if feasible else "infeasible"
-        code = EXIT_OK if feasible else EXIT_VERDICT
-    doc = _report(ns, argv, digests, result, verdict=label, warning_list=warning_list)
-    sys.stdout.write(_render(doc, ns))
-    return code, doc
+        return digests, result, "feasible" if feasible else "infeasible", ()
+    verdict = consistency_check(landscape, tol)
+    result = {
+        "route": "regression",
+        "consistent": verdict.consistent,
+        "failed": list(verdict.failed),
+    }
+    if verdict.identification is not None:
+        result["diagnostics"] = _identification_payload(verdict.identification)["diagnostics"]
+    label = "consistent" if verdict.consistent else "inconsistent"
+    return digests, result, label, _clip_warnings(verdict.identification)
 
 
-def _cmd_rationalize(ns, tol, argv):
+def _cmd_rationalize(ns, tol):
     landscape, digests = _load_validated_landscape(ns, tol)
     rat = rationalize_noncommon(landscape, tol)
     result = {
@@ -397,12 +369,10 @@ def _cmd_rationalize(ns, tol, argv):
         "belief_residuals": rat.belief_residuals,
         "hypothetical_residuals": rat.hypothetical_residuals,
     }
-    doc = _report(ns, argv, digests, result)
-    sys.stdout.write(_render(doc, ns))
-    return EXIT_OK, doc
+    return digests, result, None, ()
 
 
-def _cmd_reduce(ns, tol, argv):
+def _cmd_reduce(ns, tol):
     landscape, digests = _load_validated_landscape(ns, tol)
     reduction = reduce_dependencies(landscape, tol)
     result = {
@@ -425,55 +395,36 @@ def _cmd_reduce(ns, tol, argv):
             )
             result["embedded_structure"] = structure.entries
             result["embedded_prior"] = prior.entries
-    doc = _report(ns, argv, digests, result)
-    sys.stdout.write(_render(doc, ns))
-    return EXIT_OK, doc
+    return digests, result, None, ()
 
 
-def _cmd_partition(ns, tol, argv):
+def _cmd_partition(ns, tol):
     landscape, digests = _load_validated_landscape(ns, tol)
     partition = detect_partitional(landscape, tol)
-    if partition.partitional:
-        result = {
-            "partitional": True,
-            "cells": [[landscape.state_labels[i] for i in cell] for cell in partition.cells],
-            "zero_prior_states": [
-                landscape.state_labels[i] for i in partition.zero_prior_states
-            ],
-        }
-        label = "partitional"
-    else:
-        result = {"partitional": False}
-        label = "not_partitional"
-    doc = _report(ns, argv, digests, result, verdict=label)
-    sys.stdout.write(_render(doc, ns))
-    return EXIT_OK, doc
+    if not partition.partitional:
+        return digests, {"partitional": False}, "not_partitional", ()
+    result = {
+        "partitional": True,
+        "cells": [[landscape.state_labels[i] for i in cell] for cell in partition.cells],
+        "zero_prior_states": [landscape.state_labels[i] for i in partition.zero_prior_states],
+    }
+    return digests, result, "partitional", ()
 
 
-def _cmd_infer_state(ns, tol, argv):
+def _cmd_infer_state(ns, tol):
     doc_in, raw, name = read_document(ns.path)
-    digests = {name: sha256_hex(raw)}
     if "I" in doc_in and "prior" in doc_in:
-        from .fileio import environment_from_doc
-
-        env = environment_from_doc(doc_in, name)
-        if ns.signal not in env.signal_labels:
-            raise ParseError(f"{name}: no signal labelled {ns.signal!r}")
-        column = env.structure.entries[:, env.signal_labels.index(ns.signal)]
-        state_labels = env.state_labels
+        structure = environment_from_doc(doc_in, name).structure
         source = "environment"
     else:
-        from .fileio import landscape_from_doc
-
         landscape = landscape_from_doc(doc_in, name)
         if not ns.no_validate:
             _validate_or_fail("landscape", validate_landscape(landscape.B, landscape.Q, tol))
-        identified = identify(landscape, tol)
-        if ns.signal not in landscape.signal_labels:
-            raise ParseError(f"{name}: no signal labelled {ns.signal!r}")
-        column = identified.structure.entries[:, landscape.signal_labels.index(ns.signal)]
-        state_labels = landscape.state_labels
+        structure = identify(landscape, tol).structure
         source = "identified landscape"
+    if ns.signal not in structure.signal_labels:
+        raise ParseError(f"{name}: no signal labelled {ns.signal!r}")
+    column = structure.entries[:, structure.signal_labels.index(ns.signal)]
     inference = infer_state(column, ns.share, tol)
     result = {
         "source": source,
@@ -483,15 +434,12 @@ def _cmd_infer_state(ns, tol, argv):
         "ambiguous": inference.ambiguous,
         "state": None
         if inference.state_index is None
-        else state_labels[inference.state_index],
+        else structure.state_labels[inference.state_index],
     }
-    label = "ambiguous" if inference.ambiguous else "matched"
-    doc = _report(ns, argv, digests, result, verdict=label)
-    sys.stdout.write(_render(doc, ns))
-    return EXIT_VERDICT if inference.ambiguous else EXIT_OK, doc
+    return {name: sha256_hex(raw)}, result, "ambiguous" if inference.ambiguous else "matched", ()
 
 
-def _cmd_selftest(ns, tol, argv):
+def _cmd_selftest(ns, tol):
     checks = run_selftest(seed=ns.seed, trials=ns.trials)
     n_pass = sum(1 for _, ok, _ in checks if ok)
     result = {
@@ -502,9 +450,7 @@ def _cmd_selftest(ns, tol, argv):
             for name, ok, detail in checks
         ],
     }
-    doc = _report(ns, argv, {}, result, verdict="pass" if n_pass == len(checks) else "fail")
-    sys.stdout.write(_render(doc, ns))
-    return EXIT_OK if n_pass == len(checks) else EXIT_ERROR, doc
+    return {}, result, "pass" if n_pass == len(checks) else "fail", ()
 
 
 _HANDLERS = {
@@ -577,26 +523,26 @@ def _render(doc: dict, ns) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
+    tol = Tolerances(**{f"tol_{name}": getattr(ns, f"tol_{name}") for name in _TOLERANCE_NAMES})
+    finding = None
     try:
-        tol = _tolerances(ns)
-    except ValueError as exc:
-        print(f"beliefscape: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    handler = _HANDLERS[ns.command]
-    try:
-        code, _ = handler(ns, tol, argv)
-        return code
-    except _VERDICT_ERRORS as exc:
-        doc = _report(ns, argv, {}, {"error": type(exc).__name__, "message": str(exc)},
-                      verdict="infeasible")
-        sys.stdout.write(_render(doc, ns))
-        print(f"beliefscape: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
+        try:
+            outcome = _HANDLERS[ns.command](ns, tol)
+        except _VERDICT_ERRORS as exc:
+            # A finding about the data, not breakage: reported as an infeasible result.
+            finding = exc
+            outcome = {}, {"error": type(exc).__name__, "message": str(exc)}, "infeasible", ()
+        if outcome is None:
+            return EXIT_OK
+        inputs, result, verdict, warning_list = outcome
+        sys.stdout.write(_render(_report(ns, argv, inputs, result, verdict, warning_list), ns))
     except (BeliefscapeError, OSError) as exc:
         print(f"beliefscape: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if finding is not None:
+        print(f"beliefscape: {finding}", file=sys.stderr)
+    return _VERDICT_EXIT.get(verdict, EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -87,8 +87,8 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("tol_stochastic", "tol_entry", "tol_rank", "tol_match"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < np.inf:  # nan fails too
+                raise ValueError(f"{name} must be positive and finite")
 
     def rank_cutoff(self, singular_values: np.ndarray) -> float:
         s = np.asarray(singular_values, dtype=float)

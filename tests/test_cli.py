@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -400,3 +401,74 @@ class TestMoreCommands:
         doc = json.loads(out)
         assert any("s3" in w for w in doc["warnings"])
         assert doc["result"]["signals"] == ["s1", "s2"]
+
+
+class TestBadInput:
+    """Bad flag values are usage errors (64); bad --reg files are structural errors (1)."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tol-match", "nan"],
+            ["--tol-rank", "nan"],
+            ["--tol-entry", "inf"],
+            ["--tol-stochastic", "0"],
+            ["--lambda", "-1"],
+            ["--lambda", "0"],
+            ["--lambda", "nan"],
+            ["--lambda", "inf"],
+            ["--lambda", "x"],
+        ],
+    )
+    def test_bad_number_is_a_usage_error(self, workdir, flags, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["ridge", str(workdir / "scarce.json"), *flags])
+        assert info.value.code == 64
+        assert f"argument {flags[0]}: invalid positive finite value" in capsys.readouterr().err
+
+    def test_nan_tolerances_do_not_reach_a_verdict(self, workdir, capsys):
+        # nan compares false with everything: every landscape would pass
+        for flag in ("--tol-match", "--tol-rank"):
+            with pytest.raises(SystemExit) as info:
+                main(["check", str(workdir / "a916.json"), flag, "nan"])
+            assert info.value.code == 64
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("asym.json", '{"matrix": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]}', "must be symmetric"),
+            ("indef.json", '{"matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}', "positive definite"),
+            ("small.json", '{"matrix": [[1, 0], [0, 1]]}', "'matrix' must have 3 rows, got 2"),
+            ("wide.json", '{"matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]}',
+             "matrix row 1 must have 3 columns, got 4"),
+            ("text.json", '{"matrix": [["1", 0, 0], [0, true, 0], [0, 0, 1]]}',
+             r"non-numeric cell at matrix\[1, 1\]"),
+            ("flag.json", '{"matrix": [[1, 0, 0], [0, true, 0], [0, 0, 1]]}',
+             r"non-numeric cell at matrix\[2, 2\]"),
+            ("rows.json", '[[1, 0, 0], [0, 1, 0], [0, 0, 1]]', "expected a JSON object"),
+            ("small.csv", ",a,b\na,1,0\nb,0,1\n", "'matrix' must have 3 rows, got 2"),
+            ("asym.csv", ",a,b,c\na,1,0.5,0\nb,0,1,0\nc,0,0,1\n", "must be symmetric"),
+        ],
+    )
+    def test_bad_regularizer_file_is_a_structural_error(self, workdir, name, text, message,
+                                                        capsys):
+        reg = workdir / name
+        reg.write_text(text)
+        assert main(["ridge", str(workdir / "scarce.json"), "--reg", str(reg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"beliefscape: error: {reg}: ")
+        assert re.search(message, err)
+
+    def test_csv_regularizer_is_read(self, workdir, capsys):
+        reg = workdir / "reg.csv"
+        reg.write_text(",a,b,c\na,1,0,0\nb,0,1,0\nc,0,0,2\n")
+        json_reg = workdir / "reg.json"
+        json_reg.write_text(json.dumps({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 2]]}))
+        reports = [
+            json.loads(run_cli(["ridge", workdir / "scarce.json", "--lambda", "1e-3", "--reg", r],
+                               capsys)[1])
+            for r in (reg, json_reg)
+        ]
+        assert reports[0]["result"] == reports[1]["result"]

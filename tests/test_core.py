@@ -58,6 +58,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             Tolerances(tol_match=0.0)
 
+    @pytest.mark.parametrize("name", ["tol_stochastic", "tol_entry", "tol_rank", "tol_match"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_tolerances_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Tolerances(**{name: value})
+
 
 class TestValidateLandscape:
     def test_truth_or_noise_is_plausible(self):
