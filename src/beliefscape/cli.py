@@ -93,14 +93,24 @@ class _Parser(argparse.ArgumentParser):
 _TOLERANCE_NAMES = ("stochastic", "entry", "rank", "match")  # --tol-<name>, Tolerances.tol_<name>
 
 
-def _positive_finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"invalid positive finite value: {text!r}")
-    return value
+def _number_type(parse, ok, what: str):
+    """An argparse type: ``parse`` the text and require ``ok(value)``, else a usage error."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = np.nan  # fails every check
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"invalid {what}: {text!r}")
+        return value
+
+    return convert
+
+
+_positive_finite = _number_type(float, lambda v: 0 < v < np.inf, "positive finite value")
+_unit_interval = _number_type(float, lambda v: 0 <= v <= 1, "value in [0, 1]")
+_positive_int = _number_type(int, lambda v: v >= 1, "positive integer")
 
 
 def build_parser() -> _Parser:
@@ -144,11 +154,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("infer-state", parents=[common], help="match a signal share to a state")
     p.add_argument("path", help="environment or landscape file")
     p.add_argument("--signal", required=True)
-    p.add_argument("--share", required=True, type=float)
+    p.add_argument("--share", required=True, type=_unit_interval)
 
     p = sub.add_parser("selftest", parents=[common], help="run the built-in checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
 
     return parser
 
@@ -512,8 +522,8 @@ def _render(doc: dict, ns) -> str:
         return dumps_report(doc)
     lines = _pretty_lines(jsonable(doc))
     if "verdict" in doc and sys.stdout.isatty() and not os.environ.get("NO_COLOR"):
-        good = doc["verdict"] in ("consistent", "feasible", "matched", "pass", "partitional")
-        color = "\033[32m" if good else "\033[31m"
+        exits_ok = _VERDICT_EXIT.get(doc["verdict"], EXIT_OK) == EXIT_OK
+        color = "\033[32m" if exits_ok else "\033[31m"
         lines = [
             line.replace(f'verdict: "{doc["verdict"]}"', f'verdict: {color}{doc["verdict"]}\033[0m')
             for line in lines

@@ -31,17 +31,16 @@ def signal_marginal(env: InformationalEnvironment) -> SignalMarginal:
     return SignalMarginal(marginal, signal_labels=env.signal_labels)
 
 
-def _surviving_signals(env: InformationalEnvironment, tol: Tolerances) -> np.ndarray:
-    marginal = env.structure.entries.T @ env.prior.entries
+def _bayes(structure: np.ndarray, prior: np.ndarray, tol: Tolerances) -> tuple:
+    """Bayes' rule on arrays: (surviving-signal mask, posteriors, peer predictions).
+
+    Survivors have marginal above ``tol_entry``. Builds no objects, emits no warnings.
+    """
+    joint = prior[:, None] * structure
+    marginal = joint.sum(axis=0)
     keep = marginal > tol.tol_entry
-    if not keep.any():
-        raise DegenerateEnvironmentError("every signal has zero marginal probability")
-    dropped = [label for label, kept in zip(env.signal_labels, keep) if not kept]
-    if dropped:
-        warnings.warn(
-            f"dropped zero-marginal signals: {', '.join(dropped)}", DroppedSignalWarning
-        )
-    return keep
+    beliefs = joint[:, keep].T / marginal[keep][:, None]
+    return keep, beliefs, beliefs @ structure[:, keep]
 
 
 def posterior_matrix(
@@ -81,12 +80,15 @@ def generate_landscape(
     Zero-marginal signals are dropped from both matrices; their hypothetical
     columns are identically zero anyway.
     """
-    keep = _surviving_signals(env, tol)
-    joint = env.prior.entries[:, None] * env.structure.entries
-    marginal = joint.sum(axis=0)
-    beliefs = joint[:, keep].T / marginal[keep][:, None]
+    keep, beliefs, hypotheticals = _bayes(env.structure.entries, env.prior.entries, tol)
+    if not keep.any():
+        raise DegenerateEnvironmentError("every signal has zero marginal probability")
     labels = tuple(l for l, k in zip(env.signal_labels, keep) if k)
-    hypotheticals = beliefs @ env.structure.entries[:, keep]
+    dropped = [l for l, k in zip(env.signal_labels, keep) if not k]
+    if dropped:
+        warnings.warn(
+            f"dropped zero-marginal signals: {', '.join(dropped)}", DroppedSignalWarning
+        )
     return BeliefLandscape(
         StateBeliefMatrix(beliefs, state_labels=env.state_labels, signal_labels=labels),
         HypotheticalBeliefMatrix(hypotheticals, signal_labels=labels),

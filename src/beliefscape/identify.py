@@ -11,7 +11,6 @@ diagnostics, and crowd-wisdom state inference round out the toolbox.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,10 +18,8 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     BeliefLandscape,
-    BeliefscapeError,
     InconsistentLandscapeError,
     InformationStructure,
-    InformationalEnvironment,
     NotConvexDependentError,
     NotInHullError,
     NotModelGeneratedError,
@@ -35,7 +32,7 @@ from .core import (
     Tolerances,
     UnderdeterminedError,
 )
-from .forward import generate_landscape
+from .forward import _bayes
 from .linalg import (
     EigenvalueOneResult,
     NullSpaceBasis,
@@ -244,24 +241,15 @@ def identify_structure(
 
 
 def _roundtrip_errors(
-    landscape: BeliefLandscape,
-    structure: InformationStructure,
-    prior: Prior,
-    tol: Tolerances,
+    landscape: BeliefLandscape, structure: InformationStructure, prior: Prior, tol: Tolerances
 ) -> tuple[float, float]:
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            regenerated = generate_landscape(
-                InformationalEnvironment(structure, prior), tol
-            )
-    except BeliefscapeError:
-        return float("inf"), float("inf")
-    if regenerated.B.entries.shape != landscape.B.entries.shape:
+    """Largest gaps to Bayes' rule applied to (structure, prior); inf if a signal drops."""
+    keep, beliefs, hypotheticals = _bayes(structure.entries, prior.entries, tol)
+    if not keep.all():
         return float("inf"), float("inf")
     return (
-        float(np.max(np.abs(regenerated.B.entries - landscape.B.entries))),
-        float(np.max(np.abs(regenerated.Q.entries - landscape.Q.entries))),
+        float(np.max(np.abs(beliefs - landscape.B.entries))),
+        float(np.max(np.abs(hypotheticals - landscape.Q.entries))),
     )
 
 
@@ -342,9 +330,11 @@ class RestorationResult:
 
     The candidates are the minimum-norm matrix plus per-column combinations
     of the null basis; row sums pin the total coefficient per basis vector,
-    the box [0, 1] does the rest. ``kind`` is "unique", "family" (the
-    representative is the point found by shifting each column as little as
-    possible, earlier columns first), or "infeasible".
+    the box [0, 1] does the rest. ``kind`` is "unique", "family" or
+    "infeasible". A family's representative minimizes the coefficients' sum
+    weighted by 2 - i / n (coefficient i = j * k + r for column j, basis
+    vector r): with one null direction the lexicographic minimum, found in
+    closed form; with more, a ``linprog`` optimum that need not be one.
     """
 
     kind: str
@@ -423,7 +413,7 @@ def _restore_general(
         rhs.append(ridge_limit[:, j] + slack)
     a_ub = np.vstack(rows)
     b_ub = np.concatenate(rhs)
-    cost = 1.0 + np.arange(n_vars) / n_vars
+    cost = 2.0 - np.arange(n_vars) / n_vars  # falling, so k = 1 gives the closed form's point
     solutions = []
     for sign in (1.0, -1.0):
         res = scipy.optimize.linprog(

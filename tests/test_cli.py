@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import subprocess
@@ -281,6 +282,28 @@ class TestMoreCommands:
         assert 'verdict: "consistent"' in out
         assert "structure:" in out
 
+    @pytest.mark.parametrize(
+        "args, verdict, color",
+        [
+            (["identify", "a58.json"], "consistent", "32"),
+            (["partition", "a58.json"], "not_partitional", "32"),
+            (["identify", "a916.json"], "inconsistent", "31"),
+        ],
+    )
+    def test_pretty_verdict_is_green_exactly_when_it_exits_0(
+        self, workdir, monkeypatch, args, verdict, color
+    ):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        terminal = Terminal()
+        monkeypatch.setattr(sys, "stdout", terminal)
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        code = main([args[0], "--format", "pretty", str(workdir / args[1])])
+        assert (code == 0) == (color == "32")
+        assert f"verdict: \033[{color}m{verdict}\033[0m" in terminal.getvalue()
+
     def test_no_validate_skips_plausibility(self, workdir, capsys):
         land = fixtures.symmetric_binary_landscape(0.5, 0.5)
         doc = landscape_to_doc(land)
@@ -429,6 +452,39 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"argument {flag}: invalid positive finite value: '{value}'" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--share", "7"], "argument --share: invalid value in [0, 1]: '7'"),
+            (["--share", "nan"], "argument --share: invalid value in [0, 1]: 'nan'"),
+            (["--share", "-0.1"], "argument --share: invalid value in [0, 1]: '-0.1'"),
+            (["--trials", "0"], "argument --trials: invalid positive integer: '0'"),
+            (["--trials", "-1"], "argument --trials: invalid positive integer: '-1'"),
+        ],
+        ids=["share_7", "share_nan", "share_negative", "trials_0", "trials_negative"],
+    )
+    def test_out_of_range_count_or_share_is_a_usage_error(self, workdir, args, message,
+                                                          capsys):
+        if args[0] == "--share":
+            args = ["infer-state", str(workdir / "env.json"), "--signal", "reveal-th2", *args]
+        else:
+            args = ["selftest", *args]
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("share", ["0", "1"])
+    def test_share_bounds_are_accepted(self, workdir, share, capsys):
+        code, out = run_cli(
+            ["infer-state", workdir / "env.json", "--signal", "reveal-th2", "--share", share],
+            capsys,
+        )
+        assert code in (0, 2)
+        assert json.loads(out)["result"]["observed_share"] == float(share)
 
     @pytest.mark.parametrize(
         "name, text, message",

@@ -7,8 +7,10 @@ codes, keys, strings, booleans and integers must match exactly; floats within
 ``FLOAT_ATOL``. ``selftest`` is left out: its details quote worst errors at
 the 1e-15 level, which is noise.
 
-To rewrite the golden files after a deliberate change of a report, run
-``PYTHONPATH=src python tests/test_golden_reports.py``.
+To rewrite golden files after a deliberate change of a report, run
+``PYTHONPATH=src python tests/test_golden_reports.py [CASE ...]``. Named cases
+are rewritten; with no names, only the files that are missing or fail are, so
+unrelated files keep their bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -152,10 +155,7 @@ def inputs_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_report_matches_golden(case, inputs_dir):
-    expected = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
-    actual = run_case(CASES[case])
+def assert_run_matches(actual: dict, expected: dict) -> None:
     assert actual["argv"] == expected["argv"]
     assert actual["exit"] == expected["exit"]
     if "stdout_text" in expected:
@@ -164,21 +164,43 @@ def test_report_matches_golden(case, inputs_dir):
         assert_matches(actual["stdout"], expected["stdout"])
 
 
-def _rewrite_golden() -> None:
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, inputs_dir):
+    expected = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
+    assert_run_matches(run_case(CASES[case]), expected)
+
+
+def _stale(case: str, run: dict) -> bool:
+    path = GOLDEN_DIR / f"{case}.json"
+    if not path.exists():
+        return True
+    try:
+        assert_run_matches(run, json.loads(path.read_text()))
+    except AssertionError:
+        return True
+    return False
+
+
+def _rewrite_golden(names: list[str]) -> None:
     import tempfile
 
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         write_inputs(Path(scratch))
         os.chdir(scratch)
         try:
-            runs = {case: run_case(argv) for case, argv in CASES.items()}
+            runs = {case: run_case(CASES[case]) for case in names or CASES}
         finally:
             os.chdir(here)
     for case, run in runs.items():
-        (GOLDEN_DIR / f"{case}.json").write_text(json.dumps(run, indent=2) + "\n")
+        if names or _stale(case, run):
+            (GOLDEN_DIR / f"{case}.json").write_text(json.dumps(run, indent=2) + "\n")
+            print(f"rewrote {case}")
 
 
 if __name__ == "__main__":
-    _rewrite_golden()
+    _rewrite_golden(sys.argv[1:])

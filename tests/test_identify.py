@@ -1,13 +1,15 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
 
 from beliefscape import (
     BeliefLandscape,
-    DegenerateEnvironmentError,
+    DEFAULT_TOLERANCES,
     HypotheticalBeliefMatrix,
     InformationStructure,
+    Prior,
     StateBeliefMatrix,
     StructureSupportError,
     UnderdeterminedError,
@@ -149,22 +151,37 @@ class TestIdentify:
 
 
 class TestRoundTripErrors:
-    def test_library_error_reads_as_infinite_error(self, monkeypatch):
-        def degenerate(*args, **kwargs):
-            raise DegenerateEnvironmentError("every signal has zero marginal probability")
-
-        monkeypatch.setattr(identify_module, "generate_landscape", degenerate)
-        diagnostics = identify(fixtures.symmetric_binary_landscape(5 / 8, 5 / 8)).diagnostics
-        assert diagnostics.roundtrip_belief_error == float("inf")
-        assert diagnostics.roundtrip_hypothetical_error == float("inf")
+    @pytest.mark.parametrize("dead", [[1], [0, 1]], ids=["one_dropped", "none_survive"])
+    def test_dropped_signal_reads_as_infinite_error(self, dead):
+        # The regeneration drops every signal whose structure column is all zero.
+        landscape = fixtures.symmetric_binary_landscape(5 / 8, 5 / 8)
+        entries = np.array([[0.625, 0.375], [0.375, 0.625]])
+        entries[:, dead] = 0.0
+        errors = identify_module._roundtrip_errors(
+            landscape, InformationStructure(entries), Prior([0.5, 0.5]), DEFAULT_TOLERANCES
+        )
+        assert errors == (float("inf"), float("inf"))
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("not a library error")
 
-        monkeypatch.setattr(identify_module, "generate_landscape", broken)
+        monkeypatch.setattr(identify_module, "_bayes", broken)
         with pytest.raises(TypeError, match="not a library error"):
             identify(fixtures.symmetric_binary_landscape(5 / 8, 5 / 8))
+
+    def test_round_trip_leaves_the_warning_filters_alone(self, monkeypatch):
+        # catch_warnings swaps process-global state; a pure check never enters it.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("warnings.catch_warnings entered")
+
+        landscape = fixtures.symmetric_binary_landscape(5 / 8, 5 / 8)
+        with monkeypatch.context() as patch:  # undone before pytest's own catch_warnings
+            patch.setattr(warnings, "catch_warnings", forbidden)
+            verdict = consistency_check(landscape)
+            diagnostics = identify(landscape).diagnostics
+        assert verdict.consistent
+        assert diagnostics.roundtrip_belief_error < 1e-12
 
 
 class TestConsistencyCheck:

@@ -1,0 +1,77 @@
+"""Property tests for invariants of the model, over hypothesis-drawn environments."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from beliefscape import (
+    BeliefLandscape,
+    HypotheticalBeliefMatrix,
+    StateBeliefMatrix,
+    consistency_check,
+    generate_landscape,
+    identify,
+    sample_environment,
+)
+
+
+def relabel(landscape: BeliefLandscape, states, signals) -> BeliefLandscape:
+    """The same landscape with its states and signals listed in another order."""
+    b, q = landscape.B.entries, landscape.Q.entries
+    signal_labels = [landscape.signal_labels[s] for s in signals]
+    return BeliefLandscape(
+        StateBeliefMatrix(
+            b[np.ix_(signals, states)],
+            state_labels=[landscape.state_labels[i] for i in states],
+            signal_labels=signal_labels,
+        ),
+        HypotheticalBeliefMatrix(q[np.ix_(signals, signals)], signal_labels=signal_labels),
+    )
+
+
+@st.composite
+def relabelled_landscapes(draw):
+    """A well-conditioned generated landscape, maybe with Q bumped off the model, and an order."""
+    n_states = draw(st.integers(2, 4))
+    n_signals = draw(st.integers(n_states, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    landscape = generate_landscape(sample_environment(rng, n_states, n_signals, min_mass=0.05))
+    assume(np.linalg.cond(landscape.B.entries) < 1e3)
+    if draw(st.booleans()):
+        # Move 1e-3 of mass within the first row of Q: still stochastic, no longer generated.
+        q = landscape.Q.entries.copy()
+        q[0, :2] += [1e-3, -1e-3]
+        landscape = BeliefLandscape(landscape.B, HypotheticalBeliefMatrix(q))
+    states = np.array(draw(st.permutations(range(n_states))))
+    signals = np.array(draw(st.permutations(range(n_signals))))
+    return landscape, states, signals
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_landscapes())
+def test_relabelling_permutes_the_identification_and_keeps_the_verdict(case):
+    landscape, states, signals = case
+    relabelled = relabel(landscape, states, signals)
+    verdict, relabelled_verdict = consistency_check(landscape), consistency_check(relabelled)
+    assert relabelled_verdict.consistent == verdict.consistent
+    assert relabelled_verdict.failed == verdict.failed
+    if verdict.identification.prior is None:
+        assert relabelled_verdict.identification.prior is None
+        return
+    result, relabelled_result = identify(landscape), identify(relabelled)
+    assert relabelled_result.structure.state_labels == tuple(
+        result.structure.state_labels[i] for i in states
+    )
+    np.testing.assert_allclose(
+        relabelled_result.structure.entries,
+        result.structure.entries[np.ix_(states, signals)],
+        rtol=0,
+        atol=1e-10,
+    )
+    assert relabelled_result.prior.kind == result.prior.kind
+    np.testing.assert_allclose(
+        relabelled_result.prior.representative().entries,
+        result.prior.representative().entries[states],
+        rtol=0,
+        atol=1e-10,
+    )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from beliefscape import (
+    DEFAULT_TOLERANCES,
     NotInHullError,
     Prior,
     StateBeliefMatrix,
@@ -14,6 +15,7 @@ from beliefscape import (
     sample_environment,
 )
 from beliefscape import fixtures
+from beliefscape.identify import _restore_general, _restore_one_direction
 from beliefscape.linalg import NullSpaceBasis
 
 
@@ -112,6 +114,23 @@ class TestRestoreFeasibility:
         np.testing.assert_allclose(b @ x, q, atol=1e-9)
         assert x.min() >= -1e-9
         np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_program_agrees_with_the_closed_form_on_one_direction(self):
+        # The LP is the route for two or more directions; forced onto one, it
+        # must pick the closed form's representative and kind.
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n_states = int(rng.integers(3, 6))
+            land = generate_landscape(sample_environment(rng, n_states, n_states - 1))
+            ridge = land.B._svd.pinv(DEFAULT_TOLERANCES) @ land.Q.entries
+            v = land.B._svd.null_basis(DEFAULT_TOLERANCES).as_matrix(n_states)
+            assert v.shape[1] == 1
+            totals = v.T @ (1.0 - ridge.sum(axis=1))
+            closed = _restore_one_direction(ridge, v[:, 0], float(totals[0]), DEFAULT_TOLERANCES)
+            program = _restore_general(ridge, v, totals, DEFAULT_TOLERANCES)
+            assert program[0] == closed[0]
+            # the LP's box carries tol_entry slack; the closed form's box is exact
+            np.testing.assert_allclose(program[1], closed[1], rtol=0, atol=1e-7)
 
 
 class TestPartitionFixture:
