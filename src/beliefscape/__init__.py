@@ -42,7 +42,7 @@ from .forward import (
     sample_environment,
     signal_marginal,
 )
-from .identify import (
+from .inverse import (
     ClassPrior,
     ConsistencyVerdict,
     IdentificationResult,

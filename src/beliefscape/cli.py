@@ -49,7 +49,7 @@ from .fileio import (
     sha256_hex,
 )
 from .forward import generate_landscape
-from .identify import (
+from .inverse import (
     IdentificationResult,
     PriorFamily,
     consistency_check,

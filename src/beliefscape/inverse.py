@@ -184,14 +184,10 @@ def _tidy_structure(raw: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool,
         return raw, False, 0, tuple(negatives)
     clipped = np.clip(raw, 0.0, 1.0)
     n_clipped = int(np.sum(clipped != raw))
-    out = clipped.copy()
-    for i, row in enumerate(clipped):
-        total = row.sum()
-        if total > 0:
-            renormalized = row / total
-            if np.max(np.abs(renormalized - row)) <= tol.tol_entry:
-                out[i] = renormalized
-    return out, True, n_clipped, ()
+    totals = clipped.sum(axis=1, keepdims=True)
+    renormalized = np.divide(clipped, totals, out=clipped.copy(), where=totals > 0)
+    close = np.max(np.abs(renormalized - clipped), axis=1, keepdims=True) <= tol.tol_entry
+    return np.where(close, renormalized, clipped), True, n_clipped, ()
 
 
 def identify_structure(
@@ -335,6 +331,9 @@ class RestorationResult:
     weighted by 2 - i / n (coefficient i = j * k + r for column j, basis
     vector r): with one null direction the lexicographic minimum, found in
     closed form; with more, a ``linprog`` optimum that need not be one.
+    Coefficients are taken along the null basis signed so that each vector's
+    largest-magnitude entry is positive; with one direction, relabelling the
+    states therefore only permutes the representative's rows.
     """
 
     kind: str
@@ -343,20 +342,15 @@ class RestorationResult:
     affine_dimension: int
 
 
-def _sequential_point(lo: np.ndarray, hi: np.ndarray, total: float, minimal: bool) -> np.ndarray:
-    point = np.empty_like(lo)
-    remaining = total
-    for j in range(lo.size):
-        tail_hi = hi[j + 1 :].sum()
-        tail_lo = lo[j + 1 :].sum()
-        if minimal:
-            value = max(lo[j], remaining - tail_hi)
-        else:
-            value = min(hi[j], remaining - tail_lo)
-        value = min(max(value, lo[j]), hi[j])
-        point[j] = value
-        remaining -= value
-    return point
+def _lexmin_point(lo: np.ndarray, hi: np.ndarray, total: float) -> np.ndarray:
+    """The lexicographically smallest point of the box [lo, hi] whose entries sum to total.
+
+    From hi, the excess over total comes off the earliest coordinates first;
+    a total outside [sum(lo), sum(hi)] gives the nearer corner.
+    """
+    width = hi - lo
+    before = np.cumsum(width) - width
+    return hi - np.minimum(np.maximum(hi.sum() - total - before, 0.0), width)
 
 
 def _restore_one_direction(
@@ -364,30 +358,23 @@ def _restore_one_direction(
 ) -> tuple[str, np.ndarray | None]:
     # Exact box [0, 1] so the representative lands on the true vertex;
     # feasibility decisions get tol_match slack.
-    n_states, n_signals = ridge_limit.shape
-    lo = np.full(n_signals, -np.inf)
-    hi = np.full(n_signals, np.inf)
-    for j in range(n_signals):
-        for i in range(n_states):
-            v = direction[i]
-            base = ridge_limit[i, j]
-            if v > tol.tol_entry:
-                lo[j] = max(lo[j], -base / v)
-                hi[j] = min(hi[j], (1.0 - base) / v)
-            elif v < -tol.tol_entry:
-                lo[j] = max(lo[j], (1.0 - base) / v)
-                hi[j] = min(hi[j], -base / v)
-            elif base < -tol.tol_entry or base > 1.0 + tol.tol_entry:
-                return "infeasible", None
-    if np.any(lo > hi + tol.tol_match):
+    moved = np.abs(direction) > tol.tol_entry
+    fixed = ridge_limit[~moved]  # rows no coefficient can change must already fit the box
+    if ((fixed < -tol.tol_entry) | (fixed > 1.0 + tol.tol_entry)).any():
+        return "infeasible", None
+    base, v = ridge_limit[moved], direction[moved, None]
+    ends = (-base / v, (1.0 - base) / v)
+    lo = np.minimum(*ends).max(axis=0, initial=-np.inf)
+    hi = np.maximum(*ends).min(axis=0, initial=np.inf)
+    if (lo > hi + tol.tol_match).any():
         return "infeasible", None
     if not (lo.sum() - tol.tol_match <= total <= hi.sum() + tol.tol_match):
         return "infeasible", None
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    minimal = _sequential_point(lo, hi, total, minimal=True)
-    maximal = _sequential_point(lo, hi, total, minimal=False)
-    kind = "unique" if np.max(np.abs(minimal - maximal)) <= tol.tol_match else "family"
-    return kind, ridge_limit + np.outer(direction, minimal)
+    minimal = _lexmin_point(lo, hi, total)
+    maximal = -_lexmin_point(-hi, -lo, -total)
+    kind = "unique" if np.abs(minimal - maximal).max() <= tol.tol_match else "family"
+    return kind, ridge_limit + direction[:, None] * minimal
 
 
 def _restore_general(
@@ -395,24 +382,14 @@ def _restore_general(
 ) -> tuple[str, np.ndarray | None]:
     import scipy.optimize
 
-    n_states, n_signals = ridge_limit.shape
+    n_signals = ridge_limit.shape[1]
     k = basis.shape[1]
     n_vars = k * n_signals  # coefficient r for column j sits at index j * k + r
-    a_eq = np.zeros((k, n_vars))
-    for r in range(k):
-        a_eq[r, r::k] = 1.0
-    rows = []
-    rhs = []
     slack = tol.tol_entry
-    for j in range(n_signals):
-        block = np.zeros((n_states, n_vars))
-        block[:, j * k : (j + 1) * k] = basis
-        rows.append(block)
-        rhs.append(1.0 + slack - ridge_limit[:, j])
-        rows.append(-block)
-        rhs.append(ridge_limit[:, j] + slack)
-    a_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
+    # HiGHS may choose among tied optima by row order, so keep it fixed: per
+    # column, the upper bounds of its rows, then the lower bounds.
+    a_ub = np.kron(np.eye(n_signals), np.vstack([basis, -basis]))
+    b_ub = np.concatenate([1.0 + slack - ridge_limit, ridge_limit + slack]).T.ravel()
     cost = 2.0 - np.arange(n_vars) / n_vars  # falling, so k = 1 gives the closed form's point
     solutions = []
     for sign in (1.0, -1.0):
@@ -420,7 +397,7 @@ def _restore_general(
             sign * cost,
             A_ub=a_ub,
             b_ub=b_ub,
-            A_eq=a_eq,
+            A_eq=np.tile(np.eye(k), n_signals),
             b_eq=totals,
             bounds=[(None, None)] * n_vars,
             method="highs",

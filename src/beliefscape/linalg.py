@@ -19,7 +19,11 @@ from .core import DEFAULT_TOLERANCES, RankDeficientError, Tolerances
 
 @dataclass(frozen=True)
 class NullSpaceBasis:
-    """Orthonormal basis of the right null space of a matrix."""
+    """Orthonormal basis of the right null space of a matrix.
+
+    Each vector is signed so that its largest-magnitude entry is positive, so
+    the basis does not depend on the sign an SVD happens to return.
+    """
 
     vectors: tuple[np.ndarray, ...]
     dimension: int
@@ -55,7 +59,9 @@ class _SVD:
 
     def null_basis(self, tol: Tolerances) -> NullSpaceBasis:
         rows = self.vt[self.rank(tol) :]
-        return NullSpaceBasis(tuple(np.ascontiguousarray(v) for v in rows), rows.shape[0])
+        largest = rows[np.arange(rows.shape[0]), np.abs(rows).argmax(axis=1)]
+        rows = rows * np.sign(largest)[:, None]
+        return NullSpaceBasis(tuple(rows), rows.shape[0])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import numpy as np
 from . import fixtures
 from .core import DEFAULT_TOLERANCES, validate_landscape
 from .forward import generate_landscape, sample_environment, signal_marginal
-from .identify import (
+from .inverse import (
     consistency_check,
     identify,
     identify_underdetermined,

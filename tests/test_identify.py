@@ -25,12 +25,16 @@ from beliefscape import (
     rationalize_noncommon,
     sample_environment,
 )
-from beliefscape import fixtures
+from beliefscape import fixtures, inverse
 
 from conftest import random_beliefs, random_stochastic
 
-# The package's ``identify`` attribute is the function, not the module.
-identify_module = importlib.import_module("beliefscape.identify")
+
+def test_identify_names_only_the_function():
+    # The inverse procedures live in beliefscape.inverse; no submodule shadows the function.
+    assert identify is inverse.identify
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("beliefscape.identify")
 
 
 class TestIdentifyStructure:
@@ -157,7 +161,7 @@ class TestRoundTripErrors:
         landscape = fixtures.symmetric_binary_landscape(5 / 8, 5 / 8)
         entries = np.array([[0.625, 0.375], [0.375, 0.625]])
         entries[:, dead] = 0.0
-        errors = identify_module._roundtrip_errors(
+        errors = inverse._roundtrip_errors(
             landscape, InformationStructure(entries), Prior([0.5, 0.5]), DEFAULT_TOLERANCES
         )
         assert errors == (float("inf"), float("inf"))
@@ -166,7 +170,7 @@ class TestRoundTripErrors:
         def broken(*args, **kwargs):
             raise TypeError("not a library error")
 
-        monkeypatch.setattr(identify_module, "_bayes", broken)
+        monkeypatch.setattr(inverse, "_bayes", broken)
         with pytest.raises(TypeError, match="not a library error"):
             identify(fixtures.symmetric_binary_landscape(5 / 8, 5 / 8))
 

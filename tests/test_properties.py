@@ -11,6 +11,7 @@ from beliefscape import (
     consistency_check,
     generate_landscape,
     identify,
+    identify_underdetermined,
     sample_environment,
 )
 
@@ -71,6 +72,39 @@ def test_relabelling_permutes_the_identification_and_keeps_the_verdict(case):
     assert relabelled_result.prior.kind == result.prior.kind
     np.testing.assert_allclose(
         relabelled_result.prior.representative().entries,
+        result.prior.representative().entries[states],
+        rtol=0,
+        atol=1e-10,
+    )
+
+
+@st.composite
+def one_direction_landscapes(draw):
+    """A generated landscape with one signal fewer than states, and an order of its states."""
+    n_states = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    landscape = generate_landscape(sample_environment(rng, n_states, n_states - 1))
+    return landscape, np.array(draw(st.permutations(range(n_states))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_direction_landscapes())
+def test_relabelling_states_permutes_the_restored_structure(case):
+    landscape, states = case
+    result = identify_underdetermined(landscape)
+    relabelled = identify_underdetermined(
+        relabel(landscape, states, np.arange(landscape.B.n_signals))
+    )
+    assert result.null_basis.dimension == relabelled.null_basis.dimension == 1
+    assert relabelled.restored.kind == result.restored.kind
+    assert (relabelled.restored.structure is None) == (result.restored.structure is None)
+    if result.restored.structure is not None:
+        np.testing.assert_allclose(
+            relabelled.restored.structure, result.restored.structure[states], rtol=0, atol=1e-10
+        )
+    assert relabelled.prior.kind == result.prior.kind
+    np.testing.assert_allclose(
+        relabelled.prior.representative().entries,
         result.prior.representative().entries[states],
         rtol=0,
         atol=1e-10,

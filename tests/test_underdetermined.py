@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefscape import (
     DEFAULT_TOLERANCES,
@@ -15,7 +17,7 @@ from beliefscape import (
     sample_environment,
 )
 from beliefscape import fixtures
-from beliefscape.identify import _restore_general, _restore_one_direction
+from beliefscape.inverse import _lexmin_point, _restore_general, _restore_one_direction
 from beliefscape.linalg import NullSpaceBasis
 
 
@@ -83,6 +85,26 @@ class TestRestoreFeasibility:
         result = restore_feasibility(ridge, basis)
         assert result.kind == "infeasible"
 
+    def test_empty_box_in_one_column_is_infeasible(self):
+        # Both rows move with the direction: in column 0, row 0 needs a coefficient
+        # of at least 0.5 * sqrt(2) and row 1 one of at most 0.1 * sqrt(2).
+        direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        feasible = np.full((2, 2), 0.5)
+        assert _restore_one_direction(feasible, direction, 0.0, DEFAULT_TOLERANCES)[0] == "family"
+        empty_first_column = np.array([[-0.5, 0.5], [0.9, 0.5]])
+        assert _restore_one_direction(
+            empty_first_column, direction, 0.0, DEFAULT_TOLERANCES
+        ) == ("infeasible", None)
+
+    @pytest.mark.parametrize(
+        "total, kind", [(1.25, "unique"), (1.3, "infeasible"), (-1.3, "infeasible")]
+    )
+    def test_total_outside_the_box_sums_is_infeasible(self, total, kind):
+        # Row 1 (0.5 + 0.8 c in [0, 1]) binds: each column's box is [-0.625, 0.625].
+        direction = np.array([0.6, 0.8])
+        ridge = np.full((2, 2), 0.5)
+        assert _restore_one_direction(ridge, direction, total, DEFAULT_TOLERANCES)[0] == kind
+
     def test_partition_restoration_pins_a_unique_point(self):
         p2, p3 = 1 / 6, 1 / 3
         land = fixtures.coarse_partition_landscape([0.25, p2, p3, 0.25])
@@ -131,6 +153,50 @@ class TestRestoreFeasibility:
             assert program[0] == closed[0]
             # the LP's box carries tol_entry slack; the closed form's box is exact
             np.testing.assert_allclose(program[1], closed[1], rtol=0, atol=1e-7)
+
+
+def sequential_point(lo, hi, total, minimal):
+    """A box endpoint one coordinate at a time: the reference for the array form."""
+    point = np.empty_like(lo)
+    remaining = total
+    for j in range(lo.size):
+        if minimal:
+            value = max(lo[j], remaining - hi[j + 1 :].sum())
+        else:
+            value = min(hi[j], remaining - lo[j + 1 :].sum())
+        point[j] = min(max(value, lo[j]), hi[j])
+        remaining -= point[j]
+    return point
+
+
+@st.composite
+def boxes_with_totals(draw):
+    """A box with some zero-width coordinates, and a total at either end of it or inside."""
+    n = draw(st.integers(1, 8))
+    coordinate = st.floats(-10.0, 10.0, allow_nan=False)
+    width = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    lo = np.array(draw(st.lists(coordinate, min_size=n, max_size=n)))
+    hi = lo + np.array(draw(st.lists(width, min_size=n, max_size=n)))
+    low, high = lo.sum(), hi.sum()
+    inside = st.floats(0.0, 1.0).map(lambda share: low + share * (high - low))
+    return lo, hi, draw(st.one_of(st.sampled_from([low, high]), inside))
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes_with_totals())
+def test_box_endpoints_match_the_sequential_reference(case):
+    lo, hi, total = case
+    # The two forms sum in different orders: allow a few roundings of each term.
+    atol = 8 * lo.size * np.finfo(float).eps * (np.abs(lo).sum() + np.abs(hi).sum() + abs(total))
+    np.testing.assert_allclose(
+        _lexmin_point(lo, hi, total), sequential_point(lo, hi, total, True), rtol=0, atol=atol
+    )
+    np.testing.assert_allclose(
+        -_lexmin_point(-hi, -lo, -total),
+        sequential_point(lo, hi, total, False),
+        rtol=0,
+        atol=atol,
+    )
 
 
 class TestPartitionFixture:
