@@ -23,6 +23,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     BeliefscapeError,
     DroppedSignalWarning,
+    HypotheticalBeliefMatrix,
     InconsistentLandscapeError,
     NotConvexDependentError,
     NotModelGeneratedError,
@@ -39,7 +40,6 @@ from .fileio import (
     beliefs_and_column_from_doc,
     dumps_report,
     environment_from_doc,
-    jsonable,
     landscape_from_doc,
     landscape_to_doc,
     load_environment,
@@ -286,6 +286,10 @@ def _cmd_identify(ns, tol):
             raise ParseError("--column expects a JSON landscape document")
         landscape_doc, raw, name = read_document(ns.path)
         beliefs, column = beliefs_and_column_from_doc(landscape_doc, ns.column, name)
+        if not ns.no_validate:
+            # Q may be the one column; the identity stands in for it and adds no violation.
+            stand_in = HypotheticalBeliefMatrix(np.eye(beliefs.n_signals))
+            _validate_or_fail("landscape", validate_landscape(beliefs, stand_in, tol))
         result = {
             "signal": ns.column,
             "states": list(beliefs.state_labels),
@@ -518,9 +522,10 @@ def _pretty_lines(value, indent: int = 0) -> list[str]:
 
 
 def _render(doc: dict, ns) -> str:
+    text = dumps_report(doc)
     if ns.format == "json":
-        return dumps_report(doc)
-    lines = _pretty_lines(jsonable(doc))
+        return text
+    lines = _pretty_lines(json.loads(text))
     if "verdict" in doc and sys.stdout.isatty() and not os.environ.get("NO_COLOR"):
         exits_ok = _VERDICT_EXIT.get(doc["verdict"], EXIT_OK) == EXIT_OK
         color = "\033[32m" if exits_ok else "\033[31m"

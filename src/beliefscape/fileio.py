@@ -2,11 +2,11 @@
 
 JSON is canonical; CSV is provided for matrices kept in spreadsheets.
 Numbers are written as decimals with 12 significant digits, which makes
-save/load round trips byte-stable after the first save. Reports and JSON
-files are written by this module's own encoder (``dumps_report``). Its
-output is byte-identical to the standard library's indent-2 ``json.dumps``
-of the 12-digit values, but it formats each list of floats in one call
-instead of number by number.
+save/load round trips byte-stable after the first save. The encoder is the
+only code that rounds: documents hold unrounded values, and ``dumps_report``
+(JSON) and ``_g12`` (CSV rows) format each list of floats in one call. The
+JSON is byte-identical to the standard library's indent-2 ``json.dumps`` of
+the 12-digit values.
 """
 
 from __future__ import annotations
@@ -56,31 +56,13 @@ def _float_tokens(values: list[float]) -> list[str]:
     return [t if "." in t and "e" not in t else json.dumps(float(t)) for t in _g12(values)]
 
 
-def jsonable(value):
-    """Recursively convert arrays and numbers into JSON-ready values."""
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f":
-            rounded = np.array(_g12(value.ravel().tolist()), dtype=float)
-            return rounded.reshape(value.shape).tolist()
-        value = value.tolist()
-    if isinstance(value, (np.floating, float)):
-        return round12(float(value))
-    if isinstance(value, (np.integer, int)) or isinstance(value, bool):
-        return int(value) if not isinstance(value, bool) else value
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
-
-
 def dumps_report(doc: dict) -> str:
-    """The standard library's indent-2 JSON of ``jsonable(doc)`` plus a newline, byte for byte."""
+    """Byte for byte ``json.dumps(indent=2)`` of ``doc`` with floats in 12 digits, plus a newline."""
     return _encode(doc, "\n") + "\n"
 
 
 def _encode(value, newline: str) -> str:
-    """Indent-2 JSON of ``jsonable(value)``; ``newline`` starts a line at this depth."""
+    """Indent-2 JSON of ``value`` in 12 digits; ``newline`` starts a line at this depth."""
     if type(value) is str:
         return _quote(value)
     if isinstance(value, np.ndarray):
@@ -105,7 +87,9 @@ def _encode(value, newline: str) -> str:
         else:
             body = separator.join([_encode(v, inner) for v in value])
         return "[" + inner + body + newline + "]"
-    return json.dumps(jsonable(value))
+    if isinstance(value, (float, np.floating)):
+        return json.dumps(round12(float(value)))
+    return json.dumps(int(value) if isinstance(value, np.integer) else value)
 
 
 def sha256_hex(data: bytes) -> str:
@@ -217,8 +201,8 @@ def landscape_to_doc(landscape: BeliefLandscape) -> dict:
     return {
         "states": list(landscape.state_labels),
         "signals": list(landscape.signal_labels),
-        "B": jsonable(landscape.B.entries),
-        "Q": jsonable(landscape.Q.entries),
+        "B": landscape.B.entries.tolist(),
+        "Q": landscape.Q.entries.tolist(),
     }
 
 
@@ -226,8 +210,8 @@ def environment_to_doc(env: InformationalEnvironment) -> dict:
     return {
         "states": list(env.state_labels),
         "signals": list(env.signal_labels),
-        "prior": jsonable(env.prior.entries),
-        "I": jsonable(env.structure.entries),
+        "prior": env.prior.entries.tolist(),
+        "I": env.structure.entries.tolist(),
     }
 
 
@@ -285,8 +269,7 @@ def _write_csv_matrix(path: Path, row_labels, col_labels, matrix: np.ndarray) ->
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([""] + list(col_labels))
-        for label, row in zip(row_labels, matrix):
-            writer.writerow([label] + [f"{v:.12g}" for v in row])
+        writer.writerows([label] + _g12(row.tolist()) for label, row in zip(row_labels, matrix))
 
 
 def read_document(path_or_dash: str) -> tuple[dict, bytes, str]:

@@ -36,7 +36,6 @@ from .forward import _bayes
 from .linalg import (
     EigenvalueOneResult,
     NullSpaceBasis,
-    least_squares_coefficients,
     min_norm_solution,
     regression_operator,
     unit_eigenvector_eigenvalue_one,
@@ -627,7 +626,7 @@ def identify_single_column(
         raise StructuralError(
             f"signal axis: column has length {column.size}, expected {beliefs.n_signals}"
         )
-    return least_squares_coefficients(beliefs.entries, column, tol)
+    return beliefs._svd.regression_operator(tol) @ column
 
 
 @dataclass(frozen=True)
@@ -678,7 +677,7 @@ def infer_state_from_profile(
     gaps = np.linalg.norm(structure.entries - observed[None, :], axis=1)
     order = np.argsort(gaps, kind="stable")
     best = int(order[0])
-    ambiguous = structure.n_states > 1 and gaps[order[1]] - gaps[best] < tol.tol_match
+    ambiguous = structure.n_states > 1 and bool(gaps[order[1]] - gaps[best] < tol.tol_match)
     return StateInference(
         state_index=None if ambiguous else best,
         ambiguous=ambiguous,

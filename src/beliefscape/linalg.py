@@ -57,6 +57,16 @@ class _SVD:
         inverse = np.divide(1.0, self.s, out=np.zeros_like(self.s), where=large)
         return self.vt[: self.s.size].T @ (inverse[:, None] * self.u.T)
 
+    def regression_operator(self, tol: Tolerances) -> np.ndarray:
+        """The pseudoinverse as the least-squares operator; dependent columns raise."""
+        rank, n_cols = self.rank(tol), self.vt.shape[1]
+        if rank < n_cols:
+            raise RankDeficientError(
+                f"matrix has column rank {rank} < {n_cols}; remove dependent"
+                " columns or use the minimum-norm path"
+            )
+        return self.pinv(tol)
+
     def null_basis(self, tol: Tolerances) -> NullSpaceBasis:
         rows = self.vt[self.rank(tol) :]
         largest = rows[np.arange(rows.shape[0]), np.abs(rows).argmax(axis=1)]
@@ -91,7 +101,6 @@ class EigenvalueOneResult:
     vector: np.ndarray | None = None
     family: tuple[np.ndarray, ...] = ()
     family_classes: tuple[tuple[int, ...], ...] = ()
-    classes: ClassDecomposition | None = None
 
     def members(self) -> tuple[np.ndarray, ...]:
         if self.kind == "unique":
@@ -142,14 +151,7 @@ def regression_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
 
     Requires full column rank, in which case it equals the pseudoinverse.
     """
-    svd = _SVD.of(matrix)
-    rank, n_cols = svd.rank(tol), svd.vt.shape[1]
-    if rank < n_cols:
-        raise RankDeficientError(
-            f"matrix has column rank {rank} < {n_cols}; remove dependent"
-            " columns or use the minimum-norm path"
-        )
-    return svd.pinv(tol)
+    return _SVD.of(matrix).regression_operator(tol)
 
 
 def min_norm_solution(
@@ -290,5 +292,4 @@ def unit_eigenvector_eigenvalue_one(
         kind="family",
         family=tuple(family),
         family_classes=tuple(family_classes),
-        classes=decomposition,
     )

@@ -214,6 +214,16 @@ class TestMoreCommands:
             report["result"]["per_state_probability"], [0.5, 0.5, 0.5], atol=1e-9
         )
 
+    def test_identify_single_column_validates_beliefs(self, workdir, capsys):
+        doc = {"states": ["s1", "s2"], "signals": ["a", "b"],
+               "B": [[1.5, -0.7], [0.2, 0.3]], "Q": [[0.5], [0.5]]}
+        path = workdir / "implausible_column.json"
+        path.write_text(dumps_report(doc))
+        assert main(["identify", "--column", "a", str(path)]) == 1
+        assert "landscape failed validation: negative entry at B[a, s2]" in capsys.readouterr().err
+        code, _ = run_cli(["identify", "--column", "a", "--no-validate", path], capsys)
+        assert code == 0
+
     def test_sp_command(self, workdir, capsys):
         save_landscape(
             fixtures.split_state_landscape(), str(workdir / "split.json")

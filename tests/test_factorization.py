@@ -84,13 +84,20 @@ def test_validate_check_rationalize_factorize_once(name, svd_inputs):
     assert svds_of(svd_inputs, landscape.B.entries) == 1
 
 
-@pytest.mark.parametrize("command", ["check", "identify"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["check"], id="check"),
+        pytest.param(["identify"], id="identify"),
+        pytest.param(["identify", "--column", "null"], id="identify-column"),
+    ],
+)
 def test_cli_factorizes_once(command, tmp_path, svd_inputs, capsys):
     path = str(tmp_path / "land.json")
     save_landscape(fixtures.truth_or_noise_landscape(0.5), path)
     b = load_landscape(path)[0].B.entries
     svd_inputs.clear()
-    assert main([command, path]) == 0
+    assert main([*command, path]) == 0
     capsys.readouterr()
     assert svds_of(svd_inputs, b) == 1
 

@@ -1,4 +1,5 @@
 import importlib
+import json
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from beliefscape import (
     sample_environment,
 )
 from beliefscape import fixtures, inverse
+from beliefscape.fileio import dumps_report
 
 from conftest import random_beliefs, random_stochastic
 
@@ -319,6 +321,14 @@ class TestInferState:
             InformationStructure([[0.5, 0.5], [0.5, 0.5]]), [0.6, 0.4]
         )
         assert tied.ambiguous
+
+    def test_profile_ambiguity_is_a_bool(self):
+        # A numpy bool is not JSON: the report encoder rejects it.
+        structure = InformationStructure(fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE)
+        for observed in ([0.52, 0.48], [0.5, 0.5]):
+            ambiguous = infer_state_from_profile(structure, observed).ambiguous
+            assert type(ambiguous) is bool
+            assert json.loads(dumps_report({"ambiguous": ambiguous})) == {"ambiguous": ambiguous}
 
 
 class TestRationalization:

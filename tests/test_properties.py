@@ -1,7 +1,8 @@
 """Property tests for invariants of the model, over hypothesis-drawn environments."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from beliefscape import (
@@ -79,23 +80,20 @@ def test_relabelling_permutes_the_identification_and_keeps_the_verdict(case):
 
 
 @st.composite
-def one_direction_landscapes(draw):
-    """A generated landscape with one signal fewer than states, and an order of its states."""
-    n_states = draw(st.integers(3, 5))
+def scarce_landscapes(draw, n_states, free):
+    """A generated landscape with ``free`` signals fewer than states, and an order of its states."""
+    n = draw(n_states)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    landscape = generate_landscape(sample_environment(rng, n_states, n_states - 1))
-    return landscape, np.array(draw(st.permutations(range(n_states))))
+    landscape = generate_landscape(sample_environment(rng, n, n - free))
+    return landscape, np.array(draw(st.permutations(range(n))))
 
 
-@settings(max_examples=100, deadline=None)
-@given(one_direction_landscapes())
-def test_relabelling_states_permutes_the_restored_structure(case):
-    landscape, states = case
+def check_relabelling_permutes_the_restoration(landscape, states, free):
     result = identify_underdetermined(landscape)
     relabelled = identify_underdetermined(
         relabel(landscape, states, np.arange(landscape.B.n_signals))
     )
-    assert result.null_basis.dimension == relabelled.null_basis.dimension == 1
+    assert result.null_basis.dimension == relabelled.null_basis.dimension == free
     assert relabelled.restored.kind == result.restored.kind
     assert (relabelled.restored.structure is None) == (result.restored.structure is None)
     if result.restored.structure is not None:
@@ -109,3 +107,21 @@ def test_relabelling_states_permutes_the_restored_structure(case):
         rtol=0,
         atol=1e-10,
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scarce_landscapes(st.integers(3, 5), free=1))
+def test_relabelling_states_permutes_the_restored_structure(case):
+    check_relabelling_permutes_the_restoration(*case, free=1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP O6: with two or more free directions the LP's cost weighs the"
+    " coefficients along whichever null basis the SVD returns, so it is not relabelling-equivariant",
+)
+# Seeded, and stopped at the first failure: nothing to shrink or explain for a known bug.
+@settings(max_examples=100, deadline=None, derandomize=True, database=None, phases=[Phase.generate])
+@given(scarce_landscapes(st.integers(4, 5), free=2))
+def test_relabelling_states_permutes_the_lp_restored_structure(case):
+    check_relabelling_permutes_the_restoration(*case, free=2)
