@@ -30,6 +30,7 @@ from .core import (
     StructuralError,
     StructureSupportError,
     Tolerances,
+    Violation,
     validate_environment,
     validate_landscape,
 )
@@ -227,16 +228,16 @@ def _clip_warnings(result: IdentificationResult | None) -> list[str]:
     return [f"snapped {count} structure entr{'y' if count == 1 else 'ies'} into [0, 1]"]
 
 
-def _validate_or_fail(kind: str, obj_report) -> None:
-    if not obj_report.plausible:
-        details = "; ".join(v.describe() for v in obj_report.violations)
+def _validate_or_fail(kind: str, violations) -> None:
+    if violations:
+        details = "; ".join(v.describe() for v in violations)
         raise StructuralError(f"{kind} failed validation: {details}")
 
 
 def _load_validated_landscape(ns, tol):
     landscape, digests = load_landscape(ns.path)
     if not ns.no_validate:
-        _validate_or_fail("landscape", validate_landscape(landscape.B, landscape.Q, tol))
+        _validate_or_fail("landscape", validate_landscape(landscape.B, landscape.Q, tol).violations)
     return landscape, digests
 
 
@@ -262,7 +263,7 @@ def _load_regularizer(path: str, n_states: int) -> Regularizer:
 def _cmd_generate(ns, tol):
     env, digests = load_environment(ns.path)
     if not ns.no_validate:
-        _validate_or_fail("environment", validate_environment(env, tol))
+        _validate_or_fail("environment", validate_environment(env, tol).violations)
     with warnings.catch_warnings(record=True) as buffer:
         warnings.simplefilter("always", DroppedSignalWarning)
         landscape = generate_landscape(env, tol)
@@ -287,9 +288,15 @@ def _cmd_identify(ns, tol):
         landscape_doc, raw, name = read_document(ns.path)
         beliefs, column = beliefs_and_column_from_doc(landscape_doc, ns.column, name)
         if not ns.no_validate:
-            # Q may be the one column; the identity stands in for it and adds no violation.
+            # Q may be the one column: the identity stands in for Q, and the column's
+            # entries must be probabilities.
             stand_in = HypotheticalBeliefMatrix(np.eye(beliefs.n_signals))
-            _validate_or_fail("landscape", validate_landscape(beliefs, stand_in, tol))
+            violations = validate_landscape(beliefs, stand_in, tol).violations + tuple(
+                Violation("entry outside [0, 1]", f"Q[{signal}, {ns.column}]", float(value))
+                for signal, value in zip(beliefs.signal_labels, column)
+                if not -tol.tol_entry <= value <= 1 + tol.tol_entry
+            )
+            _validate_or_fail("landscape", violations)
         result = {
             "signal": ns.column,
             "states": list(beliefs.state_labels),
@@ -428,14 +435,15 @@ def _cmd_partition(ns, tol):
 def _cmd_infer_state(ns, tol):
     doc_in, raw, name = read_document(ns.path)
     if "I" in doc_in and "prior" in doc_in:
-        structure = environment_from_doc(doc_in, name).structure
-        source = "environment"
+        env = environment_from_doc(doc_in, name)
+        if not ns.no_validate:
+            _validate_or_fail("environment", validate_environment(env, tol).violations)
+        structure, source = env.structure, "environment"
     else:
         landscape = landscape_from_doc(doc_in, name)
         if not ns.no_validate:
-            _validate_or_fail("landscape", validate_landscape(landscape.B, landscape.Q, tol))
-        structure = identify(landscape, tol).structure
-        source = "identified landscape"
+            _validate_or_fail("landscape", validate_landscape(landscape.B, landscape.Q, tol).violations)
+        structure, source = identify(landscape, tol).structure, "identified landscape"
     if ns.signal not in structure.signal_labels:
         raise ParseError(f"{name}: no signal labelled {ns.signal!r}")
     column = structure.entries[:, structure.signal_labels.index(ns.signal)]

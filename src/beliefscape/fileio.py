@@ -245,21 +245,21 @@ def _read_csv_matrix(path: Path) -> tuple[list[str], list[str], np.ndarray]:
         raise ParseError(f"{path}: header must be a leading blank cell then column labels")
     if len(set(col_labels)) != len(col_labels):
         raise ParseError(f"{path}: duplicate column label in header")
-    row_labels = []
-    data = np.empty((len(rows) - 1, len(col_labels)))
-    for i, row in enumerate(rows[1:]):
-        if len(row) != len(col_labels) + 1:
-            raise ParseError(
-                f"{path}: row {i + 2} has {len(row)} cells, expected {len(col_labels) + 1}"
-            )
-        row_labels.append(row[0].strip())
-        for j, cell in enumerate(row[1:]):
-            try:
-                data[i, j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell at row {i + 2}, column {j + 2}"
-                ) from None
+    width = len(col_labels) + 1
+    try:
+        data = np.array([row[1:] for row in rows[1:]], dtype=float)  # float()'s rules per cell
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != width - 1:  # locate the first bad row or cell
+        for i, row in enumerate(rows[1:], start=2):
+            if len(row) != width:
+                raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+            for j, cell in enumerate(row[1:], start=2):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(f"{path}: non-numeric cell at row {i}, column {j}") from None
+    row_labels = [row[0].strip() for row in rows[1:]]
     if len(set(row_labels)) != len(row_labels):
         raise ParseError(f"{path}: duplicate row label")
     return row_labels, col_labels, data

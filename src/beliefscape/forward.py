@@ -43,6 +43,16 @@ def _bayes(structure: np.ndarray, prior: np.ndarray, tol: Tolerances) -> tuple:
     return keep, beliefs, beliefs @ structure[:, keep]
 
 
+def _survivor_labels(env: InformationalEnvironment, keep: np.ndarray) -> tuple[str, ...]:
+    """Labels of the signals ``_bayes`` kept; warns about dropped ones, raises if none is left."""
+    if not keep.any():
+        raise DegenerateEnvironmentError("every signal has zero marginal probability")
+    dropped = [l for l, k in zip(env.signal_labels, keep) if not k]
+    if dropped:
+        warnings.warn(f"dropped zero-marginal signals: {', '.join(dropped)}", DroppedSignalWarning)
+    return tuple(l for l, k in zip(env.signal_labels, keep) if k)
+
+
 def posterior_matrix(
     env: InformationalEnvironment, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> StateBeliefMatrix:
@@ -51,7 +61,9 @@ def posterior_matrix(
     Signals with zero marginal probability would give 0/0 rows; they are
     dropped with a warning, shrinking the signal set.
     """
-    return generate_landscape(env, tol).B
+    keep, beliefs, _ = _bayes(env.structure.entries, env.prior.entries, tol)
+    labels = _survivor_labels(env, keep)
+    return StateBeliefMatrix(beliefs, state_labels=env.state_labels, signal_labels=labels)
 
 
 def hypothetical_matrix(
@@ -81,14 +93,7 @@ def generate_landscape(
     columns are identically zero anyway.
     """
     keep, beliefs, hypotheticals = _bayes(env.structure.entries, env.prior.entries, tol)
-    if not keep.any():
-        raise DegenerateEnvironmentError("every signal has zero marginal probability")
-    labels = tuple(l for l, k in zip(env.signal_labels, keep) if k)
-    dropped = [l for l, k in zip(env.signal_labels, keep) if not k]
-    if dropped:
-        warnings.warn(
-            f"dropped zero-marginal signals: {', '.join(dropped)}", DroppedSignalWarning
-        )
+    labels = _survivor_labels(env, keep)
     return BeliefLandscape(
         StateBeliefMatrix(beliefs, state_labels=env.state_labels, signal_labels=labels),
         HypotheticalBeliefMatrix(hypotheticals, signal_labels=labels),

@@ -2,10 +2,10 @@
 
 Least squares, minimum-norm and ridge solves with general regularizers, null
 spaces, eigenvalue-1 eigenvector extraction, and irreducibility analysis.
-Rank tests, pseudoinverses and null spaces all read one SVD of the matrix
-(``_SVD``; a belief matrix keeps its own). The normal-equation formulas define
-the values, not the algorithms. Everything here is numpy; only the ridge solve
-imports scipy, when it is called.
+Rank tests, pseudoinverses, ridge solutions and null spaces all read one SVD of
+the matrix (``_SVD``; a belief matrix keeps its own). The normal-equation
+formulas define the values, not the algorithms. Everything here is numpy; scipy
+is imported only by two solvers elsewhere (LP restoration and ``nnls``).
 """
 
 from __future__ import annotations
@@ -52,10 +52,14 @@ class _SVD:
     def rank(self, tol: Tolerances) -> int:
         return int(np.sum(self.s > tol.rank_cutoff(self.s)))
 
-    def pinv(self, tol: Tolerances) -> np.ndarray:
-        large = self.s > tol.rank_cutoff(self.s)
-        inverse = np.divide(1.0, self.s, out=np.zeros_like(self.s), where=large)
-        return self.vt[: self.s.size].T @ (inverse[:, None] * self.u.T)
+    def pinv(self, tol: Tolerances, lam: float = 0.0) -> np.ndarray:
+        """V diag(s / (s² + lam)) Uᵀ; at lam = 0, 1/s above the rank cutoff and 0 below."""
+        if lam:
+            factors = self.s / (self.s * self.s + lam)
+        else:
+            large = self.s > tol.rank_cutoff(self.s)
+            factors = np.divide(1.0, self.s, out=np.zeros_like(self.s), where=large)
+        return self.vt[: self.s.size].T @ (factors[:, None] * self.u.T)
 
     def regression_operator(self, tol: Tolerances) -> np.ndarray:
         """The pseudoinverse as the least-squares operator; dependent columns raise."""
@@ -126,15 +130,6 @@ class Regularizer:
         object.__setattr__(self, "matrix", m)
 
 
-def _as_regularizer_matrix(reg, n: int) -> np.ndarray | None:
-    if reg is None:
-        return None
-    m = reg.matrix if isinstance(reg, Regularizer) else Regularizer(np.asarray(reg, dtype=float)).matrix
-    if m.shape != (n, n):
-        raise ValueError(f"regularizer shape {m.shape} does not match {n} columns")
-    return m
-
-
 def least_squares_coefficients(
     matrix: np.ndarray, target: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:
@@ -154,6 +149,20 @@ def regression_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
     return _SVD.of(matrix).regression_operator(tol)
 
 
+def _filtered_solve(matrix, targets, reg, tol: Tolerances = DEFAULT_TOLERANCES, lam: float = 0.0):
+    """``_SVD(matrix).pinv(tol, lam) @ targets``; with ``reg`` = LLᵀ, solved for z = Lᵀx."""
+    matrix = np.asarray(matrix, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if reg is None:
+        return _SVD.of(matrix).pinv(tol, lam) @ targets
+    reg = (reg if isinstance(reg, Regularizer) else Regularizer(reg)).matrix
+    if reg.shape != (matrix.shape[1],) * 2:
+        raise ValueError(f"regularizer shape {reg.shape} does not match {matrix.shape[1]} columns")
+    chol = np.linalg.cholesky(reg)
+    whitened = np.linalg.solve(chol, matrix.T).T
+    return np.linalg.solve(chol.T, _SVD.of(whitened).pinv(tol, lam) @ targets)
+
+
 def min_norm_solution(
     matrix: np.ndarray,
     targets: np.ndarray,
@@ -164,18 +173,9 @@ def min_norm_solution(
 
     Always defined; equals the small-penalty limit of the ridge solution.
     With ``reg``, minimizes the reg-weighted norm x.T @ reg @ x per column
-    instead of the Euclidean one (computed by whitening through the Cholesky
-    factor of reg).
+    instead of the Euclidean one.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    reg_matrix = _as_regularizer_matrix(reg, matrix.shape[1])
-    if reg_matrix is None:
-        return _SVD.of(matrix).pinv(tol) @ targets
-    chol = np.linalg.cholesky(reg_matrix)
-    whitened = np.linalg.solve(chol, matrix.T).T
-    y = _SVD.of(whitened).pinv(tol) @ targets
-    return np.linalg.solve(chol.T, y)
+    return _filtered_solve(matrix, targets, reg, tol)
 
 
 def ridge_solution_at(
@@ -184,23 +184,14 @@ def ridge_solution_at(
     lam: float,
     reg=None,
 ) -> np.ndarray:
-    """Ridge solution (matrix.T @ matrix + lam * reg)^-1 matrix.T @ targets.
+    """Ridge solution (matrix.T @ matrix + lam * reg)^-1 matrix.T @ targets, for lam > 0.
 
-    Well-defined for every lam > 0 since the regularized normal matrix is
-    positive definite. ``reg`` defaults to the identity.
+    Formed without the normal matrix, as V diag(s / (s² + lam)) Uᵀ targets over the
+    SVD U diag(s) Vᵀ of the matrix; ``reg`` (default: the identity) whitens it first.
     """
-    import scipy.linalg  # reproduces the golden ridge reports to 1e-11; numpy's solves do not
-
-    if lam <= 0:
+    if not lam > 0:  # nan too
         raise ValueError("lam must be strictly positive")
-    matrix = np.asarray(matrix, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    n = matrix.shape[1]
-    reg_matrix = _as_regularizer_matrix(reg, n)
-    if reg_matrix is None:
-        reg_matrix = np.eye(n)
-    gram = matrix.T @ matrix + lam * reg_matrix
-    return scipy.linalg.solve(gram, matrix.T @ targets, assume_a="pos")
+    return _filtered_solve(matrix, targets, reg, lam=lam)
 
 
 def null_space_basis(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> NullSpaceBasis:

@@ -224,6 +224,27 @@ class TestMoreCommands:
         code, _ = run_cli(["identify", "--column", "a", "--no-validate", path], capsys)
         assert code == 0
 
+    def test_identify_single_column_validates_the_column(self, workdir, capsys):
+        doc = {"states": ["s1", "s2"], "signals": ["a", "b"],
+               "B": [[0.75, 0.25], [0.25, 0.75]], "Q": [[1.7], [-0.4]]}
+        path = workdir / "col.json"
+        path.write_text(dumps_report(doc))
+        assert main(["identify", "--column", "a", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "beliefscape: error: landscape failed validation: entry outside [0, 1] at Q[a, a]: 1.7;"
+            " entry outside [0, 1] at Q[b, a]: -0.4\n"
+        )
+        code, _ = run_cli(["identify", "--column", "a", "--no-validate", path], capsys)
+        assert code == 0
+        doc["Q"] = [[0.5], [0.3]]  # B @ [0.6, 0.2]
+        path.write_text(dumps_report(doc))
+        code, out = run_cli(["identify", "--column", "a", path], capsys)
+        assert code == 0
+        np.testing.assert_allclose(json.loads(out)["result"]["per_state_probability"],
+                                   [0.6, 0.2], atol=1e-12)
+
     def test_sp_command(self, workdir, capsys):
         save_landscape(
             fixtures.split_state_landscape(), str(workdir / "split.json")
@@ -269,6 +290,24 @@ class TestMoreCommands:
         doc = json.loads(out)
         assert doc["verdict"] == "matched"
         assert doc["result"]["state"] == "th2"
+
+    def test_infer_state_validates_an_environment(self, workdir, capsys):
+        doc = {"states": ["th1", "th2"], "signals": ["s1", "s2"],
+               "prior": [0.5, 0.5], "I": [[1.4, -0.4], [0.2, 0.8]]}
+        path = workdir / "bad_env.json"
+        path.write_text(json.dumps(doc))
+        message = (
+            "beliefscape: error: environment failed validation:"
+            " negative entry at structure[th1, s2]: -0.4\n"
+        )
+        for command in (["generate", path], ["infer-state", path, "--signal", "s1", "--share", "0.5"]):
+            assert main([str(a) for a in command]) == 1
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", message)
+        code, out = run_cli(["infer-state", path, "--signal", "s1", "--share", "0.5", "--no-validate"],
+                            capsys)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "matched"
 
     def test_infer_state_ambiguous_exits_2(self, workdir, capsys):
         # every state shows the null signal with the same probability

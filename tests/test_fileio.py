@@ -35,6 +35,7 @@ from beliefscape import (
 )
 from beliefscape.fileio import (
     ParseError,
+    _read_csv_matrix,
     dumps_report,
     environment_from_doc,
     environment_to_doc,
@@ -279,3 +280,33 @@ def test_huge_integer_in_files_is_a_structural_error(tmp_path, capsys):
     reg.write_text(json.dumps({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, HUGE]]}))
     assert cli.main(["ridge", str(path), "--reg", str(reg)]) == cli.EXIT_ERROR
     assert "matrix[3, 3]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", [" 1.5 ", "nan", "1_0", "+2", "", "x", "0x1"], ids=repr)
+def test_csv_cells_follow_float_parsing(cell, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(f",a,b\nr1,0.5,0.5\nr2,0.25,{cell}\n")
+    try:
+        expected = float(cell)
+    except ValueError:
+        with pytest.raises(ParseError, match=r"non-numeric cell at row 3, column 3$"):
+            _read_csv_matrix(path)
+        return
+    rows, columns, data = _read_csv_matrix(path)
+    assert (rows, columns) == (["r1", "r2"], ["a", "b"])
+    np.testing.assert_array_equal(data, [[0.5, 0.5], [0.25, expected]])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (",a,b\nr1,0.5,x\nr2,0.5\n", "non-numeric cell at row 2, column 3"),
+        (",a,b\nr1,0.5\nr2,0.5,x\n", "row 2 has 2 cells, expected 3"),
+        (",a,b\nr1,0.5,0.5,0\nr2,0.5,0.5,0\n", "row 2 has 4 cells, expected 3"),
+    ],
+)
+def test_first_bad_csv_row_or_cell_is_named(text, message, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"{message}$"):
+        _read_csv_matrix(path)

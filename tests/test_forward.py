@@ -39,6 +39,20 @@ class TestPosteriorMatrix:
         )
 
 
+    def test_builds_no_hypothetical_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("posterior_matrix built a hypothetical matrix")
+
+        monkeypatch.setattr("beliefscape.forward.HypotheticalBeliefMatrix", refuse)
+        env = fixtures.truth_or_noise_environment(0.5)
+        expected = fixtures.truth_or_noise_landscape(0.5).B.entries
+        np.testing.assert_allclose(posterior_matrix(env).entries, expected, atol=1e-12)
+        structure = InformationStructure([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]])
+        with pytest.warns(DroppedSignalWarning, match="s3"):
+            beliefs = posterior_matrix(InformationalEnvironment(structure, Prior([0.5, 0.5])))
+        assert beliefs.signal_labels == ("s1", "s2")
+
+
 class TestHypotheticalMatrix:
     def test_truth_or_noise(self):
         epsilon = 0.3

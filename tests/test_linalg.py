@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,39 @@ class TestMinNormSolution:
         np.testing.assert_allclose(basis.T @ x, 0.0, atol=1e-12)
 
 
+def _exact_solve(a, b):
+    """Gauss-Jordan elimination on Fraction matrices: a^-1 @ b, exactly."""
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _exact_ridge(b, q, lam, reg_diagonal):
+    """The ridge solution of the float inputs in exact arithmetic, by the push-through
+    identity (BᵀB + λR)⁻¹BᵀQ = R⁻¹Bᵀ(BR⁻¹Bᵀ + λI)⁻¹Q, for a diagonal R."""
+    B = [[Fraction(x) for x in row] for row in b.tolist()]
+    Q = [[Fraction(x) for x in row] for row in q.tolist()]
+    r_inv = [1 / Fraction(d) for d in reg_diagonal]
+    n_rows, n_cols = len(B), len(B[0])
+    kernel = [
+        [sum(B[i][k] * r_inv[k] * B[j][k] for k in range(n_cols)) + Fraction(lam) * (i == j)
+         for j in range(n_rows)]
+        for i in range(n_rows)
+    ]
+    y = _exact_solve(kernel, Q)
+    return np.array([
+        [float(r_inv[k] * sum(B[i][k] * y[i][c] for i in range(n_rows))) for c in range(len(Q[0]))]
+        for k in range(n_cols)
+    ])
+
+
 class TestRidgeSolution:
     def test_converges_to_min_norm_with_shrinking_gap(self):
         b = fixtures.TWO_SIGNAL_THREE_STATE_B
@@ -135,6 +170,16 @@ class TestRidgeSolution:
         at = ridge_solution_at(land.B.entries, land.Q.entries, 1e-9, reg=reg)
         np.testing.assert_allclose(at, limit, atol=1e-6)
 
+    @pytest.mark.parametrize("reg_diagonal", [None, (1.0, 2.0, 0.5)])
+    @pytest.mark.parametrize("lam", [1e-4, 1e-6, 1e-8])
+    def test_matches_the_exact_ridge_solution(self, lam, reg_diagonal):
+        # A normal-equations solve loses cond(BᵀB + λR) ≈ 1/λ digits here (2.3e-9 off at 1e-8).
+        b = fixtures.TWO_SIGNAL_THREE_STATE_B
+        q = fixtures.TWO_SIGNAL_THREE_STATE_Q
+        reg = None if reg_diagonal is None else np.diag(reg_diagonal)
+        exact = _exact_ridge(b, q, lam, reg_diagonal or (1.0, 1.0, 1.0))
+        np.testing.assert_allclose(ridge_solution_at(b, q, lam, reg=reg), exact, rtol=0, atol=1e-13)
+
     def test_huge_lambda_shrinks_everything(self):
         b = fixtures.TWO_SIGNAL_THREE_STATE_B
         q = fixtures.TWO_SIGNAL_THREE_STATE_Q
@@ -143,6 +188,10 @@ class TestRidgeSolution:
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
             ridge_solution_at(np.eye(2), np.eye(2), 0.0)
+
+    def test_nan_lambda_is_rejected(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            ridge_solution_at(np.eye(2), np.eye(2), float("nan"))
 
     def test_regularizer_validation(self):
         with pytest.raises(ValueError, match="symmetric"):

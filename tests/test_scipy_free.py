@@ -1,11 +1,10 @@
 """scipy stays unloaded on the common paths.
 
-numpy does every factorization and graph search; scipy is imported only
-inside the three solvers that need it: LP restoration (two or more free
-directions), ``reconstruct_from_prior`` and the ridge solve behind
-``ridge --lambda``. The test process itself has scipy loaded, so each probe
-runs in a fresh interpreter and reports the scipy modules loaded after each
-step.
+numpy does every factorization, graph search and ridge solve; scipy is
+imported only inside the two solvers that need it: LP restoration (two or more
+free directions) and ``reconstruct_from_prior``. The test process itself has
+scipy loaded, so each probe runs in a fresh interpreter and reports the scipy
+modules loaded after each step.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ for step in json.loads(sys.argv[1]):
     print(json.dumps([step, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
-SCIPY_CASES = ("ridge_lambda", "ridge_lp")
+SCIPY_CASES = ("ridge_lp",)
 COMMON_STEPS = (
     ["beliefscape.cli"]
     + [CASES[case] for case in sorted(set(CASES) - set(SCIPY_CASES))]
