@@ -297,12 +297,18 @@ def _cmd_identify(ns, tol):
                 if not -tol.tol_entry <= value <= 1 + tol.tol_entry
             )
             _validate_or_fail("landscape", violations)
+        probabilities = identify_single_column(beliefs, column, tol)
+        outside = [
+            Violation("per-state probability outside [0, 1]", state, float(value)).describe()
+            for state, value in zip(beliefs.state_labels, probabilities)
+            if not -tol.tol_entry <= value <= 1 + tol.tol_entry
+        ]
         result = {
             "signal": ns.column,
             "states": list(beliefs.state_labels),
-            "per_state_probability": identify_single_column(beliefs, column, tol),
+            "per_state_probability": probabilities,
         }
-        return {name: sha256_hex(raw)}, result, None, ()
+        return {name: sha256_hex(raw)}, result, "inconsistent" if outside else None, outside
     landscape, digests = _load_validated_landscape(ns, tol)
     verdict = consistency_check(landscape, tol)
     result = _identification_payload(verdict.identification)

@@ -116,7 +116,15 @@ def signal_labels_for(n: int) -> tuple[str, ...]:
     return tuple(f"s{i + 1}" for i in range(n))
 
 
-def _check_labels(labels: Sequence[str] | None, n: int, axis: str, default) -> tuple[str, ...]:
+# Label field -> (axis name in messages, default labels).
+_LABEL_AXES = {
+    "state_labels": ("states", state_labels_for),
+    "signal_labels": ("signals", signal_labels_for),
+}
+
+
+def _check_labels(labels: Sequence[str] | None, n: int, field: str) -> tuple[str, ...]:
+    axis, default = _LABEL_AXES[field]
     if labels is None:
         return default(n)
     labels = tuple(str(x) for x in labels)
@@ -125,6 +133,20 @@ def _check_labels(labels: Sequence[str] | None, n: int, axis: str, default) -> t
     if len(set(labels)) != len(labels):
         raise StructuralError(f"{axis}: duplicate labels")
     return labels
+
+
+def _freeze_labelled(value, name: str, ndim: int, square: bool = False, **axis_of: int) -> None:
+    """Freeze ``value.entries`` and check or default each label field, in argument order.
+
+    ``axis_of`` maps a label field to the axis of the entries it labels.
+    """
+    entries = _freeze(value.entries, name, ndim)
+    if square and entries.shape[0] != entries.shape[1]:
+        raise StructuralError(f"{name} must be square, got shape {entries.shape}")
+    object.__setattr__(value, "entries", entries)
+    for field, axis in axis_of.items():
+        labels = _check_labels(getattr(value, field), entries.shape[axis], field)
+        object.__setattr__(value, field, labels)
 
 
 @dataclass(frozen=True)
@@ -136,15 +158,7 @@ class StateBeliefMatrix:
     signal_labels: tuple[str, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        entries = _freeze(self.entries, "state belief matrix", 2)
-        object.__setattr__(self, "entries", entries)
-        n_signals, n_states = entries.shape
-        object.__setattr__(
-            self, "state_labels", _check_labels(self.state_labels, n_states, "states", state_labels_for)
-        )
-        object.__setattr__(
-            self, "signal_labels", _check_labels(self.signal_labels, n_signals, "signals", signal_labels_for)
-        )
+        _freeze_labelled(self, "state belief matrix", 2, state_labels=1, signal_labels=0)
 
     @property
     def n_signals(self) -> int:
@@ -176,17 +190,7 @@ class HypotheticalBeliefMatrix:
     signal_labels: tuple[str, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        entries = _freeze(self.entries, "hypothetical belief matrix", 2)
-        if entries.shape[0] != entries.shape[1]:
-            raise StructuralError(
-                f"hypothetical belief matrix must be square, got shape {entries.shape}"
-            )
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(
-            self,
-            "signal_labels",
-            _check_labels(self.signal_labels, entries.shape[0], "signals", signal_labels_for),
-        )
+        _freeze_labelled(self, "hypothetical belief matrix", 2, square=True, signal_labels=0)
 
     @property
     def n_signals(self) -> int:
@@ -202,15 +206,7 @@ class InformationStructure:
     signal_labels: tuple[str, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        entries = _freeze(self.entries, "information structure", 2)
-        object.__setattr__(self, "entries", entries)
-        n_states, n_signals = entries.shape
-        object.__setattr__(
-            self, "state_labels", _check_labels(self.state_labels, n_states, "states", state_labels_for)
-        )
-        object.__setattr__(
-            self, "signal_labels", _check_labels(self.signal_labels, n_signals, "signals", signal_labels_for)
-        )
+        _freeze_labelled(self, "information structure", 2, state_labels=0, signal_labels=1)
 
     @property
     def n_states(self) -> int:
@@ -229,11 +225,7 @@ class Prior:
     state_labels: tuple[str, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        entries = _freeze(self.entries, "prior", 1)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(
-            self, "state_labels", _check_labels(self.state_labels, entries.size, "states", state_labels_for)
-        )
+        _freeze_labelled(self, "prior", 1, state_labels=0)
 
     @property
     def n_states(self) -> int:
@@ -251,11 +243,7 @@ class SignalMarginal:
     signal_labels: tuple[str, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        entries = _freeze(self.entries, "signal marginal", 1)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(
-            self, "signal_labels", _check_labels(self.signal_labels, entries.size, "signals", signal_labels_for)
-        )
+        _freeze_labelled(self, "signal marginal", 1, signal_labels=0)
 
 
 @dataclass(frozen=True)

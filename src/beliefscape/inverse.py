@@ -24,7 +24,6 @@ from .core import (
     NotInHullError,
     NotModelGeneratedError,
     Prior,
-    RankDeficientError,
     SignalMarginal,
     StateBeliefMatrix,
     StructuralError,
@@ -34,7 +33,6 @@ from .core import (
 )
 from .forward import _bayes
 from .linalg import (
-    EigenvalueOneResult,
     NullSpaceBasis,
     min_norm_solution,
     regression_operator,
@@ -92,23 +90,29 @@ class PriorFamily:
         return Prior(mean, state_labels=self.state_labels)
 
 
-def _prior_family(eigen: EigenvalueOneResult, labels: tuple[str, ...]) -> PriorFamily | None:
-    """The prior an accuracy matrix's eigenvalue-1 eigenvectors identify; None without one."""
-    if eigen.kind == "none":
-        return None
-    if eigen.kind == "unique":
+def _prior_family(kind: str, members, supports, labels: tuple[str, ...]) -> PriorFamily:
+    """The one prior (kind "unique"), or one class prior per member restricted to its support."""
+    if kind == "unique":
         return PriorFamily(
-            kind="unique", state_labels=labels, unique_prior=Prior(eigen.vector, state_labels=labels)
+            kind="unique", state_labels=labels, unique_prior=Prior(members[0], state_labels=labels)
         )
     class_priors = tuple(
         ClassPrior(
-            states=members,
-            state_labels=tuple(labels[i] for i in members),
-            weights=vector[list(members)],
+            states=support,
+            state_labels=tuple(labels[i] for i in support),
+            weights=vector[list(support)],
         )
-        for members, vector in zip(eigen.family_classes, eigen.family)
+        for support, vector in zip(supports, members)
     )
     return PriorFamily(kind="family", state_labels=labels, class_priors=class_priors)
+
+
+def _accuracy_prior(accuracy: np.ndarray, labels, tol: Tolerances) -> PriorFamily | None:
+    """The prior an accuracy matrix's eigenvalue-1 eigenvectors identify; None without one."""
+    eigen = unit_eigenvector_eigenvalue_one(accuracy, tol)
+    if eigen.kind == "none":
+        return None
+    return _prior_family(eigen.kind, eigen.members(), eigen.family_classes, labels)
 
 
 _NO_PRIOR = "the peer-accuracy matrix has no eigenvalue-1 eigenvector"
@@ -129,8 +133,7 @@ def identify_prior(
             f"state axis: beliefs have {beliefs.n_states} states,"
             f" structure has {structure.n_states}"
         )
-    accuracy = peer_accuracy_matrix(beliefs, structure)
-    prior = _prior_family(unit_eigenvector_eigenvalue_one(accuracy, tol), beliefs.state_labels)
+    prior = _accuracy_prior(peer_accuracy_matrix(beliefs, structure), beliefs.state_labels, tol)
     if prior is None:
         raise NotModelGeneratedError(_NO_PRIOR)
     return prior
@@ -189,6 +192,22 @@ def _tidy_structure(raw: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool,
     return np.where(close, renormalized, clipped), True, n_clipped, ()
 
 
+def _require_length(vector: np.ndarray, n: int, what: str) -> None:
+    if vector.shape != (n,):
+        raise StructuralError(f"signal axis: {what} has length {vector.size}, expected {n}")
+
+
+def _regression_guard(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str, column=None):
+    """The beliefs' least-squares operator, after the signal-count, ``column`` and rank checks."""
+    if beliefs.n_states > beliefs.n_signals:
+        raise UnderdeterminedError(
+            f"{beliefs.n_states} states but only {beliefs.n_signals} signals; {remedy}"
+        )
+    if column is not None:
+        _require_length(column, beliefs.n_signals, "column")
+    return beliefs._svd.regression_operator(tol)
+
+
 def identify_structure(
     beliefs: StateBeliefMatrix,
     hypotheticals,
@@ -202,16 +221,7 @@ def identify_structure(
     common-prior environment can produce.
     """
     q = hypotheticals.entries if hasattr(hypotheticals, "entries") else np.asarray(hypotheticals)
-    if beliefs.n_states > beliefs.n_signals:
-        raise UnderdeterminedError(
-            f"{beliefs.n_states} states but only {beliefs.n_signals} signals;"
-            " use the minimum-norm path"
-        )
-    if not beliefs.has_full_column_rank(tol):
-        raise RankDeficientError(
-            "belief matrix has dependent columns; reduce dependencies first"
-        )
-    raw = beliefs._svd.pinv(tol) @ q
+    raw = _regression_guard(beliefs, tol, "use the minimum-norm path") @ q
     tidy, consistent, n_clipped, negative_ij = _tidy_structure(raw, tol)
     structure = InformationStructure(
         tidy, state_labels=beliefs.state_labels, signal_labels=beliefs.signal_labels
@@ -258,7 +268,7 @@ def _regression_identification(
     """
     partial = identify_structure(landscape.B, landscape.Q, tol)
     accuracy = peer_accuracy_matrix(landscape.B, partial.structure)
-    prior = _prior_family(unit_eigenvector_eigenvalue_one(accuracy, tol), landscape.state_labels)
+    prior = _accuracy_prior(accuracy, landscape.state_labels, tol)
     if prior is None:
         return partial, None
     b_err, q_err = _roundtrip_errors(landscape, partial.structure, prior.representative(), tol)
@@ -490,7 +500,7 @@ def identify_underdetermined(
         ridge_limit = min_norm_solution(b, q, tol, reg=reg)
     basis = landscape.B._svd.null_basis(tol)
     labels = landscape.state_labels
-    prior = _prior_family(unit_eigenvector_eigenvalue_one(b.T @ ridge_limit.T, tol), labels)
+    prior = _accuracy_prior(b.T @ ridge_limit.T, labels, tol)
     if prior is None:
         raise NotModelGeneratedError(
             "the ridge-limit accuracy matrix has no eigenvalue-1 eigenvector"
@@ -568,47 +578,27 @@ def signal_priors_identify(
             "the hypothetical matrix has no stationary signal distribution"
         )
     state_labels = landscape.state_labels
-    if eigen.kind == "unique":
-        marginal = eigen.vector
-        prior_vector = b.T @ marginal
-        prior = PriorFamily(
-            kind="unique",
-            state_labels=state_labels,
-            unique_prior=Prior(prior_vector, state_labels=state_labels),
-        )
-        structure = None
-        if prior_vector.min() > tol.tol_entry:
-            structure = InformationStructure(
-                (b * marginal[:, None]).T / prior_vector[:, None],
-                state_labels=state_labels,
-                signal_labels=landscape.signal_labels,
-            )
+    induced = [b.T @ vector for vector in eigen.members()]
+    supports = [tuple(np.flatnonzero(p > tol.tol_entry).tolist()) for p in induced]
+    prior = _prior_family(eigen.kind, induced, supports, state_labels)
+    if eigen.kind == "family":
         return SignalPriorsResult(
-            kind="unique",
-            marginal=SignalMarginal(marginal, signal_labels=landscape.signal_labels),
-            marginal_family=(),
-            prior=prior,
-            structure=structure,
+            kind="family", marginal=None, marginal_family=eigen.family, prior=prior, structure=None
         )
-    class_priors = []
-    for members, vector in zip(eigen.family_classes, eigen.family):
-        induced = b.T @ vector
-        support = tuple(int(i) for i in np.where(induced > tol.tol_entry)[0])
-        class_priors.append(
-            ClassPrior(
-                states=support,
-                state_labels=tuple(state_labels[i] for i in support),
-                weights=induced[list(support)],
-            )
+    marginal, prior_vector = eigen.vector, induced[0]
+    structure = None
+    if prior_vector.min() > tol.tol_entry:
+        structure = InformationStructure(
+            (b * marginal[:, None]).T / prior_vector[:, None],
+            state_labels=state_labels,
+            signal_labels=landscape.signal_labels,
         )
     return SignalPriorsResult(
-        kind="family",
-        marginal=None,
-        marginal_family=eigen.family,
-        prior=PriorFamily(
-            kind="family", state_labels=state_labels, class_priors=tuple(class_priors)
-        ),
-        structure=None,
+        kind="unique",
+        marginal=SignalMarginal(marginal, signal_labels=landscape.signal_labels),
+        marginal_family=(),
+        prior=prior,
+        structure=structure,
     )
 
 
@@ -616,17 +606,9 @@ def identify_single_column(
     beliefs: StateBeliefMatrix, hypothetical_column, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:
     """Per-state probabilities of one signal from its hypothetical column alone."""
-    if beliefs.n_states > beliefs.n_signals:
-        raise UnderdeterminedError(
-            f"{beliefs.n_states} states but only {beliefs.n_signals} signals;"
-            " a single column identifies nothing here"
-        )
     column = np.asarray(hypothetical_column, dtype=float)
-    if column.shape != (beliefs.n_signals,):
-        raise StructuralError(
-            f"signal axis: column has length {column.size}, expected {beliefs.n_signals}"
-        )
-    return beliefs._svd.regression_operator(tol) @ column
+    remedy = "a single column identifies nothing here"
+    return _regression_guard(beliefs, tol, remedy, column) @ column
 
 
 @dataclass(frozen=True)
@@ -638,30 +620,34 @@ class StateInference:
     gaps: tuple[float, ...]
 
 
+def _nearest_state(gaps: np.ndarray, tol: Tolerances, entries=None) -> StateInference:
+    """The smallest gap wins unless the runner-up (or, given ``entries``, a near-equal one) ties."""
+    if not np.isfinite(gaps).all():
+        raise ValueError("gaps to the observation must be finite; check for nan or inf input")
+    order = np.argsort(gaps, kind="stable")
+    best = int(order[0])
+    ambiguous = gaps.size > 1 and bool(gaps[order[1]] - gaps[best] < tol.tol_match)
+    if entries is not None:
+        duplicates = np.abs(entries - entries[best]) <= 2 * tol.tol_match
+        ambiguous = ambiguous or int(duplicates.sum()) > 1
+    return StateInference(
+        state_index=None if ambiguous else best,
+        ambiguous=ambiguous,
+        gaps=tuple(float(g) for g in gaps),
+    )
+
+
 def infer_state(
     structure_column, observed_share: float, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> StateInference:
     """Match the observed population share of one signal against its per-state probabilities.
 
     Ambiguous when the two best matches are within tolerance of each other,
-    or when the winning entry has a near-duplicate.
+    or when the winning entry has a near-duplicate. Non-finite input raises
+    ValueError.
     """
     column = np.asarray(structure_column, dtype=float)
-    gaps = np.abs(column - float(observed_share))
-    order = np.argsort(gaps, kind="stable")
-    best = int(order[0])
-    ambiguous = False
-    if column.size > 1:
-        if gaps[order[1]] - gaps[best] < tol.tol_match:
-            ambiguous = True
-        duplicates = np.abs(column - column[best]) <= 2 * tol.tol_match
-        if int(duplicates.sum()) > 1:
-            ambiguous = True
-    return StateInference(
-        state_index=None if ambiguous else best,
-        ambiguous=ambiguous,
-        gaps=tuple(float(g) for g in gaps),
-    )
+    return _nearest_state(np.abs(column - float(observed_share)), tol, entries=column)
 
 
 def infer_state_from_profile(
@@ -669,20 +655,8 @@ def infer_state_from_profile(
 ) -> StateInference:
     """Whole-profile variant: nearest structure row to the observed type distribution."""
     observed = np.asarray(observed_distribution, dtype=float)
-    if observed.shape != (structure.n_signals,):
-        raise StructuralError(
-            f"signal axis: distribution has length {observed.size},"
-            f" expected {structure.n_signals}"
-        )
-    gaps = np.linalg.norm(structure.entries - observed[None, :], axis=1)
-    order = np.argsort(gaps, kind="stable")
-    best = int(order[0])
-    ambiguous = structure.n_states > 1 and bool(gaps[order[1]] - gaps[best] < tol.tol_match)
-    return StateInference(
-        state_index=None if ambiguous else best,
-        ambiguous=ambiguous,
-        gaps=tuple(float(g) for g in gaps),
-    )
+    _require_length(observed, structure.n_signals, "distribution")
+    return _nearest_state(np.linalg.norm(structure.entries - observed[None, :], axis=1), tol)
 
 
 # --------------------------------------------------------------------------

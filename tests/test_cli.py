@@ -221,8 +221,9 @@ class TestMoreCommands:
         path.write_text(dumps_report(doc))
         assert main(["identify", "--column", "a", str(path)]) == 1
         assert "landscape failed validation: negative entry at B[a, s2]" in capsys.readouterr().err
+        # Validation (exit 1) is skipped; the per-state result for s2, 1.10, is a verdict.
         code, _ = run_cli(["identify", "--column", "a", "--no-validate", path], capsys)
-        assert code == 0
+        assert code == 2
 
     def test_identify_single_column_validates_the_column(self, workdir, capsys):
         doc = {"states": ["s1", "s2"], "signals": ["a", "b"],
@@ -236,14 +237,33 @@ class TestMoreCommands:
             "beliefscape: error: landscape failed validation: entry outside [0, 1] at Q[a, a]: 1.7;"
             " entry outside [0, 1] at Q[b, a]: -0.4\n"
         )
+        # Validation (exit 1) is skipped; the per-state results 2.75 and -1.45 are a verdict.
         code, _ = run_cli(["identify", "--column", "a", "--no-validate", path], capsys)
-        assert code == 0
+        assert code == 2
         doc["Q"] = [[0.5], [0.3]]  # B @ [0.6, 0.2]
         path.write_text(dumps_report(doc))
         code, out = run_cli(["identify", "--column", "a", path], capsys)
         assert code == 0
         np.testing.assert_allclose(json.loads(out)["result"]["per_state_probability"],
                                    [0.6, 0.2], atol=1e-12)
+
+    @pytest.mark.parametrize("flags", [[], ["--no-validate"]])
+    def test_identify_single_column_flags_results_outside_the_unit_interval(
+        self, workdir, capsys, flags
+    ):
+        doc = {"states": ["s1", "s2"], "signals": ["a", "b"],
+               "B": [[0.75, 0.25], [0.25, 0.75]], "Q": [[0.7], [0.0]]}
+        path = workdir / "col.json"
+        path.write_text(dumps_report(doc))
+        code, out = run_cli(["identify", "--column", "a", *flags, path], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["verdict"] == "inconsistent"
+        assert report["warnings"] == [
+            "per-state probability outside [0, 1] at s1: 1.05",
+            "per-state probability outside [0, 1] at s2: -0.35",
+        ]
+        np.testing.assert_allclose(report["result"]["per_state_probability"], [1.05, -0.35])
 
     def test_sp_command(self, workdir, capsys):
         save_landscape(

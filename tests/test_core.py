@@ -7,6 +7,7 @@ from beliefscape import (
     InformationStructure,
     InformationalEnvironment,
     Prior,
+    SignalMarginal,
     StateBeliefMatrix,
     StructuralError,
     Tolerances,
@@ -63,6 +64,123 @@ class TestTypes:
     def test_tolerances_must_be_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             Tolerances(**{name: value})
+
+
+# (constructor, arguments, full message) for every malformed input of the five labelled types.
+MALFORMED = {
+    "B-ndim": (
+        StateBeliefMatrix, ([0.5, 0.5],),
+        "state belief matrix must be 2-dimensional, got shape (2,)",
+    ),
+    "B-ndim-before-non-finite": (
+        StateBeliefMatrix, ([np.nan],),
+        "state belief matrix must be 2-dimensional, got shape (1,)",
+    ),
+    "B-non-finite": (
+        StateBeliefMatrix, ([[0.5, np.inf]],),
+        "state belief matrix contains non-finite entries",
+    ),
+    "B-state-count": (
+        StateBeliefMatrix, ([[0.5, 0.5]], ("a", "b", "c")),
+        "states: 3 labels for 2 entries",
+    ),
+    "B-signal-count": (
+        StateBeliefMatrix, ([[0.5, 0.5]], None, ("a", "b")),
+        "signals: 2 labels for 1 entries",
+    ),
+    "B-state-duplicate": (
+        StateBeliefMatrix, ([[0.5, 0.5]], ("a", "a")),
+        "states: duplicate labels",
+    ),
+    "B-signal-duplicate": (
+        StateBeliefMatrix, ([[0.5, 0.5], [1.0, 0.0]], None, ("a", "a")),
+        "signals: duplicate labels",
+    ),
+    "B-states-before-signals": (
+        StateBeliefMatrix, ([[0.5, 0.5]], ("a", "a"), ("x", "y")),
+        "states: duplicate labels",
+    ),
+    "Q-ndim": (
+        HypotheticalBeliefMatrix, ([[[1.0]]],),
+        "hypothetical belief matrix must be 2-dimensional, got shape (1, 1, 1)",
+    ),
+    "Q-non-finite": (
+        HypotheticalBeliefMatrix, ([[np.nan, 1.0], [0.0, 1.0]],),
+        "hypothetical belief matrix contains non-finite entries",
+    ),
+    "Q-non-square": (
+        HypotheticalBeliefMatrix, ([[0.5, 0.5, 0.0]],),
+        "hypothetical belief matrix must be square, got shape (1, 3)",
+    ),
+    "Q-non-finite-before-non-square": (
+        HypotheticalBeliefMatrix, ([[0.5, np.nan, 0.0]],),
+        "hypothetical belief matrix contains non-finite entries",
+    ),
+    "Q-non-square-before-labels": (
+        HypotheticalBeliefMatrix, ([[0.5, 0.5, 0.0]], ("a",)),
+        "hypothetical belief matrix must be square, got shape (1, 3)",
+    ),
+    "Q-signal-count": (
+        HypotheticalBeliefMatrix, (np.eye(2), ("a",)),
+        "signals: 1 labels for 2 entries",
+    ),
+    "Q-signal-duplicate": (
+        HypotheticalBeliefMatrix, (np.eye(2), ("a", "a")),
+        "signals: duplicate labels",
+    ),
+    "I-ndim": (
+        InformationStructure, (1.0,),
+        "information structure must be 2-dimensional, got shape ()",
+    ),
+    "I-non-finite": (
+        InformationStructure, ([[1.0, -np.inf]],),
+        "information structure contains non-finite entries",
+    ),
+    "I-state-count": (
+        InformationStructure, ([[0.5, 0.5]], ("a", "b")),
+        "states: 2 labels for 1 entries",
+    ),
+    "I-signal-count": (
+        InformationStructure, ([[0.5, 0.5]], None, ("a",)),
+        "signals: 1 labels for 2 entries",
+    ),
+    "I-state-duplicate": (
+        InformationStructure, (np.eye(2), ("a", "a")),
+        "states: duplicate labels",
+    ),
+    "I-signal-duplicate": (
+        InformationStructure, (np.eye(2), None, ("a", "a")),
+        "signals: duplicate labels",
+    ),
+    "prior-ndim": (Prior, ([[0.5, 0.5]],), "prior must be 1-dimensional, got shape (1, 2)"),
+    "prior-non-finite": (Prior, ([0.5, np.nan],), "prior contains non-finite entries"),
+    "prior-state-count": (Prior, ([0.5, 0.5], ("a",)), "states: 1 labels for 2 entries"),
+    "prior-state-duplicate": (Prior, ([0.5, 0.5], ("a", "a")), "states: duplicate labels"),
+    "marginal-ndim": (
+        SignalMarginal, (0.5,),
+        "signal marginal must be 1-dimensional, got shape ()",
+    ),
+    "marginal-non-finite": (
+        SignalMarginal, ([np.inf, 0.5],),
+        "signal marginal contains non-finite entries",
+    ),
+    "marginal-signal-count": (
+        SignalMarginal, ([0.5, 0.5], ("a", "b", "c")),
+        "signals: 3 labels for 2 entries",
+    ),
+    "marginal-signal-duplicate": (
+        SignalMarginal, ([0.5, 0.5], ("a", "a")),
+        "signals: duplicate labels",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_message(case):
+    constructor, args, message = MALFORMED[case]
+    with pytest.raises(StructuralError) as info:
+        constructor(*args)
+    assert str(info.value) == message
 
 
 class TestValidateLandscape:

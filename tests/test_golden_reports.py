@@ -59,6 +59,8 @@ CASES = {
     "ridge_infeasible": ["ridge", "infeas.json"],
     "check_infeasible_pretty": ["check", "--format", "pretty", "infeas.json"],
     "reduce_verdict_error": ["reduce", "--no-validate", "negw.json"],
+    "identify_column": ["identify", "--column", "reveal-th2", "ton.json"],
+    "identify_column_outside": ["identify", "--column", "a", "col_outside.json"],
 }
 
 
@@ -88,6 +90,10 @@ def write_inputs(directory: Path) -> None:
     for name, landscape in landscapes.items():
         save_landscape(landscape, str(directory / name))
     save_environment(fixtures.truth_or_noise_environment(0.5), str(directory / "env.json"))
+    # one in-range hypothetical column whose per-state probabilities are 1.05 and -0.35
+    column_doc = {"states": ["th1", "th2"], "signals": ["a", "b"],
+                  "B": [[0.75, 0.25], [0.25, 0.75]], "Q": [[0.7], [0.0]]}
+    (directory / "col_outside.json").write_text(json.dumps(column_doc))
 
 
 def run_case(argv: list[str]) -> dict:

@@ -11,7 +11,9 @@ from beliefscape import (
     HypotheticalBeliefMatrix,
     InformationStructure,
     Prior,
+    RankDeficientError,
     StateBeliefMatrix,
+    StructuralError,
     StructureSupportError,
     UnderdeterminedError,
     consistency_check,
@@ -294,6 +296,16 @@ class TestSingleColumn:
         with pytest.raises(UnderdeterminedError):
             identify_single_column(land.B, land.Q.entries[:, 0])
 
+    def test_checks_signal_count_then_length_then_rank(self):
+        scarce = fixtures.two_signal_three_state_landscape().B  # 3 states, 2 signals
+        split = fixtures.split_state_landscape().B  # dependent columns
+        with pytest.raises(UnderdeterminedError):
+            identify_single_column(scarce, [0.5, 0.5, 0.5])
+        with pytest.raises(StructuralError, match="column has length 1"):
+            identify_single_column(split, [0.5])
+        with pytest.raises(RankDeficientError):
+            identify_single_column(split, np.full(split.n_signals, 0.5))
+
 
 class TestInferState:
     def test_reveal_column_matches_its_state(self):
@@ -321,6 +333,20 @@ class TestInferState:
             InformationStructure([[0.5, 0.5], [0.5, 0.5]]), [0.6, 0.4]
         )
         assert tied.ambiguous
+
+    @pytest.mark.parametrize(
+        "column, share",
+        [([0.2, 0.5, 0.9], np.nan), ([0.2, 0.5, 0.9], np.inf), ([0.2, np.nan, 0.9], 0.5)],
+    )
+    def test_non_finite_share_or_column_rejected(self, column, share):
+        with pytest.raises(ValueError, match="finite"):
+            infer_state(column, share)
+
+    @pytest.mark.parametrize("observed", [[np.nan, 0.5], [0.5, -np.inf]])
+    def test_non_finite_distribution_rejected(self, observed):
+        structure = InformationStructure(fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE)
+        with pytest.raises(ValueError, match="finite"):
+            infer_state_from_profile(structure, observed)
 
     def test_profile_ambiguity_is_a_bool(self):
         # A numpy bool is not JSON: the report encoder rejects it.

@@ -14,6 +14,7 @@ from beliefscape import (
     identify,
     identify_underdetermined,
     sample_environment,
+    signal_priors_identify,
 )
 
 
@@ -125,3 +126,40 @@ def test_relabelling_states_permutes_the_restored_structure(case):
 @given(scarce_landscapes(st.integers(4, 5), free=2))
 def test_relabelling_states_permutes_the_lp_restored_structure(case):
     check_relabelling_permutes_the_restoration(*case, free=2)
+
+
+@st.composite
+def well_conditioned_environments(draw, scarce=False):
+    """An interior environment, one signal fewer than states when ``scarce``, and its landscape."""
+    n_states = draw(st.integers(2, 5))
+    n_signals = n_states - 1 if scarce else draw(st.integers(n_states, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    env = sample_environment(rng, n_states, n_signals, min_mass=0.05)
+    landscape = generate_landscape(env)
+    assume(np.linalg.cond(landscape.B.entries) < 1e3)
+    return env, landscape
+
+
+def assert_recovers(prior_family, env):
+    assert prior_family.kind == "unique"
+    np.testing.assert_allclose(
+        prior_family.unique_prior.entries, env.prior.entries, rtol=0, atol=1e-8
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(well_conditioned_environments())
+def test_forward_then_inverse_recovers_the_environment(case):
+    env, landscape = case
+    for route in (identify(landscape), signal_priors_identify(landscape)):
+        np.testing.assert_allclose(
+            route.structure.entries, env.structure.entries, rtol=0, atol=1e-8
+        )
+        assert_recovers(route.prior, env)
+
+
+@settings(max_examples=100, deadline=None)
+@given(well_conditioned_environments(scarce=True))
+def test_minimum_norm_route_recovers_the_prior(case):
+    env, landscape = case
+    assert_recovers(identify_underdetermined(landscape).prior, env)
