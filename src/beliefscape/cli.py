@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,7 @@ from .forward import generate_landscape
 from .inverse import (
     IdentificationResult,
     PriorFamily,
+    _route,
     consistency_check,
     detect_partitional,
     identify,
@@ -91,7 +93,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_TOLERANCE_NAMES = ("stochastic", "entry", "rank", "match")  # --tol-<name>, Tolerances.tol_<name>
+_TOLERANCE_NAMES = tuple(f.name.removeprefix("tol_") for f in fields(Tolerances))  # --tol-<name>
 
 
 def _number_type(parse, ok, what: str):
@@ -352,7 +354,11 @@ def _cmd_ridge(ns, tol):
         },
     }
     if ns.lam is not None:
-        at_lambda = ridge_solution_at(landscape.B.entries, landscape.Q.entries, ns.lam, reg=reg)
+        q = landscape.Q.entries
+        if reg is None:  # the SVD of B that identify_underdetermined already made
+            at_lambda = landscape.B._svd.pinv(tol, ns.lam) @ q
+        else:
+            at_lambda = ridge_solution_at(landscape.B.entries, q, ns.lam, reg=reg)
         result["ridge_at_lambda"] = {
             "lambda": ns.lam,
             "solution": at_lambda,
@@ -363,11 +369,12 @@ def _cmd_ridge(ns, tol):
 
 def _cmd_check(ns, tol):
     landscape, digests = _load_validated_landscape(ns, tol)
-    if landscape.n_states > landscape.n_signals or not landscape.B.has_full_column_rank(tol):
+    route, _ = _route(landscape.B, tol)
+    if route == "minimum-norm":
         under = identify_underdetermined(landscape, tol)
         feasible = under.restored.kind != "infeasible"
         result = {
-            "route": "minimum-norm",
+            "route": route,
             "feasible": feasible,
             "restoration_kind": under.restored.kind,
             "residual": under.residual,
@@ -375,7 +382,7 @@ def _cmd_check(ns, tol):
         return digests, result, "feasible" if feasible else "infeasible", ()
     verdict = consistency_check(landscape, tol)
     result = {
-        "route": "regression",
+        "route": route,
         "consistent": verdict.consistent,
         "failed": list(verdict.failed),
     }

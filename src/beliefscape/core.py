@@ -13,7 +13,7 @@ function, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -86,9 +86,9 @@ class Tolerances:
     tol_match: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("tol_stochastic", "tol_entry", "tol_rank", "tol_match"):
-            if not 0 < getattr(self, name) < np.inf:  # nan fails too
-                raise ValueError(f"{name} must be positive and finite")
+        for field in fields(self):
+            if not 0 < getattr(self, field.name) < np.inf:  # nan fails too
+                raise ValueError(f"{field.name} must be positive and finite")
 
     def rank_cutoff(self, singular_values: np.ndarray) -> float:
         s = np.asarray(singular_values, dtype=float)
@@ -178,8 +178,15 @@ class StateBeliefMatrix:
     def rank(self, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
         return self._svd.rank(tol)
 
-    def has_full_column_rank(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        return self.rank(tol) == self.n_states
+
+def _require_states(beliefs: StateBeliefMatrix, n: int, what: str) -> None:
+    if beliefs.n_states != n:
+        raise StructuralError(f"state axis: beliefs have {beliefs.n_states} states, {what} has {n}")
+
+
+def _require_length(vector: np.ndarray, n: int, what: str) -> None:
+    if vector.shape != (n,):
+        raise StructuralError(f"signal axis: {what} has length {vector.size}, expected {n}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .core import (
     StateBeliefMatrix,
     StructuralError,
     Tolerances,
+    _require_states,
 )
 
 
@@ -70,11 +71,7 @@ def hypothetical_matrix(
     structure: InformationStructure, beliefs: StateBeliefMatrix
 ) -> HypotheticalBeliefMatrix:
     """Each type's predicted distribution of peer types: the product beliefs @ structure."""
-    if beliefs.n_states != structure.n_states:
-        raise StructuralError(
-            f"state axis: beliefs have {beliefs.n_states} states,"
-            f" structure has {structure.n_states}"
-        )
+    _require_states(beliefs, structure.n_states, "structure")
     if beliefs.state_labels != structure.state_labels:
         raise StructuralError("state axis: beliefs and structure carry different state labels")
     if beliefs.signal_labels != structure.signal_labels:

@@ -30,6 +30,8 @@ from .core import (
     StructureSupportError,
     Tolerances,
     UnderdeterminedError,
+    _require_length,
+    _require_states,
 )
 from .forward import _bayes
 from .linalg import (
@@ -128,11 +130,7 @@ def identify_prior(
     Unique when that matrix has a single fixed direction; otherwise one
     Perron vector per closed class of its positive-entry pattern.
     """
-    if beliefs.n_states != structure.n_states:
-        raise StructuralError(
-            f"state axis: beliefs have {beliefs.n_states} states,"
-            f" structure has {structure.n_states}"
-        )
+    _require_states(beliefs, structure.n_states, "structure")
     prior = _accuracy_prior(peer_accuracy_matrix(beliefs, structure), beliefs.state_labels, tol)
     if prior is None:
         raise NotModelGeneratedError(_NO_PRIOR)
@@ -192,20 +190,27 @@ def _tidy_structure(raw: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool,
     return np.where(close, renormalized, clipped), True, n_clipped, ()
 
 
-def _require_length(vector: np.ndarray, n: int, what: str) -> None:
-    if vector.shape != (n,):
-        raise StructuralError(f"signal axis: {what} has length {vector.size}, expected {n}")
+def _route(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str = "use the minimum-norm path"):
+    """("regression", None), or ("minimum-norm", the error the regression route raises).
+
+    The regression needs at least as many signals as states and full column rank.
+    """
+    if beliefs.n_states > beliefs.n_signals:
+        return "minimum-norm", UnderdeterminedError(
+            f"{beliefs.n_states} states but only {beliefs.n_signals} signals; {remedy}"
+        )
+    reason = beliefs._svd.rank_deficiency(tol)
+    return "regression" if reason is None else "minimum-norm", reason
 
 
 def _regression_guard(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str, column=None):
     """The beliefs' least-squares operator, after the signal-count, ``column`` and rank checks."""
-    if beliefs.n_states > beliefs.n_signals:
-        raise UnderdeterminedError(
-            f"{beliefs.n_states} states but only {beliefs.n_signals} signals; {remedy}"
-        )
-    if column is not None:
+    _, reason = _route(beliefs, tol, remedy)
+    if column is not None and not isinstance(reason, UnderdeterminedError):
         _require_length(column, beliefs.n_signals, "column")
-    return beliefs._svd.regression_operator(tol)
+    if reason is not None:
+        raise reason
+    return beliefs._svd.pinv(tol)
 
 
 def identify_structure(
@@ -528,10 +533,7 @@ def reconstruct_from_prior(
     """
     import scipy.optimize
 
-    if beliefs.n_states != prior.n_states:
-        raise StructuralError(
-            f"state axis: beliefs have {beliefs.n_states} states, prior has {prior.n_states}"
-        )
+    _require_states(beliefs, prior.n_states, "prior")
     p = prior.entries
     if p.min() <= tol.tol_entry:
         raise NotInHullError("the prior must put positive mass on every state")

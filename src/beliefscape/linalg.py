@@ -61,15 +61,15 @@ class _SVD:
             factors = np.divide(1.0, self.s, out=np.zeros_like(self.s), where=large)
         return self.vt[: self.s.size].T @ (factors[:, None] * self.u.T)
 
-    def regression_operator(self, tol: Tolerances) -> np.ndarray:
-        """The pseudoinverse as the least-squares operator; dependent columns raise."""
+    def rank_deficiency(self, tol: Tolerances) -> RankDeficientError | None:
+        """The error a least-squares operator raises on dependent columns; None at full rank."""
         rank, n_cols = self.rank(tol), self.vt.shape[1]
-        if rank < n_cols:
-            raise RankDeficientError(
-                f"matrix has column rank {rank} < {n_cols}; remove dependent"
-                " columns or use the minimum-norm path"
-            )
-        return self.pinv(tol)
+        if rank == n_cols:
+            return None
+        return RankDeficientError(
+            f"matrix has column rank {rank} < {n_cols}; remove dependent"
+            " columns or use the minimum-norm path"
+        )
 
     def null_basis(self, tol: Tolerances) -> NullSpaceBasis:
         rows = self.vt[self.rank(tol) :]
@@ -146,7 +146,11 @@ def regression_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
 
     Requires full column rank, in which case it equals the pseudoinverse.
     """
-    return _SVD.of(matrix).regression_operator(tol)
+    svd = _SVD.of(matrix)
+    deficiency = svd.rank_deficiency(tol)
+    if deficiency is not None:
+        raise deficiency
+    return svd.pinv(tol)
 
 
 def _filtered_solve(matrix, targets, reg, tol: Tolerances = DEFAULT_TOLERANCES, lam: float = 0.0):

@@ -64,56 +64,45 @@ def run_selftest(seed: int = 0, trials: int = 50) -> list[tuple[str, bool, str]]
     )
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    ok = True
-    for _ in range(trials):
-        n_states = int(rng.integers(2, 6))
-        n_signals = int(rng.integers(n_states, 9))
-        env = sample_environment(rng, n_states, n_signals)
-        res = identify(generate_landscape(env))
-        err = max(
-            float(np.max(np.abs(res.structure.entries - env.structure.entries))),
-            float(np.max(np.abs(res.prior.unique_prior.entries - env.prior.entries))),
-        )
-        worst = max(worst, err)
-        ok = ok and err <= 1e-8 and res.prior.kind == "unique"
-    check("random regression round trips", ok, f"worst error {worst:.3g} over {trials} trials")
 
-    worst = 0.0
-    ok = True
-    for _ in range(trials):
+    def round_trips(name: str, error_of_a_draw, what: str = "worst error") -> None:
+        errors = [error_of_a_draw() for _ in range(trials)]
+        worst = max([0.0, *errors])
+        check(name, all(e <= 1e-8 for e in errors), f"{what} {worst:.3g} over {trials} trials")
+
+    def gap(a, b) -> float:
+        return float(np.max(np.abs(a - b)))
+
+    def draw_environment():
+        """2-5 states, at least as many signals, and its landscape."""
+        n_states = int(rng.integers(2, 6))
+        env = sample_environment(rng, n_states, int(rng.integers(n_states, 9)))
+        return env, generate_landscape(env)
+
+    def regression_error() -> float:
+        env, land = draw_environment()
+        res = identify(land)
+        return max(
+            gap(res.structure.entries, env.structure.entries),
+            gap(res.prior.unique_prior.entries, env.prior.entries),
+        )
+
+    def minimum_norm_error() -> float:
         n_states = int(rng.integers(3, 7))
         env = sample_environment(rng, n_states, n_states - 1)
-        land = generate_landscape(env)
-        und = identify_underdetermined(land)
-        err = max(
-            und.residual,
-            float(np.max(np.abs(und.prior.unique_prior.entries - env.prior.entries))),
-        )
-        worst = max(worst, err)
-        ok = ok and err <= 1e-8
-    check("random minimum-norm round trips", ok, f"worst error {worst:.3g} over {trials} trials")
+        und = identify_underdetermined(generate_landscape(env))
+        return max(und.residual, gap(und.prior.unique_prior.entries, env.prior.entries))
 
-    worst = 0.0
-    ok = True
-    for _ in range(trials):
-        n_states = int(rng.integers(2, 6))
-        n_signals = int(rng.integers(n_states, 9))
-        env = sample_environment(rng, n_states, n_signals)
-        land = generate_landscape(env)
-        sp = signal_priors_identify(land)
-        reg = identify(land)
-        err = max(
-            float(np.max(np.abs(sp.structure.entries - reg.structure.entries))),
-            float(np.max(np.abs(sp.prior.unique_prior.entries - reg.prior.unique_prior.entries))),
-            float(np.max(np.abs(sp.marginal.entries - signal_marginal(env).entries))),
+    def signal_priors_gap() -> float:
+        env, land = draw_environment()
+        sp, reg = signal_priors_identify(land), identify(land)
+        return max(
+            gap(sp.structure.entries, reg.structure.entries),
+            gap(sp.prior.unique_prior.entries, reg.prior.unique_prior.entries),
+            gap(sp.marginal.entries, signal_marginal(env).entries),
         )
-        worst = max(worst, err)
-        ok = ok and err <= 1e-8
-    check(
-        "signal-priors route agrees with regression",
-        ok,
-        f"worst gap {worst:.3g} over {trials} trials",
-    )
 
+    round_trips("random regression round trips", regression_error)
+    round_trips("random minimum-norm round trips", minimum_norm_error)
+    round_trips("signal-priors route agrees with regression", signal_priors_gap, "worst gap")
     return results

@@ -17,11 +17,14 @@ import pytest
 import scipy.linalg
 
 from beliefscape import (
+    DEFAULT_TOLERANCES,
+    StateBeliefMatrix,
     consistency_check,
     fixtures,
     generate_landscape,
     identify_underdetermined,
     rationalize_noncommon,
+    ridge_solution_at,
     sample_environment,
     validate_landscape,
 )
@@ -84,17 +87,23 @@ def test_validate_check_rationalize_factorize_once(name, svd_inputs):
     assert svds_of(svd_inputs, landscape.B.entries) == 1
 
 
+TON = LANDSCAPES["truth_or_noise"]
+SCARCE = fixtures.two_signal_three_state_landscape  # 3 states, 2 signals
+
+
 @pytest.mark.parametrize(
-    "command",
+    "command, landscape",
     [
-        pytest.param(["check"], id="check"),
-        pytest.param(["identify"], id="identify"),
-        pytest.param(["identify", "--column", "null"], id="identify-column"),
+        pytest.param(["check"], TON, id="check"),
+        pytest.param(["identify"], TON, id="identify"),
+        pytest.param(["identify", "--column", "null"], TON, id="identify-column"),
+        pytest.param(["check"], SCARCE, id="check-scarce"),
+        pytest.param(["ridge", "--lambda", "1e-6"], SCARCE, id="ridge-lambda"),
     ],
 )
-def test_cli_factorizes_once(command, tmp_path, svd_inputs, capsys):
+def test_cli_factorizes_once(command, landscape, tmp_path, svd_inputs, capsys):
     path = str(tmp_path / "land.json")
-    save_landscape(fixtures.truth_or_noise_landscape(0.5), path)
+    save_landscape(landscape(), path)
     b = load_landscape(path)[0].B.entries
     svd_inputs.clear()
     assert main([*command, path]) == 0
@@ -106,3 +115,15 @@ def test_underdetermined_factorizes_once(svd_inputs):
     landscape = fixtures.two_signal_three_state_landscape()
     identify_underdetermined(landscape)
     assert svds_of(svd_inputs, landscape.B.entries) == 1
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 4), (3, 5), (4, 3), (50, 60)], ids=str)
+@pytest.mark.parametrize("lam", [1e-6, 1e-3])
+def test_cached_factorization_gives_the_ridge_solution_bit_for_bit(shape, lam):
+    """What ``ridge --lambda`` reads from B's own SVD equals ``ridge_solution_at``."""
+    rng = np.random.default_rng(sum(shape))
+    n_signals, n_states = shape
+    beliefs = StateBeliefMatrix(rng.dirichlet(np.ones(n_states), size=n_signals))
+    q = rng.dirichlet(np.ones(n_signals), size=n_signals)
+    cached = beliefs._svd.pinv(DEFAULT_TOLERANCES, lam) @ q
+    assert np.array_equal(cached, ridge_solution_at(beliefs.entries, q, lam))

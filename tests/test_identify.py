@@ -18,6 +18,7 @@ from beliefscape import (
     UnderdeterminedError,
     consistency_check,
     generate_landscape,
+    hypothetical_matrix,
     identify,
     identify_prior,
     identify_single_column,
@@ -26,6 +27,7 @@ from beliefscape import (
     infer_state_from_profile,
     peer_accuracy_matrix,
     rationalize_noncommon,
+    reconstruct_from_prior,
     sample_environment,
 )
 from beliefscape import fixtures, inverse
@@ -305,6 +307,19 @@ class TestSingleColumn:
             identify_single_column(split, [0.5])
         with pytest.raises(RankDeficientError):
             identify_single_column(split, np.full(split.n_signals, 0.5))
+
+
+def test_state_axis_mismatches_share_one_message():
+    beliefs = fixtures.truth_or_noise_landscape(0.5).B  # 3 states, 4 signals
+    two_states = InformationStructure(np.full((2, 4), 0.25))
+    for call, what in [
+        (lambda: identify_prior(beliefs, two_states), "structure"),
+        (lambda: hypothetical_matrix(two_states, beliefs), "structure"),
+        (lambda: reconstruct_from_prior(beliefs, Prior([0.5, 0.5])), "prior"),
+    ]:
+        with pytest.raises(StructuralError) as caught:
+            call()
+        assert str(caught.value) == f"state axis: beliefs have 3 states, {what} has 2"
 
 
 class TestInferState:

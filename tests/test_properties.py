@@ -1,14 +1,22 @@
 """Property tests for invariants of the model, over hypothesis-drawn environments."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beliefscape import (
     BeliefLandscape,
     HypotheticalBeliefMatrix,
+    InformationalEnvironment,
+    InformationStructure,
+    RankDeficientError,
     StateBeliefMatrix,
+    UnderdeterminedError,
     consistency_check,
     generate_landscape,
     identify,
@@ -16,6 +24,8 @@ from beliefscape import (
     sample_environment,
     signal_priors_identify,
 )
+from beliefscape.cli import main
+from beliefscape.fileio import load_landscape, save_landscape
 
 
 def relabel(landscape: BeliefLandscape, states, signals) -> BeliefLandscape:
@@ -121,11 +131,14 @@ def test_relabelling_states_permutes_the_restored_structure(case):
     reason="ROADMAP O6: with two or more free directions the LP's cost weighs the"
     " coefficients along whichever null basis the SVD returns, so it is not relabelling-equivariant",
 )
-# Seeded, and stopped at the first failure: nothing to shrink or explain for a known bug.
-@settings(max_examples=100, deadline=None, derandomize=True, database=None, phases=[Phase.generate])
-@given(scarce_landscapes(st.integers(4, 5), free=2))
-def test_relabelling_states_permutes_the_lp_restored_structure(case):
-    check_relabelling_permutes_the_restoration(*case, free=2)
+def test_relabelling_states_permutes_the_lp_restored_structure():
+    # A seeded loop, not hypothesis: a failing hypothesis example is saved as a patch
+    # file on every run, and a known bug has nothing to shrink.
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        n = int(rng.integers(4, 6))
+        landscape = generate_landscape(sample_environment(rng, n, n - 2))
+        check_relabelling_permutes_the_restoration(landscape, rng.permutation(n), free=2)
 
 
 @st.composite
@@ -163,3 +176,45 @@ def test_forward_then_inverse_recovers_the_environment(case):
 def test_minimum_norm_route_recovers_the_prior(case):
     env, landscape = case
     assert_recovers(identify_underdetermined(landscape).prior, env)
+
+
+@st.composite
+def routed_landscapes(draw):
+    """A generated landscape with fewer, as many or more signals than states, or a split state.
+
+    A split state copies one state's structure row onto another, which makes
+    their belief columns proportional: enough signals, but dependent columns.
+    """
+    kind = draw(st.sampled_from(["scarce", "split", "square", "tall"]))
+    n_states = draw(st.integers(2, 4))
+    fewest, most = {
+        "scarce": (1, n_states - 1),
+        "split": (n_states, 6),
+        "square": (n_states, n_states),
+        "tall": (n_states + 1, 6),
+    }[kind]
+    n_signals = draw(st.integers(fewest, most))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    env = sample_environment(rng, n_states, n_signals, min_mass=0.05)
+    if kind == "split":
+        rows = env.structure.entries.copy()
+        rows[1] = rows[0]
+        env = InformationalEnvironment(InformationStructure(rows), env.prior)
+    return generate_landscape(env)
+
+
+@settings(max_examples=100, deadline=None)
+@given(routed_landscapes())
+def test_check_takes_the_regression_route_exactly_when_it_applies(tmp_path_factory, landscape):
+    path = str(tmp_path_factory.getbasetemp() / "routed.json")
+    save_landscape(landscape, path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["check", path])
+    route = json.loads(out.getvalue())["result"]["route"]
+    try:
+        consistency_check(load_landscape(path)[0])
+    except (UnderdeterminedError, RankDeficientError):
+        assert route == "minimum-norm"
+    else:
+        assert route == "regression"
