@@ -372,14 +372,17 @@ def _cmd_check(ns, tol):
     route, _ = _route(landscape.B, tol)
     if route == "minimum-norm":
         under = identify_underdetermined(landscape, tol)
-        feasible = under.restored.kind != "infeasible"
+        ok = under.restored.kind != "infeasible"
+        yes, no = "feasible", "infeasible"
+        if under.restored.by_bayes:  # Bayes' rule pinned the structure and judged it
+            yes, no = "consistent", "inconsistent"
         result = {
             "route": route,
-            "feasible": feasible,
+            yes: ok,
             "restoration_kind": under.restored.kind,
             "residual": under.residual,
         }
-        return digests, result, "feasible" if feasible else "infeasible", ()
+        return digests, result, yes if ok else no, ()
     verdict = consistency_check(landscape, tol)
     result = {
         "route": route,

@@ -3,8 +3,10 @@
 The regression route identifies the structure column by column (each
 hypothetical column regressed on the state beliefs) and the prior as the
 eigenvalue-1 eigenvector of the peer-accuracy matrix. The minimum-norm route
-covers more states than signals; the signal-priors route starts from the
-stationary vector of the hypothetical matrix instead. Dependency reduction,
+covers more states than signals: the prior from the minimum-norm solution,
+then the structure from Bayes' rule, or from a restoration along the null
+space where Bayes' rule does not pin it. The signal-priors route starts from
+the stationary vector of the hypothetical matrix instead. Dependency reduction,
 partition detection, non-common-prior rationalization, consistency
 diagnostics, and crowd-wisdom state inference round out the toolbox.
 """
@@ -330,30 +332,42 @@ def consistency_check(
 
 
 # --------------------------------------------------------------------------
-# More states than signals: minimum-norm route plus feasibility restoration
+# More states than signals: minimum-norm route, then Bayes' rule or a restoration
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RestorationResult:
-    """Row-stochastic solutions reached from the minimum-norm matrix.
+    """The stochastic structure the minimum-norm route settles on, and how.
 
-    The candidates are the minimum-norm matrix plus per-column combinations
-    of the null basis; row sums pin the total coefficient per basis vector,
-    the box [0, 1] does the rest. ``kind`` is "unique", "family" or
-    "infeasible". A family's representative minimizes the coefficients' sum
-    weighted by 2 - i / n (coefficient i = j * k + r for column j, basis
-    vector r): with one null direction the lexicographic minimum, found in
-    closed form; with more, a ``linprog`` optimum that need not be one.
-    Coefficients are taken along the null basis signed so that each vector's
-    largest-magnitude entry is positive; with one direction, relabelling the
-    states therefore only permutes the representative's rows.
+    Every exact solution of hypotheticals = beliefs @ X is the minimum-norm
+    matrix plus per-column combinations of the null basis; ``affine_dimension``
+    counts the free coefficients once row sums pin their totals.
+
+    When B has full row rank and the prior is unique with every entry above
+    ``tol_entry``, Bayes' rule pins the structure (``by_bayes``): the signal
+    marginal m solves Bᵀm = p, and structure[θ, s] = B[s, θ] m[s] / p[θ].
+    ``kind`` is then "unique" when that structure is nonnegative and Bayes'
+    rule regenerates B and Q from it within ``tol_match``, and "infeasible"
+    (no environment with this prior generates the data) otherwise.
+
+    Otherwise (dependent belief rows, a prior family, or a zero prior entry)
+    the structure is restored along the null basis into the box [0, 1].
+    ``kind`` is "unique", "family" or "infeasible". A family's representative
+    minimizes the coefficients' sum weighted by 2 - i / n (coefficient
+    i = j * k + r for column j, basis vector r): with one null direction the
+    lexicographic minimum, found in closed form; with more, a ``linprog``
+    optimum that need not be one. Coefficients are taken along the null basis
+    signed so that each vector's largest-magnitude entry is positive; with one
+    direction, relabelling the states therefore only permutes the
+    representative's rows.
     """
 
     kind: str
     structure: np.ndarray | None
     null_basis: NullSpaceBasis
     affine_dimension: int
+    by_bayes: bool = False
 
 
 def _lexmin_point(lo: np.ndarray, hi: np.ndarray, total: float) -> np.ndarray:
@@ -489,13 +503,50 @@ class UnderdeterminedResult:
         )
 
 
+def _signal_weights(beliefs: StateBeliefMatrix, prior: np.ndarray, tol: Tolerances):
+    """The minimum-norm m with Bᵀm = prior, from B's cached SVD; the only one at full row rank."""
+    return beliefs._svd.pinv(tol).T @ prior
+
+
+def _bayes_structure(beliefs: StateBeliefMatrix, weights: np.ndarray, prior: np.ndarray):
+    """Bayes' rule read backwards: structure[θ, s] = B[s, θ] * weights[s] / prior[θ]."""
+    return (beliefs.entries * weights[:, None]).T / prior[:, None]
+
+
+def _bayes_restoration(
+    landscape: BeliefLandscape, prior: PriorFamily, basis: NullSpaceBasis, tol: Tolerances
+) -> RestorationResult | None:
+    """The structure Bayes' rule pins, judged by its round trip; None when it pins none."""
+    if prior.kind != "unique" or landscape.B._svd.rank(tol) < landscape.n_signals:
+        return None
+    p = prior.unique_prior.entries
+    if p.min() <= tol.tol_entry:
+        return None
+    structure = _bayes_structure(landscape.B, _signal_weights(landscape.B, p, tol), p)
+    b_err, q_err = _roundtrip_errors(
+        landscape, InformationStructure(structure), prior.unique_prior, tol
+    )
+    consistent = structure.min() >= -tol.tol_entry and max(b_err, q_err) <= tol.tol_match
+    return RestorationResult(
+        "unique" if consistent else "infeasible",
+        np.clip(structure, 0.0, 1.0) if consistent else None,
+        basis,
+        basis.dimension * max(landscape.n_signals - 1, 0),
+        by_bayes=True,
+    )
+
+
 def identify_underdetermined(
     landscape: BeliefLandscape, tol: Tolerances = DEFAULT_TOLERANCES, reg=None
 ) -> UnderdeterminedResult:
     """Minimum-norm identification for more states than signals (or dependent columns).
 
-    With ``reg``, the small-penalty limit minimizes the reg-weighted norm
-    instead; the prior interpretation holds for any exact solution.
+    The prior is the eigenvalue-1 eigenvector of the ridge-limit accuracy
+    matrix; it holds for any exact solution. With full row rank and a unique,
+    interior prior, Bayes' rule then gives the structure in closed form, read
+    off B's one SVD; otherwise :func:`restore_feasibility` searches the null
+    space. With ``reg``, the small-penalty limit minimizes the reg-weighted
+    norm instead; the prior and the Bayes structure do not depend on it.
     """
     b = landscape.B.entries
     q = landscape.Q.entries
@@ -510,7 +561,9 @@ def identify_underdetermined(
         raise NotModelGeneratedError(
             "the ridge-limit accuracy matrix has no eigenvalue-1 eigenvector"
         )
-    restored = restore_feasibility(ridge_limit, basis, tol)
+    restored = _bayes_restoration(landscape, prior, basis, tol)
+    if restored is None:
+        restored = restore_feasibility(ridge_limit, basis, tol)
     return UnderdeterminedResult(
         ridge_limit=ridge_limit,
         null_basis=basis,
@@ -525,26 +578,35 @@ def identify_underdetermined(
 def reconstruct_from_prior(
     beliefs: StateBeliefMatrix, prior: Prior, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> InformationStructure:
-    """Rebuild the structure from the beliefs and a known prior.
+    """Rebuild the structure from the beliefs and a known prior by Bayes' rule.
 
-    Finds nonnegative signal weights mixing the belief rows into the prior
-    (they are the signal marginals), then rescales: structure[state, signal]
-    = belief * weight / prior.
+    The signal marginal m mixes the belief rows into the prior (Bᵀm = prior);
+    then structure[state, signal] = belief * m / prior. At full row rank m is
+    unique and read off B's cached SVD. With dependent belief rows the
+    minimum-norm m can be negative where a nonnegative one exists, so scipy's
+    ``nnls`` finds m there. A prior with a zero entry, or one that no
+    nonnegative m reproduces within ``tol_match``, raises NotInHullError.
     """
-    import scipy.optimize
-
     _require_states(beliefs, prior.n_states, "prior")
     p = prior.entries
     if p.min() <= tol.tol_entry:
         raise NotInHullError("the prior must put positive mass on every state")
-    weights, residual = scipy.optimize.nnls(beliefs.entries.T, p)
-    if residual > tol.tol_match:
+    if beliefs._svd.rank(tol) == beliefs.n_signals:
+        weights = _signal_weights(beliefs, p, tol)
+    else:
+        import scipy.optimize
+
+        weights = scipy.optimize.nnls(beliefs.entries.T, p)[0]
+    residual = float(np.linalg.norm(beliefs.entries.T @ weights - p))
+    if weights.min() < -tol.tol_entry or residual > tol.tol_match:
         raise NotInHullError(
-            f"the prior is not a nonnegative mixture of the belief rows (residual {residual:.3g})"
+            "the prior is not a nonnegative mixture of the belief rows"
+            f" (residual {residual:.3g}, smallest weight {weights.min():.3g})"
         )
-    structure = (beliefs.entries * weights[:, None]).T / p[:, None]
     return InformationStructure(
-        structure, state_labels=beliefs.state_labels, signal_labels=beliefs.signal_labels
+        _bayes_structure(beliefs, np.maximum(weights, 0.0), p),
+        state_labels=beliefs.state_labels,
+        signal_labels=beliefs.signal_labels,
     )
 
 

@@ -3,9 +3,12 @@
 Least squares, minimum-norm and ridge solves with general regularizers, null
 spaces, eigenvalue-1 eigenvector extraction, and irreducibility analysis.
 Rank tests, pseudoinverses, ridge solutions and null spaces all read one SVD of
-the matrix (``_SVD``; a belief matrix keeps its own). The normal-equation
-formulas define the values, not the algorithms. Everything here is numpy; scipy
-is imported only by two solvers elsewhere (LP restoration and ``nnls``).
+the matrix (``_SVD``; a belief matrix keeps its own, and a regularizer keeps the
+one of the matrix it last whitened). The normal-equation formulas define the
+values, not the algorithms. Everything here is numpy; scipy is imported only
+by two solvers elsewhere: ``linprog``, for a restoration with two or more free
+directions where Bayes' rule does not pin the structure, and ``nnls``, for
+``reconstruct_from_prior`` on dependent belief rows.
 """
 
 from __future__ import annotations
@@ -129,6 +132,19 @@ class Regularizer:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    def _whitening(self, matrix: np.ndarray) -> tuple[np.ndarray, _SVD]:
+        """L with reg = LLᵀ, and the SVD of matrix L⁻ᵀ; the last matrix's pair is kept.
+
+        The minimum-norm solution and the ridge solutions at any lam read the
+        same pair, so a regularizer reused on one matrix factorizes it once.
+        """
+        kept = self.__dict__.get("_kept")
+        if kept is None or not np.array_equal(kept[0], matrix):
+            chol = np.linalg.cholesky(self.matrix)
+            kept = (matrix.copy(), chol, _SVD.of(np.linalg.solve(chol, matrix.T).T))
+            object.__setattr__(self, "_kept", kept)
+        return kept[1:]
+
 
 def least_squares_coefficients(
     matrix: np.ndarray, target: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
@@ -159,12 +175,12 @@ def _filtered_solve(matrix, targets, reg, tol: Tolerances = DEFAULT_TOLERANCES, 
     targets = np.asarray(targets, dtype=float)
     if reg is None:
         return _SVD.of(matrix).pinv(tol, lam) @ targets
-    reg = (reg if isinstance(reg, Regularizer) else Regularizer(reg)).matrix
-    if reg.shape != (matrix.shape[1],) * 2:
-        raise ValueError(f"regularizer shape {reg.shape} does not match {matrix.shape[1]} columns")
-    chol = np.linalg.cholesky(reg)
-    whitened = np.linalg.solve(chol, matrix.T).T
-    return np.linalg.solve(chol.T, _SVD.of(whitened).pinv(tol, lam) @ targets)
+    reg = reg if isinstance(reg, Regularizer) else Regularizer(reg)
+    if reg.matrix.shape != (matrix.shape[1],) * 2:
+        shape = reg.matrix.shape
+        raise ValueError(f"regularizer shape {shape} does not match {matrix.shape[1]} columns")
+    chol, whitened = reg._whitening(matrix)
+    return np.linalg.solve(chol.T, whitened.pinv(tol, lam) @ targets)
 
 
 def min_norm_solution(

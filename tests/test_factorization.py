@@ -10,7 +10,9 @@ the public numpy and scipy functions and the module globals that
 from __future__ import annotations
 
 import importlib
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,16 +101,22 @@ SCARCE = fixtures.two_signal_three_state_landscape  # 3 states, 2 signals
         pytest.param(["identify", "--column", "null"], TON, id="identify-column"),
         pytest.param(["check"], SCARCE, id="check-scarce"),
         pytest.param(["ridge", "--lambda", "1e-6"], SCARCE, id="ridge-lambda"),
+        pytest.param(
+            ["ridge", "--lambda", "1e-6", "--reg", "reg.json"], SCARCE, id="ridge-reg-lambda"
+        ),
     ],
 )
-def test_cli_factorizes_once(command, landscape, tmp_path, svd_inputs, capsys):
-    path = str(tmp_path / "land.json")
-    save_landscape(landscape(), path)
-    b = load_landscape(path)[0].B.entries
+def test_cli_factorizes_once(command, landscape, tmp_path, monkeypatch, svd_inputs, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("reg.json").write_text(json.dumps({"matrix": np.diag([2.0, 1.0, 1.0]).tolist()}))
+    save_landscape(landscape(), "land.json")
+    b = load_landscape("land.json")[0].B.entries
     svd_inputs.clear()
-    assert main([*command, path]) == 0
+    assert main([*command, "land.json"]) == 0
     capsys.readouterr()
     assert svds_of(svd_inputs, b) == 1
+    # nor any other matrix, such as B whitened by --reg, twice
+    assert [svds_of(svd_inputs, a) for a in svd_inputs] == [1] * len(svd_inputs)
 
 
 def test_underdetermined_factorizes_once(svd_inputs):

@@ -5,7 +5,6 @@ import io
 import json
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -99,17 +98,19 @@ def scarce_landscapes(draw, n_states, free):
     return landscape, np.array(draw(st.permutations(range(n))))
 
 
-def check_relabelling_permutes_the_restoration(landscape, states, free):
+def check_relabelling_permutes_the_restoration(landscape, states, free, signals=None):
+    signals = np.arange(landscape.B.n_signals) if signals is None else signals
     result = identify_underdetermined(landscape)
-    relabelled = identify_underdetermined(
-        relabel(landscape, states, np.arange(landscape.B.n_signals))
-    )
+    relabelled = identify_underdetermined(relabel(landscape, states, signals))
     assert result.null_basis.dimension == relabelled.null_basis.dimension == free
     assert relabelled.restored.kind == result.restored.kind
     assert (relabelled.restored.structure is None) == (result.restored.structure is None)
     if result.restored.structure is not None:
         np.testing.assert_allclose(
-            relabelled.restored.structure, result.restored.structure[states], rtol=0, atol=1e-10
+            relabelled.restored.structure,
+            result.restored.structure[np.ix_(states, signals)],
+            rtol=0,
+            atol=1e-10,
         )
     assert relabelled.prior.kind == result.prior.kind
     np.testing.assert_allclose(
@@ -126,19 +127,65 @@ def test_relabelling_states_permutes_the_restored_structure(case):
     check_relabelling_permutes_the_restoration(*case, free=1)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP O6: with two or more free directions the LP's cost weighs the"
-    " coefficients along whichever null basis the SVD returns, so it is not relabelling-equivariant",
-)
 def test_relabelling_states_permutes_the_lp_restored_structure():
-    # A seeded loop, not hypothesis: a failing hypothesis example is saved as a patch
-    # file on every run, and a known bug has nothing to shrink.
+    # With two free directions Bayes' rule pins the structure, so no null basis,
+    # whose orientation the SVD picks, enters it. A restoration LP would weigh
+    # coefficients along that basis and move under relabelling.
     rng = np.random.default_rng(0)
     for _ in range(100):
         n = int(rng.integers(4, 6))
         landscape = generate_landscape(sample_environment(rng, n, n - 2))
         check_relabelling_permutes_the_restoration(landscape, rng.permutation(n), free=2)
+
+
+@st.composite
+def scarce_environments(draw):
+    """2-4 signals and 1-2 more states, well conditioned, and an order of states and signals."""
+    n_signals = draw(st.integers(2, 4))
+    n_states = n_signals + draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    env = sample_environment(rng, n_states, n_signals, min_mass=0.05)
+    landscape = generate_landscape(env)
+    assume(np.linalg.cond(landscape.B.entries) < 1e3)
+    states = np.array(draw(st.permutations(range(n_states))))
+    signals = np.array(draw(st.permutations(range(n_signals))))
+    return env, landscape, states, signals
+
+
+@settings(max_examples=100, deadline=None)
+@given(scarce_environments())
+def test_scarce_signals_recover_the_generating_structure(case):
+    env, landscape, _, _ = case
+    result = identify_underdetermined(landscape)
+    assert result.restored.kind == "unique"
+    np.testing.assert_allclose(
+        result.restored.structure, env.structure.entries, rtol=0, atol=1e-8
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scarce_environments())
+def test_relabelling_signals_permutes_the_structure_columns(case):
+    env, landscape, states, signals = case
+    free = env.n_states - env.n_signals
+    check_relabelling_permutes_the_restoration(landscape, states, free, signals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scarce_environments())
+def test_bumped_scarce_hypotheticals_check_inconsistent(tmp_path_factory, case):
+    _, landscape, _, _ = case
+    # Move 1e-3 of mass within the first row of Q: still stochastic, no longer generated.
+    q = landscape.Q.entries.copy()
+    q[0, :2] += [1e-3, -1e-3]
+    path = str(tmp_path_factory.getbasetemp() / "bumped.json")
+    save_landscape(BeliefLandscape(landscape.B, HypotheticalBeliefMatrix(q)), path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", path])
+    report = json.loads(out.getvalue())
+    assert (code, report["verdict"]) == (2, "inconsistent")
+    assert report["result"]["route"] == "minimum-norm"
 
 
 @st.composite

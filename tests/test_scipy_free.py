@@ -1,8 +1,11 @@
 """scipy stays unloaded on the common paths.
 
-numpy does every factorization, graph search and ridge solve; scipy is
-imported only inside the two solvers that need it: LP restoration (two or more
-free directions) and ``reconstruct_from_prior``. The test process itself has
+numpy does every factorization, graph search, ridge solve and the Bayes-rule
+structure of the scarce-signal route; scipy is imported only inside the two
+solvers that need it: ``linprog``, for a restoration with two or more free
+directions where Bayes' rule does not pin the structure (dependent belief rows,
+a prior family or a zero prior entry), and ``nnls``, for
+``reconstruct_from_prior`` on dependent belief rows. The test process itself has
 scipy loaded, so each probe runs in a fresh interpreter and reports the scipy
 modules loaded after each step.
 """
@@ -17,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from beliefscape import InformationalEnvironment, InformationStructure, Prior, generate_landscape
+from beliefscape.fileio import save_landscape
 from test_golden_reports import CASES, write_inputs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -35,10 +40,9 @@ for step in json.loads(sys.argv[1]):
     print(json.dumps([step, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
-SCIPY_CASES = ("ridge_lp",)
 COMMON_STEPS = (
     ["beliefscape.cli"]
-    + [CASES[case] for case in sorted(set(CASES) - set(SCIPY_CASES))]
+    + [CASES[case] for case in sorted(CASES)]
     + [["selftest"], ["ridge", "scarce.json"]]  # ridge: 1-D null space, closed form
 )
 
@@ -75,8 +79,14 @@ def test_common_commands_load_no_scipy(inputs_dir):
         assert loaded == [], f"{step} loaded {loaded[:3]}"
 
 
-@pytest.mark.parametrize("case", SCIPY_CASES)
-def test_the_scipy_solvers_load_it(case, inputs_dir):
-    # Control: the probe does see scipy when a solver imports it.
-    [(step, loaded)] = probe([CASES[case]], inputs_dir)
+def test_the_restoration_lp_loads_it(tmp_path):
+    # Control: the probe does see scipy when a solver imports it. Signals 1 and 2
+    # have proportional structure columns, so B has two equal rows: rank 2 of 3 and
+    # a 2-D null space, which Bayes' rule leaves to the restoration LP.
+    structure = InformationStructure(
+        [[0.2, 0.1, 0.7], [0.4, 0.2, 0.4], [0.1, 0.05, 0.85], [0.5, 0.25, 0.25]]
+    )
+    env = InformationalEnvironment(structure, Prior([0.1, 0.2, 0.3, 0.4]))
+    save_landscape(generate_landscape(env), str(tmp_path / "dup.json"))
+    [(step, loaded)] = probe([["ridge", "dup.json"]], tmp_path)
     assert "scipy" in loaded

@@ -54,7 +54,7 @@ class TestTwoSignalThreeState:
     def test_restoration_reaches_the_generating_structure(self):
         land = fixtures.two_signal_three_state_landscape()
         result = identify_underdetermined(land)
-        assert result.restored.kind == "family"
+        assert result.restored.kind == "unique"  # Bayes' rule pins it
         np.testing.assert_allclose(
             result.restored.structure, fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE, atol=1e-9
         )
@@ -298,3 +298,12 @@ class TestReconstructFromPrior:
     def test_boundary_prior_rejected(self):
         with pytest.raises(NotInHullError, match="positive mass"):
             reconstruct_from_prior(StateBeliefMatrix(np.eye(2)), Prior([1.0, 0.0]))
+
+
+def test_reconstruct_from_prior_on_dependent_rows_finds_nonnegative_weights():
+    # The third belief row is the mean of the first two. The minimum-norm weights
+    # (11/15, -1/15, 1/3) mix the rows into the prior with a negative weight;
+    # the nonnegative mixture (0.9, 0.1, 0) exists, and Bayes' rule rebuilds from it.
+    beliefs = StateBeliefMatrix([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    structure = reconstruct_from_prior(beliefs, Prior([0.9, 0.1]))
+    np.testing.assert_allclose(structure.entries, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-12)
