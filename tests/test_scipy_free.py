@@ -79,14 +79,22 @@ def test_common_commands_load_no_scipy(inputs_dir):
         assert loaded == [], f"{step} loaded {loaded[:3]}"
 
 
-def test_the_restoration_lp_loads_it(tmp_path):
-    # Control: the probe does see scipy when a solver imports it. Signals 1 and 2
-    # have proportional structure columns, so B has two equal rows: rank 2 of 3 and
-    # a 2-D null space, which Bayes' rule leaves to the restoration LP.
-    structure = InformationStructure(
-        [[0.2, 0.1, 0.7], [0.4, 0.2, 0.4], [0.1, 0.05, 0.85], [0.5, 0.25, 0.25]]
-    )
-    env = InformationalEnvironment(structure, Prior([0.1, 0.2, 0.3, 0.4]))
-    save_landscape(generate_landscape(env), str(tmp_path / "dup.json"))
-    [(step, loaded)] = probe([["ridge", "dup.json"]], tmp_path)
+# Controls: the probe does see scipy when a solver imports it. Each case names
+# the command and the solver it reaches. ridge_lp: signals 1 and 2 have
+# proportional structure columns, so B has two equal rows: rank 2 of 3 and a 2-D
+# null space, which Bayes' rule leaves to the restoration LP.
+SCIPY_CASES = {
+    "ridge_lp": (
+        [[0.2, 0.1, 0.7], [0.4, 0.2, 0.4], [0.1, 0.05, 0.85], [0.5, 0.25, 0.25]],
+        [0.1, 0.2, 0.3, 0.4],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCIPY_CASES))
+def test_the_scipy_solvers_load_it(case, tmp_path):
+    structure, prior = SCIPY_CASES[case]
+    env = InformationalEnvironment(InformationStructure(structure), Prior(prior))
+    save_landscape(generate_landscape(env), str(tmp_path / "control.json"))
+    [(step, loaded)] = probe([["ridge", "control.json"]], tmp_path)
     assert "scipy" in loaded
