@@ -68,7 +68,6 @@ from .inverse import (
     rationalize_noncommon,
     reconstruct_from_prior,
     reduce_dependencies,
-    restore_feasibility,
     signal_priors_identify,
 )
 from .linalg import (

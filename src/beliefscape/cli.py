@@ -373,16 +373,13 @@ def _cmd_check(ns, tol):
     if route == "minimum-norm":
         under = identify_underdetermined(landscape, tol)
         ok = under.restored.kind != "infeasible"
-        yes, no = "feasible", "infeasible"
-        if under.restored.by_bayes:  # Bayes' rule pinned the structure and judged it
-            yes, no = "consistent", "inconsistent"
         result = {
             "route": route,
-            yes: ok,
+            "consistent": ok,
             "restoration_kind": under.restored.kind,
             "residual": under.residual,
         }
-        return digests, result, yes if ok else no, ()
+        return digests, result, "consistent" if ok else "inconsistent", ()
     verdict = consistency_check(landscape, tol)
     result = {
         "route": route,

@@ -4,11 +4,11 @@ The regression route identifies the structure column by column (each
 hypothetical column regressed on the state beliefs) and the prior as the
 eigenvalue-1 eigenvector of the peer-accuracy matrix. The minimum-norm route
 covers more states than signals: the prior from the minimum-norm solution,
-then the structure from Bayes' rule, or from a restoration along the null
-space where Bayes' rule does not pin it. The signal-priors route starts from
-the stationary vector of the hypothetical matrix instead. Dependency reduction,
-partition detection, non-common-prior rationalization, consistency
-diagnostics, and crowd-wisdom state inference round out the toolbox.
+then the structure from Bayes' rule with that prior. The signal-priors route
+starts from the stationary vector of the hypothetical matrix instead.
+Dependency reduction, partition detection, non-common-prior rationalization,
+consistency diagnostics, and crowd-wisdom state inference round out the
+toolbox.
 """
 
 from __future__ import annotations
@@ -332,147 +332,33 @@ def consistency_check(
 
 
 # --------------------------------------------------------------------------
-# More states than signals: minimum-norm route, then Bayes' rule or a restoration
+# More states than signals: minimum-norm route, then Bayes' rule
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RestorationResult:
-    """The stochastic structure the minimum-norm route settles on, and how.
+    """The stochastic structure the minimum-norm route settles on.
 
     Every exact solution of hypotheticals = beliefs @ X is the minimum-norm
     matrix plus per-column combinations of the null basis; ``affine_dimension``
     counts the free coefficients once row sums pin their totals.
 
-    When B has full row rank and the prior is unique with every entry above
-    ``tol_entry``, Bayes' rule pins the structure (``by_bayes``): the signal
-    marginal m solves Bᵀm = p, and structure[θ, s] = B[s, θ] m[s] / p[θ].
-    ``kind`` is then "unique" when that structure is nonnegative and Bayes'
-    rule regenerates B and Q from it within ``tol_match``, and "infeasible"
-    (no environment with this prior generates the data) otherwise.
-
-    Otherwise (dependent belief rows, a prior family, or a zero prior entry)
-    the structure is restored along the null basis into the box [0, 1].
-    ``kind`` is "unique", "family" or "infeasible". A family's representative
-    minimizes the coefficients' sum weighted by 2 - i / n (coefficient
-    i = j * k + r for column j, basis vector r): with one null direction the
-    lexicographic minimum, found in closed form; with more, a ``linprog``
-    optimum that need not be one. Coefficients are taken along the null basis
-    signed so that each vector's largest-magnitude entry is positive; with one
-    direction, relabelling the states therefore only permutes the
-    representative's rows.
+    Bayes' rule picks one of them. With p the identified prior's
+    representative, Q = B diag(1/p) Bᵀ diag(m), so each column of Q fixes one
+    entry of the signal marginal m whatever B's row rank; then
+    structure[θ, s] = B[s, θ] m[s] / p[θ]. A state with p at or below
+    ``tol_entry`` has no identified row and gets the uniform one. ``kind`` is
+    "infeasible" (no environment with this prior generates the data) unless
+    the structure is nonnegative and Bayes' rule regenerates B and Q from it
+    within ``tol_match``; otherwise "family" when some state has no identified
+    row, and "unique" when every state has one.
     """
 
     kind: str
     structure: np.ndarray | None
     null_basis: NullSpaceBasis
     affine_dimension: int
-    by_bayes: bool = False
-
-
-def _lexmin_point(lo: np.ndarray, hi: np.ndarray, total: float) -> np.ndarray:
-    """The lexicographically smallest point of the box [lo, hi] whose entries sum to total.
-
-    From hi, the excess over total comes off the earliest coordinates first;
-    a total outside [sum(lo), sum(hi)] gives the nearer corner.
-    """
-    width = hi - lo
-    before = np.cumsum(width) - width
-    return hi - np.minimum(np.maximum(hi.sum() - total - before, 0.0), width)
-
-
-def _restore_one_direction(
-    ridge_limit: np.ndarray, direction: np.ndarray, total: float, tol: Tolerances
-) -> tuple[str, np.ndarray | None]:
-    # Exact box [0, 1] so the representative lands on the true vertex;
-    # feasibility decisions get tol_match slack.
-    moved = np.abs(direction) > tol.tol_entry
-    fixed = ridge_limit[~moved]  # rows no coefficient can change must already fit the box
-    if ((fixed < -tol.tol_entry) | (fixed > 1.0 + tol.tol_entry)).any():
-        return "infeasible", None
-    base, v = ridge_limit[moved], direction[moved, None]
-    ends = (-base / v, (1.0 - base) / v)
-    lo = np.minimum(*ends).max(axis=0, initial=-np.inf)
-    hi = np.maximum(*ends).min(axis=0, initial=np.inf)
-    if (lo > hi + tol.tol_match).any():
-        return "infeasible", None
-    if not (lo.sum() - tol.tol_match <= total <= hi.sum() + tol.tol_match):
-        return "infeasible", None
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    minimal = _lexmin_point(lo, hi, total)
-    maximal = -_lexmin_point(-hi, -lo, -total)
-    kind = "unique" if np.abs(minimal - maximal).max() <= tol.tol_match else "family"
-    return kind, ridge_limit + direction[:, None] * minimal
-
-
-def _restore_general(
-    ridge_limit: np.ndarray, basis: np.ndarray, totals: np.ndarray, tol: Tolerances
-) -> tuple[str, np.ndarray | None]:
-    import scipy.optimize
-
-    n_signals = ridge_limit.shape[1]
-    k = basis.shape[1]
-    n_vars = k * n_signals  # coefficient r for column j sits at index j * k + r
-    slack = tol.tol_entry
-    # HiGHS may choose among tied optima by row order, so keep it fixed: per
-    # column, the upper bounds of its rows, then the lower bounds.
-    a_ub = np.kron(np.eye(n_signals), np.vstack([basis, -basis]))
-    b_ub = np.concatenate([1.0 + slack - ridge_limit, ridge_limit + slack]).T.ravel()
-    cost = 2.0 - np.arange(n_vars) / n_vars  # falling, so k = 1 gives the closed form's point
-    solutions = []
-    for sign in (1.0, -1.0):
-        res = scipy.optimize.linprog(
-            sign * cost,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=np.tile(np.eye(k), n_signals),
-            b_eq=totals,
-            bounds=[(None, None)] * n_vars,
-            method="highs",
-        )
-        if not res.success:
-            return "infeasible", None
-        solutions.append(res.x)
-    kind = "unique" if np.max(np.abs(solutions[0] - solutions[1])) <= tol.tol_match else "family"
-    coeff = solutions[0].reshape(n_signals, k).T
-    return kind, ridge_limit + basis @ coeff
-
-
-def restore_feasibility(
-    ridge_limit: np.ndarray,
-    basis: NullSpaceBasis,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> RestorationResult:
-    """Shift the minimum-norm matrix along the null basis into a stochastic matrix.
-
-    Row sums force the per-basis-vector coefficient totals (a consistent
-    linear system whenever the inputs came from row-stochastic data);
-    nonnegativity is a box. Infeasibility means no environment over this
-    state space generates the data.
-    """
-    ridge_limit = np.asarray(ridge_limit, dtype=float)
-    n_states, n_signals = ridge_limit.shape
-    v = basis.as_matrix(n_states)
-    deficit = 1.0 - ridge_limit.sum(axis=1)
-    affine_dimension = basis.dimension * max(n_signals - 1, 0)
-    if basis.dimension == 0:
-        ok = (
-            np.max(np.abs(deficit)) <= tol.tol_match
-            and ridge_limit.min() >= -tol.tol_entry
-            and ridge_limit.max() <= 1.0 + tol.tol_entry
-        )
-        structure = np.clip(ridge_limit, 0.0, 1.0) if ok else None
-        return RestorationResult("unique" if ok else "infeasible", structure, basis, 0)
-    totals = v.T @ deficit
-    if np.max(np.abs(v @ totals - deficit)) > tol.tol_match * max(1.0, np.abs(deficit).max()):
-        return RestorationResult("infeasible", None, basis, affine_dimension)
-    if basis.dimension == 1:
-        kind, structure = _restore_one_direction(ridge_limit, v[:, 0], float(totals[0]), tol)
-    else:
-        kind, structure = _restore_general(ridge_limit, v, totals, tol)
-    if structure is not None:
-        structure = np.clip(structure, 0.0, 1.0)
-    return RestorationResult(kind, structure, basis, affine_dimension)
 
 
 @dataclass(frozen=True)
@@ -503,36 +389,30 @@ class UnderdeterminedResult:
         )
 
 
-def _signal_weights(beliefs: StateBeliefMatrix, prior: np.ndarray, tol: Tolerances):
-    """The minimum-norm m with Bᵀm = prior, from B's cached SVD; the only one at full row rank."""
-    return beliefs._svd.pinv(tol).T @ prior
-
-
-def _bayes_structure(beliefs: StateBeliefMatrix, weights: np.ndarray, prior: np.ndarray):
-    """Bayes' rule read backwards: structure[θ, s] = B[s, θ] * weights[s] / prior[θ]."""
-    return (beliefs.entries * weights[:, None]).T / prior[:, None]
+def _bayes_structure(b: np.ndarray, weights: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """Bayes' rule read backwards: structure[θ, s] = b[s, θ] * weights[s] / prior[θ]."""
+    return (b * weights[:, None]).T / prior[:, None]
 
 
 def _bayes_restoration(
     landscape: BeliefLandscape, prior: PriorFamily, basis: NullSpaceBasis, tol: Tolerances
-) -> RestorationResult | None:
-    """The structure Bayes' rule pins, judged by its round trip; None when it pins none."""
-    if prior.kind != "unique" or landscape.B._svd.rank(tol) < landscape.n_signals:
-        return None
-    p = prior.unique_prior.entries
-    if p.min() <= tol.tol_entry:
-        return None
-    structure = _bayes_structure(landscape.B, _signal_weights(landscape.B, p, tol), p)
-    b_err, q_err = _roundtrip_errors(
-        landscape, InformationStructure(structure), prior.unique_prior, tol
-    )
+) -> RestorationResult:
+    """The structure Bayes' rule gives with the prior's representative, judged by its round trip."""
+    p = prior.representative()
+    seen = p.entries > tol.tol_entry
+    b, q = landscape.B.entries[:, seen], landscape.Q.entries
+    gram = (b / p.entries[seen]) @ b.T  # Q = gram @ diag(m)
+    fit = (gram * gram).sum(axis=0)
+    weights = np.divide((gram * q).sum(axis=0), fit, out=np.zeros_like(fit), where=fit > 0)
+    structure = np.full((landscape.n_states, landscape.n_signals), 1.0 / landscape.n_signals)
+    structure[seen] = _bayes_structure(b, weights, p.entries[seen])
+    b_err, q_err = _roundtrip_errors(landscape, InformationStructure(structure), p, tol)
     consistent = structure.min() >= -tol.tol_entry and max(b_err, q_err) <= tol.tol_match
     return RestorationResult(
-        "unique" if consistent else "infeasible",
+        ("unique" if seen.all() else "family") if consistent else "infeasible",
         np.clip(structure, 0.0, 1.0) if consistent else None,
         basis,
         basis.dimension * max(landscape.n_signals - 1, 0),
-        by_bayes=True,
     )
 
 
@@ -542,11 +422,11 @@ def identify_underdetermined(
     """Minimum-norm identification for more states than signals (or dependent columns).
 
     The prior is the eigenvalue-1 eigenvector of the ridge-limit accuracy
-    matrix; it holds for any exact solution. With full row rank and a unique,
-    interior prior, Bayes' rule then gives the structure in closed form, read
-    off B's one SVD; otherwise :func:`restore_feasibility` searches the null
-    space. With ``reg``, the small-penalty limit minimizes the reg-weighted
-    norm instead; the prior and the Bayes structure do not depend on it.
+    matrix; it holds for any exact solution. Bayes' rule with that prior's
+    representative then gives the structure in closed form, whatever B's row
+    rank (see :class:`RestorationResult`). With ``reg``, the small-penalty
+    limit minimizes the reg-weighted norm instead; the prior and the Bayes
+    structure do not depend on it.
     """
     b = landscape.B.entries
     q = landscape.Q.entries
@@ -561,14 +441,11 @@ def identify_underdetermined(
         raise NotModelGeneratedError(
             "the ridge-limit accuracy matrix has no eigenvalue-1 eigenvector"
         )
-    restored = _bayes_restoration(landscape, prior, basis, tol)
-    if restored is None:
-        restored = restore_feasibility(ridge_limit, basis, tol)
     return UnderdeterminedResult(
         ridge_limit=ridge_limit,
         null_basis=basis,
         prior=prior,
-        restored=restored,
+        restored=_bayes_restoration(landscape, prior, basis, tol),
         residual=float(np.max(np.abs(b @ ridge_limit - q))),
         state_labels=labels,
         signal_labels=landscape.signal_labels,
@@ -592,7 +469,7 @@ def reconstruct_from_prior(
     if p.min() <= tol.tol_entry:
         raise NotInHullError("the prior must put positive mass on every state")
     if beliefs._svd.rank(tol) == beliefs.n_signals:
-        weights = _signal_weights(beliefs, p, tol)
+        weights = beliefs._svd.pinv(tol).T @ p
     else:
         import scipy.optimize
 
@@ -604,7 +481,7 @@ def reconstruct_from_prior(
             f" (residual {residual:.3g}, smallest weight {weights.min():.3g})"
         )
     return InformationStructure(
-        _bayes_structure(beliefs, np.maximum(weights, 0.0), p),
+        _bayes_structure(beliefs.entries, np.maximum(weights, 0.0), p),
         state_labels=beliefs.state_labels,
         signal_labels=beliefs.signal_labels,
     )
@@ -653,7 +530,7 @@ def signal_priors_identify(
     structure = None
     if prior_vector.min() > tol.tol_entry:
         structure = InformationStructure(
-            (b * marginal[:, None]).T / prior_vector[:, None],
+            _bayes_structure(b, marginal, prior_vector),
             state_labels=state_labels,
             signal_labels=landscape.signal_labels,
         )

@@ -6,9 +6,8 @@ Rank tests, pseudoinverses, ridge solutions and null spaces all read one SVD of
 the matrix (``_SVD``; a belief matrix keeps its own, and a regularizer keeps the
 one of the matrix it last whitened). The normal-equation formulas define the
 values, not the algorithms. Everything here is numpy; scipy is imported only
-by two solvers elsewhere: ``linprog``, for a restoration with two or more free
-directions where Bayes' rule does not pin the structure, and ``nnls``, for
-``reconstruct_from_prior`` on dependent belief rows.
+by one solver elsewhere: ``nnls``, for ``reconstruct_from_prior`` on
+dependent belief rows.
 """
 
 from __future__ import annotations

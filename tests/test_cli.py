@@ -7,7 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from beliefscape import fixtures
+from beliefscape import (
+    BeliefLandscape,
+    HypotheticalBeliefMatrix,
+    InformationalEnvironment,
+    InformationStructure,
+    Prior,
+    fixtures,
+    generate_landscape,
+)
 from beliefscape.cli import main
 from beliefscape.fileio import (
     ParseError,
@@ -31,6 +39,13 @@ def workdir(tmp_path):
     )
     save_environment(fixtures.truth_or_noise_environment(0.5), str(tmp_path / "env.json"))
     return tmp_path
+
+
+def equal_belief_rows_landscape():
+    """Signals 1 and 2 have proportional structure columns, so B has two equal rows."""
+    structure = [[0.2, 0.1, 0.7], [0.4, 0.2, 0.4], [0.1, 0.05, 0.85], [0.5, 0.25, 0.25]]
+    env = InformationalEnvironment(InformationStructure(structure), Prior([0.1, 0.2, 0.3, 0.4]))
+    return generate_landscape(env)
 
 
 def run_cli(args, capsys):
@@ -452,12 +467,32 @@ class TestMoreCommands:
         np.testing.assert_allclose(land.B.entries @ limit, land.Q.entries, atol=1e-8)
 
     def test_check_routes_rank_deficient_input_to_minimum_norm(self, workdir, capsys):
+        # The split fixture's Q is not generated: its stationary vector forces the
+        # environment SPLIT_STATE_EMBEDDED_*, which regenerates B but not Q. States
+        # th1 and th3 of the generated landscape share a structure row.
+        split = [[0.5, 0.3, 0.2], [0.1, 0.3, 0.6], [0.5, 0.3, 0.2]]
+        env = InformationalEnvironment(InformationStructure(split), Prior([0.3, 0.4, 0.3]))
         save_landscape(fixtures.split_state_landscape(), str(workdir / "split.json"))
-        code, out = run_cli(["check", workdir / "split.json"], capsys)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["result"]["route"] == "minimum-norm"
-        assert doc["verdict"] == "feasible"
+        save_landscape(generate_landscape(env), str(workdir / "split_generated.json"))
+        for name, expected in [
+            ("split.json", (2, "inconsistent")),
+            ("split_generated.json", (0, "consistent")),
+        ]:
+            code, out = run_cli(["check", workdir / name], capsys)
+            doc = json.loads(out)
+            assert doc["result"]["route"] == "minimum-norm"
+            assert (code, doc["verdict"]) == expected, name
+
+    def test_check_rejects_moved_mass_on_equal_belief_rows(self, workdir, capsys):
+        # Equal belief rows leave B rank deficient; 1e-3 moved within Q's third
+        # row is still stochastic, but no environment generates it.
+        landscape = equal_belief_rows_landscape()
+        q = landscape.Q.entries.copy()
+        q[2, :2] += [1e-3, -1e-3]
+        moved = BeliefLandscape(landscape.B, HypotheticalBeliefMatrix(q))
+        save_landscape(moved, str(workdir / "moved.json"))
+        code, out = run_cli(["check", workdir / "moved.json"], capsys)
+        assert (code, json.loads(out)["verdict"]) == (2, "inconsistent")
 
     def test_infer_state_from_landscape(self, workdir, capsys):
         land = fixtures.truth_or_noise_landscape(0.25)

@@ -72,7 +72,7 @@ def write_inputs(directory: Path) -> None:
         "a916.json": fixtures.symmetric_binary_landscape(9 / 16, 9 / 16),
         "a58.json": fixtures.symmetric_binary_landscape(5 / 8, 5 / 8),
         "scarce.json": fixtures.two_signal_three_state_landscape(),
-        # four states, two signals: a 2-D null space, so restoration runs the LP
+        # four states, two signals: a 2-D null space, which Bayes' rule resolves
         "scarce4.json": generate_landscape(sample_environment(np.random.default_rng(7), 4, 2)),
         "partition.json": fixtures.coarse_partition_landscape([0.25, 1 / 6, 1 / 3, 0.25]),
         "split.json": fixtures.split_state_landscape(),

@@ -128,9 +128,8 @@ def test_relabelling_states_permutes_the_restored_structure(case):
 
 
 def test_relabelling_states_permutes_the_lp_restored_structure():
-    # With two free directions Bayes' rule pins the structure, so no null basis,
-    # whose orientation the SVD picks, enters it. A restoration LP would weigh
-    # coefficients along that basis and move under relabelling.
+    # Bayes' rule pins the structure, so no null basis, whose orientation the SVD
+    # picks, enters it: with two free directions too, relabelling only permutes it.
     rng = np.random.default_rng(0)
     for _ in range(100):
         n = int(rng.integers(4, 6))
@@ -140,15 +139,30 @@ def test_relabelling_states_permutes_the_lp_restored_structure():
 
 @st.composite
 def scarce_environments(draw):
-    """2-4 signals and 1-2 more states, well conditioned, and an order of states and signals."""
+    """2-4 signals and 1-2 more states, then maybe a split, and an order of states and signals.
+
+    The environment is well conditioned before the split. Splitting a structure
+    column into two proportional ones adds a signal whose belief row equals the
+    first one's; copying a structure row onto another makes a split state, whose
+    belief column is proportional to the original's.
+    """
     n_signals = draw(st.integers(2, 4))
     n_states = n_signals + draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     env = sample_environment(rng, n_states, n_signals, min_mass=0.05)
+    assume(np.linalg.cond(generate_landscape(env).B.entries) < 1e3)
+    rows = env.structure.entries.copy()
+    kind = draw(st.sampled_from(["plain", "equal rows", "split state"]))
+    if kind == "equal rows":
+        share = draw(st.floats(0.2, 0.8))
+        rows = np.column_stack([rows, share * rows[:, 0]])
+        rows[:, 0] *= 1.0 - share
+    elif kind == "split state":
+        rows[1] = rows[0]
+    env = InformationalEnvironment(InformationStructure(rows), env.prior)
     landscape = generate_landscape(env)
-    assume(np.linalg.cond(landscape.B.entries) < 1e3)
-    states = np.array(draw(st.permutations(range(n_states))))
-    signals = np.array(draw(st.permutations(range(n_signals))))
+    states = np.array(draw(st.permutations(range(env.n_states))))
+    signals = np.array(draw(st.permutations(range(env.n_signals))))
     return env, landscape, states, signals
 
 
@@ -167,7 +181,7 @@ def test_scarce_signals_recover_the_generating_structure(case):
 @given(scarce_environments())
 def test_relabelling_signals_permutes_the_structure_columns(case):
     env, landscape, states, signals = case
-    free = env.n_states - env.n_signals
+    free = env.n_states - landscape.B.rank()
     check_relabelling_permutes_the_restoration(landscape, states, free, signals)
 
 

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from beliefscape import (
-    DEFAULT_TOLERANCES,
+    BeliefLandscape,
+    HypotheticalBeliefMatrix,
+    InformationalEnvironment,
+    InformationStructure,
     NotInHullError,
     Prior,
     StateBeliefMatrix,
@@ -13,12 +16,9 @@ from beliefscape import (
     min_norm_solution,
     null_space_basis,
     reconstruct_from_prior,
-    restore_feasibility,
     sample_environment,
 )
 from beliefscape import fixtures
-from beliefscape.inverse import _lexmin_point, _restore_general, _restore_one_direction
-from beliefscape.linalg import NullSpaceBasis
 
 
 class TestTwoSignalThreeState:
@@ -68,42 +68,24 @@ class TestTwoSignalThreeState:
 
 
 class TestRestoreFeasibility:
+    """The stochastic structure ``identify_underdetermined`` settles on."""
+
     def test_already_stochastic_with_empty_basis(self):
-        structure = fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE
-        result = restore_feasibility(structure, NullSpaceBasis(vectors=(), dimension=0))
-        assert result.kind == "unique"
-        np.testing.assert_allclose(result.structure, structure, atol=1e-15)
+        land = fixtures.symmetric_binary_landscape(5 / 8, 5 / 8)
+        result = identify_underdetermined(land)
+        assert result.null_basis.dimension == 0
+        assert result.restored.kind == "unique"
+        np.testing.assert_allclose(
+            result.restored.structure, fixtures.SYMMETRIC_BINARY_BELIEFS, atol=1e-12
+        )
 
     def test_nonstochastic_with_empty_basis_is_infeasible(self):
-        bad = np.array([[1.5, -0.5], [0.5, 0.5]])
-        result = restore_feasibility(bad, NullSpaceBasis(vectors=(), dimension=0))
-        assert result.kind == "infeasible"
-
-    def test_unfixable_entry_off_the_null_direction(self):
-        ridge = np.array([[0.5, 0.5], [-1.0, 2.0]])
-        basis = NullSpaceBasis(vectors=(np.array([1.0, 0.0]),), dimension=1)
-        result = restore_feasibility(ridge, basis)
-        assert result.kind == "infeasible"
-
-    def test_empty_box_in_one_column_is_infeasible(self):
-        # Both rows move with the direction: in column 0, row 0 needs a coefficient
-        # of at least 0.5 * sqrt(2) and row 1 one of at most 0.1 * sqrt(2).
-        direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        feasible = np.full((2, 2), 0.5)
-        assert _restore_one_direction(feasible, direction, 0.0, DEFAULT_TOLERANCES)[0] == "family"
-        empty_first_column = np.array([[-0.5, 0.5], [0.9, 0.5]])
-        assert _restore_one_direction(
-            empty_first_column, direction, 0.0, DEFAULT_TOLERANCES
-        ) == ("infeasible", None)
-
-    @pytest.mark.parametrize(
-        "total, kind", [(1.25, "unique"), (1.3, "infeasible"), (-1.3, "infeasible")]
-    )
-    def test_total_outside_the_box_sums_is_infeasible(self, total, kind):
-        # Row 1 (0.5 + 0.8 c in [0, 1]) binds: each column's box is [-0.625, 0.625].
-        direction = np.array([0.6, 0.8])
-        ridge = np.full((2, 2), 0.5)
-        assert _restore_one_direction(ridge, direction, total, DEFAULT_TOLERANCES)[0] == kind
+        land = fixtures.symmetric_binary_landscape(0.9, 0.9)
+        result = identify_underdetermined(land)
+        assert result.null_basis.dimension == 0
+        assert result.ridge_limit.min() < 0  # the one exact solution is no structure
+        assert result.restored.kind == "infeasible"
+        assert result.restored.structure is None
 
     def test_partition_restoration_pins_a_unique_point(self):
         p2, p3 = 1 / 6, 1 / 3
@@ -117,86 +99,35 @@ class TestRestoreFeasibility:
     def test_single_signal_column_is_forced_to_ones(self):
         # With one signal every structure row has a single entry, so the row
         # sums pin the whole matrix.
-        b = np.array([[0.2, 0.5, 0.3]])
-        q = np.array([[1.0]])
-        result = restore_feasibility(min_norm_solution(b, q), null_space_basis(b))
-        assert result.kind == "unique"
-        np.testing.assert_allclose(result.structure, np.ones((3, 1)), atol=1e-9)
+        land = BeliefLandscape(
+            StateBeliefMatrix([[0.2, 0.5, 0.3]]), HypotheticalBeliefMatrix([[1.0]])
+        )
+        result = identify_underdetermined(land)
+        assert result.restored.kind == "unique"
+        np.testing.assert_allclose(result.restored.structure, np.ones((3, 1)), atol=1e-9)
 
-    def test_two_free_directions_solved_by_feasibility_program(self):
-        b = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
-        planted = np.array([[0.5, 0.5], [0.2, 0.8], [0.7, 0.3], [0.4, 0.6]])
-        q = b @ planted
-        ridge = min_norm_solution(b, q)
-        basis = null_space_basis(b)
-        assert basis.dimension == 2
-        result = restore_feasibility(ridge, basis)
-        assert result.kind == "family"
-        x = result.structure
-        np.testing.assert_allclose(b @ x, q, atol=1e-9)
-        assert x.min() >= -1e-9
-        np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-9)
+    def test_signal_seen_only_in_an_unweighed_state_is_infeasible(self):
+        # Q's second column is zero, so the prior puts nothing on th3, the only
+        # state signal s2's belief weighs: Q fixes no marginal for s2.
+        land = BeliefLandscape(
+            StateBeliefMatrix([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]),
+            HypotheticalBeliefMatrix([[1.0, 0.0], [1.0, 0.0]]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = identify_underdetermined(land)
+        assert result.restored.kind == "infeasible"
 
-    def test_program_agrees_with_the_closed_form_on_one_direction(self):
-        # The LP is the route for two or more directions; forced onto one, it
-        # must pick the closed form's representative and kind.
-        rng = np.random.default_rng(2024)
-        for _ in range(200):
-            n_states = int(rng.integers(3, 6))
-            land = generate_landscape(sample_environment(rng, n_states, n_states - 1))
-            ridge = land.B._svd.pinv(DEFAULT_TOLERANCES) @ land.Q.entries
-            v = land.B._svd.null_basis(DEFAULT_TOLERANCES).as_matrix(n_states)
-            assert v.shape[1] == 1
-            totals = v.T @ (1.0 - ridge.sum(axis=1))
-            closed = _restore_one_direction(ridge, v[:, 0], float(totals[0]), DEFAULT_TOLERANCES)
-            program = _restore_general(ridge, v, totals, DEFAULT_TOLERANCES)
-            assert program[0] == closed[0]
-            # the LP's box carries tol_entry slack; the closed form's box is exact
-            np.testing.assert_allclose(program[1], closed[1], rtol=0, atol=1e-7)
-
-
-def sequential_point(lo, hi, total, minimal):
-    """A box endpoint one coordinate at a time: the reference for the array form."""
-    point = np.empty_like(lo)
-    remaining = total
-    for j in range(lo.size):
-        if minimal:
-            value = max(lo[j], remaining - hi[j + 1 :].sum())
-        else:
-            value = min(hi[j], remaining - lo[j + 1 :].sum())
-        point[j] = min(max(value, lo[j]), hi[j])
-        remaining -= point[j]
-    return point
-
-
-@st.composite
-def boxes_with_totals(draw):
-    """A box with some zero-width coordinates, and a total at either end of it or inside."""
-    n = draw(st.integers(1, 8))
-    coordinate = st.floats(-10.0, 10.0, allow_nan=False)
-    width = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
-    lo = np.array(draw(st.lists(coordinate, min_size=n, max_size=n)))
-    hi = lo + np.array(draw(st.lists(width, min_size=n, max_size=n)))
-    low, high = lo.sum(), hi.sum()
-    inside = st.floats(0.0, 1.0).map(lambda share: low + share * (high - low))
-    return lo, hi, draw(st.one_of(st.sampled_from([low, high]), inside))
-
-
-@settings(max_examples=300, deadline=None)
-@given(boxes_with_totals())
-def test_box_endpoints_match_the_sequential_reference(case):
-    lo, hi, total = case
-    # The two forms sum in different orders: allow a few roundings of each term.
-    atol = 8 * lo.size * np.finfo(float).eps * (np.abs(lo).sum() + np.abs(hi).sum() + abs(total))
-    np.testing.assert_allclose(
-        _lexmin_point(lo, hi, total), sequential_point(lo, hi, total, True), rtol=0, atol=atol
-    )
-    np.testing.assert_allclose(
-        -_lexmin_point(-hi, -lo, -total),
-        sequential_point(lo, hi, total, False),
-        rtol=0,
-        atol=atol,
-    )
+    def test_zero_prior_state_has_no_identified_row(self):
+        # State th3 has prior zero, so no belief row weighs it and nothing pins its row.
+        structure = np.array([[0.7, 0.3], [0.2, 0.8], [0.6, 0.4]])
+        env = InformationalEnvironment(InformationStructure(structure), Prior([0.5, 0.5, 0.0]))
+        result = identify_underdetermined(generate_landscape(env))
+        assert result.restored.kind == "family"
+        restored = result.restored.structure
+        np.testing.assert_allclose(restored[:2], structure[:2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(restored[2], [0.5, 0.5], rtol=0, atol=0)
+        np.testing.assert_allclose(restored.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestPartitionFixture:
