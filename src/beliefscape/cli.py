@@ -54,6 +54,7 @@ from .forward import generate_landscape
 from .inverse import (
     IdentificationResult,
     PriorFamily,
+    _roundtrip_errors,
     _route,
     consistency_check,
     detect_partitional,
@@ -65,7 +66,7 @@ from .inverse import (
     reduce_dependencies,
     signal_priors_identify,
 )
-from .linalg import Regularizer, ridge_solution_at
+from .linalg import _SVD, Regularizer
 from .selfcheck import run_selftest
 
 EXIT_OK = 0
@@ -339,30 +340,31 @@ def _cmd_sp(ns, tol):
 def _cmd_ridge(ns, tol):
     landscape, digests = _load_validated_landscape(ns, tol)
     reg = _load_regularizer(ns.reg, landscape.n_states) if ns.reg else None
-    under = identify_underdetermined(landscape, tol, reg=reg)
+    under = identify_underdetermined(landscape, tol)
+    # --reg moves only the ridge numbers, which all read one factorization
+    svd = landscape.B._svd if reg is None else _SVD.of(landscape.B.entries, reg)
+    q = landscape.Q.entries
+    ridge_limit = svd.solve(q, tol)
     result = {
         "states": list(under.state_labels),
         "signals": list(under.signal_labels),
-        "ridge_limit": under.ridge_limit,
-        "residual": under.residual,
+        "ridge_limit": ridge_limit,
+        "residual": float(np.max(np.abs(landscape.B.entries @ ridge_limit - q))),
         "null_basis": list(under.null_basis.vectors),
         "prior": _prior_payload(under.prior),
         "restoration": {
             "kind": under.restored.kind,
             "structure": under.restored.structure,
-            "free_directions": under.restored.affine_dimension,
+            # null-basis coefficients left free once row sums pin their totals
+            "free_directions": under.null_basis.dimension * max(landscape.n_signals - 1, 0),
         },
     }
     if ns.lam is not None:
-        q = landscape.Q.entries
-        if reg is None:  # the SVD of B that identify_underdetermined already made
-            at_lambda = landscape.B._svd.pinv(tol, ns.lam) @ q
-        else:
-            at_lambda = ridge_solution_at(landscape.B.entries, q, ns.lam, reg=reg)
+        at_lambda = svd.solve(q, tol, ns.lam)
         result["ridge_at_lambda"] = {
             "lambda": ns.lam,
             "solution": at_lambda,
-            "gap_to_limit": float(np.max(np.abs(at_lambda - under.ridge_limit))),
+            "gap_to_limit": float(np.max(np.abs(at_lambda - ridge_limit))),
         }
     return digests, result, "infeasible" if under.restored.kind == "infeasible" else "feasible", ()
 
@@ -427,6 +429,13 @@ def _cmd_reduce(ns, tol):
             structure, prior = reduction.embed(
                 reduced_result.structure, reduced_result.prior.unique_prior
             )
+            gaps = _roundtrip_errors(landscape, structure, prior, tol)
+            if max(gaps) > tol.tol_match:
+                b_gap, q_gap = (f"{g:.3g}" if g > tol.tol_match else "within tol_match" for g in gaps)
+                raise NotConvexDependentError(
+                    f"the embedded environment misses the landscape (B {b_gap}, Q {q_gap}):"
+                    " a removed state is not a split of one kept state; run check instead"
+                )
             result["embedded_structure"] = structure.entries
             result["embedded_prior"] = prior.entries
     return digests, result, None, ()

@@ -38,7 +38,6 @@ from .core import (
 from .forward import _bayes
 from .linalg import (
     NullSpaceBasis,
-    min_norm_solution,
     regression_operator,
     unit_eigenvector_eigenvalue_one,
 )
@@ -338,16 +337,14 @@ def consistency_check(
 
 @dataclass(frozen=True)
 class RestorationResult:
-    """The stochastic structure the minimum-norm route settles on.
+    """What the Bayes step decides on the minimum-norm route: ``kind`` and ``structure``.
 
     Every exact solution of hypotheticals = beliefs @ X is the minimum-norm
-    matrix plus per-column combinations of the null basis; ``affine_dimension``
-    counts the free coefficients once row sums pin their totals.
-
-    Bayes' rule picks one of them. With p the identified prior's
-    representative, Q = B diag(1/p) Bᵀ diag(m), so each column of Q fixes one
-    entry of the signal marginal m whatever B's row rank; then
-    structure[θ, s] = B[s, θ] m[s] / p[θ]. A state with p at or below
+    matrix plus per-column combinations of the null basis (held by
+    :class:`UnderdeterminedResult`). Bayes' rule picks one of them. With p the
+    identified prior's representative, Q = B diag(1/p) Bᵀ diag(m), so each
+    column of Q fixes one entry of the signal marginal m whatever B's row rank;
+    then structure[θ, s] = B[s, θ] m[s] / p[θ]. A state with p at or below
     ``tol_entry`` has no identified row and gets the uniform one. ``kind`` is
     "infeasible" (no environment with this prior generates the data) unless
     the structure is nonnegative and Bayes' rule regenerates B and Q from it
@@ -357,8 +354,6 @@ class RestorationResult:
 
     kind: str
     structure: np.ndarray | None
-    null_basis: NullSpaceBasis
-    affine_dimension: int
 
 
 @dataclass(frozen=True)
@@ -395,7 +390,7 @@ def _bayes_structure(b: np.ndarray, weights: np.ndarray, prior: np.ndarray) -> n
 
 
 def _bayes_restoration(
-    landscape: BeliefLandscape, prior: PriorFamily, basis: NullSpaceBasis, tol: Tolerances
+    landscape: BeliefLandscape, prior: PriorFamily, tol: Tolerances
 ) -> RestorationResult:
     """The structure Bayes' rule gives with the prior's representative, judged by its round trip."""
     p = prior.representative()
@@ -411,29 +406,23 @@ def _bayes_restoration(
     return RestorationResult(
         ("unique" if seen.all() else "family") if consistent else "infeasible",
         np.clip(structure, 0.0, 1.0) if consistent else None,
-        basis,
-        basis.dimension * max(landscape.n_signals - 1, 0),
     )
 
 
 def identify_underdetermined(
-    landscape: BeliefLandscape, tol: Tolerances = DEFAULT_TOLERANCES, reg=None
+    landscape: BeliefLandscape, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> UnderdeterminedResult:
     """Minimum-norm identification for more states than signals (or dependent columns).
 
-    The prior is the eigenvalue-1 eigenvector of the ridge-limit accuracy
-    matrix; it holds for any exact solution. Bayes' rule with that prior's
-    representative then gives the structure in closed form, whatever B's row
-    rank (see :class:`RestorationResult`). With ``reg``, the small-penalty
-    limit minimizes the reg-weighted norm instead; the prior and the Bayes
-    structure do not depend on it.
+    The ridge limit, residual and null basis all read B's cached SVD. The prior
+    is the eigenvalue-1 eigenvector of the ridge-limit accuracy matrix; it holds
+    for any exact solution, so no regularizer would change it. Bayes' rule with
+    that prior's representative then gives the structure in closed form,
+    whatever B's row rank (see :class:`RestorationResult`).
     """
     b = landscape.B.entries
     q = landscape.Q.entries
-    if reg is None:
-        ridge_limit = landscape.B._svd.pinv(tol) @ q
-    else:
-        ridge_limit = min_norm_solution(b, q, tol, reg=reg)
+    ridge_limit = landscape.B._svd.solve(q, tol)
     basis = landscape.B._svd.null_basis(tol)
     labels = landscape.state_labels
     prior = _accuracy_prior(b.T @ ridge_limit.T, labels, tol)
@@ -445,7 +434,7 @@ def identify_underdetermined(
         ridge_limit=ridge_limit,
         null_basis=basis,
         prior=prior,
-        restored=_bayes_restoration(landscape, prior, basis, tol),
+        restored=_bayes_restoration(landscape, prior, tol),
         residual=float(np.max(np.abs(b @ ridge_limit - q))),
         state_labels=labels,
         signal_labels=landscape.signal_labels,
@@ -668,7 +657,9 @@ class ReductionResult:
     kept columns are rescaled by one plus their total mixture weight, which
     keeps rows summing to one. Embedding spreads the identified prior back
     and rebuilds removed structure rows as prior-weighted mixtures of kept
-    rows.
+    rows. That regenerates the landscape when each removed column is
+    proportional to one kept column (a split state); a column that mixes two
+    or more is absorbed into their rows, and the embedding in general misses Q.
     """
 
     reduced: BeliefLandscape
@@ -687,10 +678,10 @@ class ReductionResult:
     ) -> tuple[InformationStructure, Prior]:
         """Map a reduced structure and prior back onto the full state space."""
         n_full = len(self.state_labels)
-        n_kept = len(self.kept_states)
-        if structure.n_states != n_kept or prior.n_states != n_kept:
+        n_reduced = len(self.kept_states)
+        if structure.n_states != n_reduced or prior.n_states != n_reduced:
             raise StructuralError(
-                f"state axis: expected {n_kept} reduced states,"
+                f"state axis: expected {n_reduced} reduced states,"
                 f" got structure {structure.n_states} and prior {prior.n_states}"
             )
         full_prior = np.zeros(n_full)

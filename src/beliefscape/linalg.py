@@ -2,12 +2,13 @@
 
 Least squares, minimum-norm and ridge solves with general regularizers, null
 spaces, eigenvalue-1 eigenvector extraction, and irreducibility analysis.
-Rank tests, pseudoinverses, ridge solutions and null spaces all read one SVD of
-the matrix (``_SVD``; a belief matrix keeps its own, and a regularizer keeps the
-one of the matrix it last whitened). The normal-equation formulas define the
-values, not the algorithms. Everything here is numpy; scipy is imported only
-by one solver elsewhere: ``nnls``, for ``reconstruct_from_prior`` on
-dependent belief rows.
+Rank tests, null spaces and every solve read one SVD of the matrix (``_SVD``;
+a belief matrix keeps its own). ``_SVD.solve`` is the one solve, for the
+minimum-norm and the ridge solutions alike; a factorization whitened by a
+regularizer keeps the Cholesky factor that maps its solutions back. The
+normal-equation formulas define the values, not the algorithms. Everything
+here is numpy; scipy is imported only by one solver elsewhere: ``nnls``, for
+``reconstruct_from_prior`` on dependent belief rows.
 """
 
 from __future__ import annotations
@@ -40,16 +41,33 @@ class NullSpaceBasis:
 @dataclass(frozen=True)
 class _SVD:
     """One SVD of a matrix: thin, or full when it is wide, so ``vt`` spans the row space.
-    Cutoffs are ``tol.rank_cutoff``; the pseudoinverse is formed as numpy.linalg.pinv's."""
+    Cutoffs are ``tol.rank_cutoff``; the pseudoinverse is formed as numpy.linalg.pinv's.
+    Given reg = LLᵀ, ``of`` factorizes matrix L⁻ᵀ (rank, null space and pinv are its)
+    and keeps L as ``chol``, with which ``solve`` maps back to reg-weighted solutions."""
 
     u: np.ndarray
     s: np.ndarray
     vt: np.ndarray
+    chol: np.ndarray | None = None
 
     @classmethod
-    def of(cls, matrix) -> "_SVD":
+    def of(cls, matrix, reg=None) -> "_SVD":
         matrix = np.asarray(matrix, dtype=float)
-        return cls(*np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1]))
+        chol = None
+        if reg is not None:
+            reg = reg if isinstance(reg, Regularizer) else Regularizer(reg)
+            n = matrix.shape[1]
+            if reg.matrix.shape != (n, n):
+                raise ValueError(f"regularizer shape {reg.matrix.shape} does not match {n} columns")
+            chol = np.linalg.cholesky(reg.matrix)
+            matrix = np.linalg.solve(chol, matrix.T).T
+        wide = matrix.shape[0] < matrix.shape[1]
+        return cls(*np.linalg.svd(matrix, full_matrices=wide), chol)
+
+    def solve(self, targets, tol: Tolerances, lam: float = 0.0) -> np.ndarray:
+        """``pinv(tol, lam) @ targets``, mapped back by L⁻ᵀ when the matrix was whitened."""
+        x = self.pinv(tol, lam) @ np.asarray(targets, dtype=float)
+        return x if self.chol is None else np.linalg.solve(self.chol.T, x)
 
     def rank(self, tol: Tolerances) -> int:
         return int(np.sum(self.s > tol.rank_cutoff(self.s)))
@@ -131,19 +149,6 @@ class Regularizer:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def _whitening(self, matrix: np.ndarray) -> tuple[np.ndarray, _SVD]:
-        """L with reg = LLᵀ, and the SVD of matrix L⁻ᵀ; the last matrix's pair is kept.
-
-        The minimum-norm solution and the ridge solutions at any lam read the
-        same pair, so a regularizer reused on one matrix factorizes it once.
-        """
-        kept = self.__dict__.get("_kept")
-        if kept is None or not np.array_equal(kept[0], matrix):
-            chol = np.linalg.cholesky(self.matrix)
-            kept = (matrix.copy(), chol, _SVD.of(np.linalg.solve(chol, matrix.T).T))
-            object.__setattr__(self, "_kept", kept)
-        return kept[1:]
-
 
 def least_squares_coefficients(
     matrix: np.ndarray, target: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
@@ -168,20 +173,6 @@ def regression_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
     return svd.pinv(tol)
 
 
-def _filtered_solve(matrix, targets, reg, tol: Tolerances = DEFAULT_TOLERANCES, lam: float = 0.0):
-    """``_SVD(matrix).pinv(tol, lam) @ targets``; with ``reg`` = LLᵀ, solved for z = Lᵀx."""
-    matrix = np.asarray(matrix, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if reg is None:
-        return _SVD.of(matrix).pinv(tol, lam) @ targets
-    reg = reg if isinstance(reg, Regularizer) else Regularizer(reg)
-    if reg.matrix.shape != (matrix.shape[1],) * 2:
-        shape = reg.matrix.shape
-        raise ValueError(f"regularizer shape {shape} does not match {matrix.shape[1]} columns")
-    chol, whitened = reg._whitening(matrix)
-    return np.linalg.solve(chol.T, whitened.pinv(tol, lam) @ targets)
-
-
 def min_norm_solution(
     matrix: np.ndarray,
     targets: np.ndarray,
@@ -194,7 +185,7 @@ def min_norm_solution(
     With ``reg``, minimizes the reg-weighted norm x.T @ reg @ x per column
     instead of the Euclidean one.
     """
-    return _filtered_solve(matrix, targets, reg, tol)
+    return _SVD.of(matrix, reg).solve(targets, tol)
 
 
 def ridge_solution_at(
@@ -210,7 +201,7 @@ def ridge_solution_at(
     """
     if not lam > 0:  # nan too
         raise ValueError("lam must be strictly positive")
-    return _filtered_solve(matrix, targets, reg, lam=lam)
+    return _SVD.of(matrix, reg).solve(targets, DEFAULT_TOLERANCES, lam)
 
 
 def null_space_basis(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> NullSpaceBasis:

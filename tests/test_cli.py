@@ -15,6 +15,7 @@ from beliefscape import (
     Prior,
     fixtures,
     generate_landscape,
+    sample_environment,
 )
 from beliefscape.cli import main
 from beliefscape.fileio import (
@@ -46,6 +47,29 @@ def equal_belief_rows_landscape():
     structure = [[0.2, 0.1, 0.7], [0.4, 0.2, 0.4], [0.1, 0.05, 0.85], [0.5, 0.25, 0.25]]
     env = InformationalEnvironment(InformationStructure(structure), Prior([0.1, 0.2, 0.3, 0.4]))
     return generate_landscape(env)
+
+
+def split_state_environment(rng, n_states: int, n_signals: int) -> InformationalEnvironment:
+    """An extra state copies one structure row and takes part of that state's prior mass."""
+    env = sample_environment(rng, n_states, n_signals)
+    k = int(rng.integers(n_states))
+    share = rng.uniform(0.2, 0.8)
+    rows = np.vstack([env.structure.entries, env.structure.entries[k]])
+    prior = np.append(env.prior.entries, (1 - share) * env.prior.entries[k])
+    prior[k] *= share
+    return InformationalEnvironment(InformationStructure(rows), Prior(prior))
+
+
+def mixed_state_environment(rng, n_states: int, n_signals: int) -> InformationalEnvironment:
+    """An extra state whose structure row mixes two others: its belief column is a
+    nonnegative combination of theirs, proportional to neither."""
+    env = sample_environment(rng, n_states, n_signals)
+    a, b = rng.choice(n_states, size=2, replace=False)
+    w = rng.uniform(0.2, 0.8)
+    rows = env.structure.entries
+    rows = np.vstack([rows, w * rows[a] + (1 - w) * rows[b]])
+    prior = 0.2 / (n_states + 1) + 0.8 * rng.dirichlet(np.ones(n_states + 1))
+    return InformationalEnvironment(InformationStructure(rows), Prior(prior))
 
 
 def run_cli(args, capsys):
@@ -307,14 +331,41 @@ class TestMoreCommands:
         )
 
     def test_reduce_command(self, workdir, capsys):
-        save_landscape(fixtures.split_state_landscape(), str(workdir / "split.json"))
-        code, out = run_cli(["reduce", workdir / "split.json"], capsys)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["result"]["removed_states"] == ["th3"]
-        np.testing.assert_allclose(
-            doc["result"]["embedded_prior"], [0.25, 0.25, 0.25, 0.25], atol=1e-9
-        )
+        rng = np.random.default_rng(5)
+        path = workdir / "split.json"
+        for n_states in (2, 3, 4):
+            env = split_state_environment(rng, n_states, n_states + 1)
+            save_landscape(generate_landscape(env), str(path))
+            landscape, _ = load_landscape(str(path))
+            code, out = run_cli(["reduce", path], capsys)
+            assert code == 0
+            result = json.loads(out)["result"]
+            assert result["removed_states"] == [landscape.state_labels[-1]]
+            np.testing.assert_allclose(result["embedded_prior"], env.prior.entries, atol=1e-8)
+            embedded = InformationalEnvironment(
+                InformationStructure(result["embedded_structure"]), Prior(result["embedded_prior"])
+            )
+            regenerated = generate_landscape(embedded)
+            np.testing.assert_allclose(regenerated.B.entries, landscape.B.entries, atol=1e-8)
+            np.testing.assert_allclose(regenerated.Q.entries, landscape.Q.entries, atol=1e-8)
+
+    def test_reduce_rejects_a_state_that_mixes_two_others(self, workdir, capsys):
+        # The reduced landscape absorbs the mixed row into the kept rows, so the
+        # embedded environment misses Q; check judges such landscapes, and they are
+        # model data.
+        rng = np.random.default_rng(8)
+        path = workdir / "mixed.json"
+        for n_states in (2, 3, 4, 2, 3, 4):
+            save_landscape(
+                generate_landscape(mixed_state_environment(rng, n_states, n_states + 1)), str(path)
+            )
+            code, out = run_cli(["reduce", path], capsys)
+            doc = json.loads(out)
+            assert (code, doc["verdict"]) == (2, "infeasible")
+            assert doc["result"]["error"] == "NotConvexDependentError"
+            assert "run check" in doc["result"]["message"]
+            code, out = run_cli(["check", path], capsys)
+            assert (code, json.loads(out)["verdict"]) == (0, "consistent")
 
     def test_infer_state_from_environment(self, workdir, capsys):
         code, out = run_cli(
@@ -465,6 +516,29 @@ class TestMoreCommands:
         land = fixtures.two_signal_three_state_landscape()
         limit = np.array(doc["result"]["ridge_limit"])
         np.testing.assert_allclose(land.B.entries @ limit, land.Q.entries, atol=1e-8)
+
+    def test_regularizer_moves_only_the_ridge_numbers(self, workdir, capsys):
+        # The prior and the Bayes structure hold for every exact solution of Q = B X;
+        # --reg only picks which solution the ridge numbers name.
+        ridge_numbers = ("ridge_limit", "residual", "ridge_at_lambda")
+        rng = np.random.default_rng(11)
+        path, reg = workdir / "land.json", workdir / "reg.json"
+        for k in range(12):
+            n_signals = 2 + k % 3
+            n_states = n_signals + 1 + k % 2
+            save_landscape(generate_landscape(sample_environment(rng, n_states, n_signals)), str(path))
+            reg.write_text(json.dumps({"matrix": np.diag(rng.uniform(0.2, 5.0, n_states)).tolist()}))
+            for lam in ([], ["--lambda", "1e-6"]):
+                plain, weighted = (
+                    json.loads(run_cli(["ridge", path, *lam, *flags], capsys)[1])
+                    for flags in ([], ["--reg", reg])
+                )
+                assert weighted["result"]["ridge_limit"] != plain["result"]["ridge_limit"]
+                assert weighted["verdict"] == plain["verdict"]
+                for doc in (plain, weighted):
+                    for key in ridge_numbers:
+                        doc["result"].pop(key, None)
+                assert weighted["result"] == plain["result"]
 
     def test_check_routes_rank_deficient_input_to_minimum_norm(self, workdir, capsys):
         # The split fixture's Q is not generated: its stationary vector forces the
