@@ -67,7 +67,6 @@ from .inverse import (
     signal_priors_identify,
 )
 from .linalg import _SVD, Regularizer
-from .selfcheck import run_selftest
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -237,11 +236,12 @@ def _validate_or_fail(kind: str, violations) -> None:
         raise StructuralError(f"{kind} failed validation: {details}")
 
 
-def _load_validated_landscape(ns, tol):
+def _load_validated_landscape(ns, tol, inputs):
     landscape, digests = load_landscape(ns.path)
+    inputs.update(digests)
     if not ns.no_validate:
         _validate_or_fail("landscape", validate_landscape(landscape.B, landscape.Q, tol).violations)
-    return landscape, digests
+    return landscape
 
 
 def _load_regularizer(path: str, n_states: int) -> Regularizer:
@@ -257,14 +257,17 @@ def _load_regularizer(path: str, n_states: int) -> Regularizer:
 
 
 # --------------------------------------------------------------------------
-# Command handlers: each returns (inputs, result, verdict, warnings), which
-# main turns into the one report and the exit code; None means the handler
-# wrote its own output (generate's pipeline mode).
+# Command handlers: each records the sha256 of every file it reads in
+# ``inputs`` as soon as it reads it, so a report cut short by a verdict error
+# still names them, and returns (result, verdict, warnings), which main turns
+# into the one report and the exit code; None means the handler wrote its own
+# output (generate's pipeline mode).
 # --------------------------------------------------------------------------
 
 
-def _cmd_generate(ns, tol):
+def _cmd_generate(ns, tol, inputs):
     env, digests = load_environment(ns.path)
+    inputs.update(digests)
     if not ns.no_validate:
         _validate_or_fail("environment", validate_environment(env, tol).violations)
     with warnings.catch_warnings(record=True) as buffer:
@@ -281,14 +284,15 @@ def _cmd_generate(ns, tol):
         "states": list(landscape.state_labels),
         "signals": list(landscape.signal_labels),
     }
-    return digests, result, None, caught
+    return result, None, caught
 
 
-def _cmd_identify(ns, tol):
+def _cmd_identify(ns, tol, inputs):
     if ns.column is not None:
         if ns.path != "-" and ns.path.endswith(".csv"):
             raise ParseError("--column expects a JSON landscape document")
         landscape_doc, raw, name = read_document(ns.path)
+        inputs[name] = sha256_hex(raw)
         beliefs, column = beliefs_and_column_from_doc(landscape_doc, ns.column, name)
         if not ns.no_validate:
             # Q may be the one column: the identity stands in for Q, and the column's
@@ -311,17 +315,17 @@ def _cmd_identify(ns, tol):
             "states": list(beliefs.state_labels),
             "per_state_probability": probabilities,
         }
-        return {name: sha256_hex(raw)}, result, "inconsistent" if outside else None, outside
-    landscape, digests = _load_validated_landscape(ns, tol)
+        return result, "inconsistent" if outside else None, outside
+    landscape = _load_validated_landscape(ns, tol, inputs)
     verdict = consistency_check(landscape, tol)
     result = _identification_payload(verdict.identification)
     result["consistency"] = {"consistent": verdict.consistent, "failed": list(verdict.failed)}
     label = "consistent" if verdict.consistent else "inconsistent"
-    return digests, result, label, _clip_warnings(verdict.identification)
+    return result, label, _clip_warnings(verdict.identification)
 
 
-def _cmd_sp(ns, tol):
-    landscape, digests = _load_validated_landscape(ns, tol)
+def _cmd_sp(ns, tol, inputs):
+    landscape = _load_validated_landscape(ns, tol, inputs)
     sp = signal_priors_identify(landscape, tol)
     result = {
         "kind": sp.kind,
@@ -334,11 +338,11 @@ def _cmd_sp(ns, tol):
             result["structure"] = sp.structure.entries
     else:
         result["marginal_family"] = list(sp.marginal_family)
-    return digests, result, None, ()
+    return result, None, ()
 
 
-def _cmd_ridge(ns, tol):
-    landscape, digests = _load_validated_landscape(ns, tol)
+def _cmd_ridge(ns, tol, inputs):
+    landscape = _load_validated_landscape(ns, tol, inputs)
     reg = _load_regularizer(ns.reg, landscape.n_states) if ns.reg else None
     under = identify_underdetermined(landscape, tol)
     # --reg moves only the ridge numbers, which all read one factorization
@@ -366,11 +370,11 @@ def _cmd_ridge(ns, tol):
             "solution": at_lambda,
             "gap_to_limit": float(np.max(np.abs(at_lambda - ridge_limit))),
         }
-    return digests, result, "infeasible" if under.restored.kind == "infeasible" else "feasible", ()
+    return result, "infeasible" if under.restored.kind == "infeasible" else "feasible", ()
 
 
-def _cmd_check(ns, tol):
-    landscape, digests = _load_validated_landscape(ns, tol)
+def _cmd_check(ns, tol, inputs):
+    landscape = _load_validated_landscape(ns, tol, inputs)
     route, _ = _route(landscape.B, tol)
     if route == "minimum-norm":
         under = identify_underdetermined(landscape, tol)
@@ -381,7 +385,7 @@ def _cmd_check(ns, tol):
             "restoration_kind": under.restored.kind,
             "residual": under.residual,
         }
-        return digests, result, "consistent" if ok else "inconsistent", ()
+        return result, "consistent" if ok else "inconsistent", ()
     verdict = consistency_check(landscape, tol)
     result = {
         "route": route,
@@ -391,11 +395,11 @@ def _cmd_check(ns, tol):
     if verdict.identification is not None:
         result["diagnostics"] = _identification_payload(verdict.identification)["diagnostics"]
     label = "consistent" if verdict.consistent else "inconsistent"
-    return digests, result, label, _clip_warnings(verdict.identification)
+    return result, label, _clip_warnings(verdict.identification)
 
 
-def _cmd_rationalize(ns, tol):
-    landscape, digests = _load_validated_landscape(ns, tol)
+def _cmd_rationalize(ns, tol, inputs):
+    landscape = _load_validated_landscape(ns, tol, inputs)
     rat = rationalize_noncommon(landscape, tol)
     result = {
         "states": list(landscape.state_labels),
@@ -405,11 +409,11 @@ def _cmd_rationalize(ns, tol):
         "belief_residuals": rat.belief_residuals,
         "hypothetical_residuals": rat.hypothetical_residuals,
     }
-    return digests, result, None, ()
+    return result, None, ()
 
 
-def _cmd_reduce(ns, tol):
-    landscape, digests = _load_validated_landscape(ns, tol)
+def _cmd_reduce(ns, tol, inputs):
+    landscape = _load_validated_landscape(ns, tol, inputs)
     reduction = reduce_dependencies(landscape, tol)
     result = {
         "trivial": reduction.trivial,
@@ -438,24 +442,25 @@ def _cmd_reduce(ns, tol):
                 )
             result["embedded_structure"] = structure.entries
             result["embedded_prior"] = prior.entries
-    return digests, result, None, ()
+    return result, None, ()
 
 
-def _cmd_partition(ns, tol):
-    landscape, digests = _load_validated_landscape(ns, tol)
+def _cmd_partition(ns, tol, inputs):
+    landscape = _load_validated_landscape(ns, tol, inputs)
     partition = detect_partitional(landscape, tol)
     if not partition.partitional:
-        return digests, {"partitional": False}, "not_partitional", ()
+        return {"partitional": False}, "not_partitional", ()
     result = {
         "partitional": True,
         "cells": [[landscape.state_labels[i] for i in cell] for cell in partition.cells],
         "zero_prior_states": [landscape.state_labels[i] for i in partition.zero_prior_states],
     }
-    return digests, result, "partitional", ()
+    return result, "partitional", ()
 
 
-def _cmd_infer_state(ns, tol):
+def _cmd_infer_state(ns, tol, inputs):
     doc_in, raw, name = read_document(ns.path)
+    inputs[name] = sha256_hex(raw)
     if "I" in doc_in and "prior" in doc_in:
         env = environment_from_doc(doc_in, name)
         if not ns.no_validate:
@@ -480,10 +485,12 @@ def _cmd_infer_state(ns, tol):
         if inference.state_index is None
         else structure.state_labels[inference.state_index],
     }
-    return {name: sha256_hex(raw)}, result, "ambiguous" if inference.ambiguous else "matched", ()
+    return result, "ambiguous" if inference.ambiguous else "matched", ()
 
 
-def _cmd_selftest(ns, tol):
+def _cmd_selftest(ns, tol, inputs):
+    from .selfcheck import run_selftest  # loads the fixtures; no other command needs either
+
     checks = run_selftest(seed=ns.seed, trials=ns.trials)
     n_pass = sum(1 for _, ok, _ in checks if ok)
     result = {
@@ -494,7 +501,7 @@ def _cmd_selftest(ns, tol):
             for name, ok, detail in checks
         ],
     }
-    return {}, result, "pass" if n_pass == len(checks) else "fail", ()
+    return result, "pass" if n_pass == len(checks) else "fail", ()
 
 
 _HANDLERS = {
@@ -571,16 +578,17 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     tol = Tolerances(**{f"tol_{name}": getattr(ns, f"tol_{name}") for name in _TOLERANCE_NAMES})
     finding = None
+    inputs: dict[str, str] = {}
     try:
         try:
-            outcome = _HANDLERS[ns.command](ns, tol)
+            outcome = _HANDLERS[ns.command](ns, tol, inputs)
         except _VERDICT_ERRORS as exc:
             # A finding about the data, not breakage: reported as an infeasible result.
             finding = exc
-            outcome = {}, {"error": type(exc).__name__, "message": str(exc)}, "infeasible", ()
+            outcome = {"error": type(exc).__name__, "message": str(exc)}, "infeasible", ()
         if outcome is None:
             return EXIT_OK
-        inputs, result, verdict, warning_list = outcome
+        result, verdict, warning_list = outcome
         sys.stdout.write(_render(_report(ns, argv, inputs, result, verdict, warning_list), ns))
     except (BeliefscapeError, OSError) as exc:
         print(f"beliefscape: error: {exc}", file=sys.stderr)

@@ -91,8 +91,7 @@ class Tolerances:
                 raise ValueError(f"{field.name} must be positive and finite")
 
     def rank_cutoff(self, singular_values: np.ndarray) -> float:
-        s = np.asarray(singular_values, dtype=float)
-        return self.tol_rank * (float(s.max()) if s.size else 0.0)
+        return self.tol_rank * max(np.ravel(singular_values).tolist(), default=0.0)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -102,7 +101,7 @@ def _freeze(values, shape_hint: str, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise StructuralError(f"{shape_hint} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise StructuralError(f"{shape_hint} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -127,7 +126,8 @@ def _check_labels(labels: Sequence[str] | None, n: int, field: str) -> tuple[str
     axis, default = _LABEL_AXES[field]
     if labels is None:
         return default(n)
-    labels = tuple(str(x) for x in labels)
+    if type(labels) is not tuple or not set(map(type, labels)) <= {str}:
+        labels = tuple(map(str, labels))
     if len(labels) != n:
         raise StructuralError(f"{axis}: {len(labels)} labels for {n} entries")
     if len(set(labels)) != len(labels):

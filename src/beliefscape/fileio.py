@@ -3,15 +3,16 @@
 JSON is canonical; CSV is provided for matrices kept in spreadsheets.
 Numbers are written as decimals with 12 significant digits, which makes
 save/load round trips byte-stable after the first save. The encoder is the
-only code that rounds: documents hold unrounded values, and ``dumps_report``
-(JSON) and ``_g12`` (CSV rows) format each list of floats in one call. The
-JSON is byte-identical to the standard library's indent-2 ``json.dumps`` of
-the 12-digit values.
+only code that rounds: documents hold unrounded values. ``dumps_report``
+formats each float block (float list or ndarray, or equal-length float lists)
+in one ``%`` call over one template of its layout, ``_g12`` each CSV row. A
+``%.12g`` token with a point and no exponent is the rounded value's JSON; only
+a block with another token (0, 1e-05, nan) goes through ``_float_tokens``. The
+JSON is byte-identical to indent-2 ``json.dumps`` of the 12-digit values.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -41,12 +42,12 @@ def round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _g12(values: list) -> list[str]:
+def _g12(values) -> list[str]:
     """``f"{v:.12g}"`` of every value, formatted in one call."""
     return (("%.12g " * len(values)) % tuple(values)).split()
 
 
-def _float_tokens(values: list[float]) -> list[str]:
+def _float_tokens(values) -> list[str]:
     """The JSON text of ``round12(v)`` for each float ``v``.
 
     A 12-digit token with a point and no exponent is already the repr of the
@@ -66,6 +67,8 @@ def _encode(value, newline: str) -> str:
     if type(value) is str:
         return _quote(value)
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            return _encode_floats(tuple(value.ravel().tolist()), value.shape, newline)
         value = value.tolist()
     if isinstance(value, dict):
         if not value:
@@ -77,19 +80,31 @@ def _encode(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        types = set(map(type, value))
+        if types == {float}:
+            return _encode_floats(tuple(value), (len(value),), newline)
+        if types <= {list, tuple} and len(set(map(len, value))) == 1:
+            if {type(cell) for row in value for cell in row} <= {float}:
+                shape = (len(value), len(value[0]))
+                return _encode_floats(tuple([c for row in value for c in row]), shape, newline)
         inner = newline + "  "
-        separator = "," + inner
-        if set(map(type, value)) == {float}:
-            body = separator.join(["%.12g"] * len(value)) % tuple(value)
-            # unless every token has a point (nan and inf have none) and none an exponent
-            if body.count(".") != len(value) or "e" in body:
-                body = separator.join(_float_tokens(value))
-        else:
-            body = separator.join([_encode(v, inner) for v in value])
-        return "[" + inner + body + newline + "]"
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in value]) + newline + "]"
     if isinstance(value, (float, np.floating)):
         return json.dumps(round12(float(value)))
     return json.dumps(int(value) if isinstance(value, np.integer) else value)
+
+
+def _encode_floats(cells: tuple, shape: tuple, newline: str) -> str:
+    """The float block ``cells`` (row-major, of ``shape``) in one ``%`` call over its layout."""
+    template = "%.12g"
+    for depth, n in reversed(list(enumerate(shape))):  # innermost axis first
+        pad = newline + "  " * (depth + 1)
+        template = "[" + pad + ("," + pad).join([template] * n) + pad[:-2] + "]" if n else "[]"
+    text = template % cells
+    # unless every token has a point (nan and inf have none) and none an exponent
+    if text.count(".") != len(cells) or "e" in text:
+        text = template.replace("%.12g", "%s") % tuple(_float_tokens(cells))
+    return text
 
 
 def sha256_hex(data: bytes) -> str:
@@ -231,6 +246,8 @@ def _partner_path(path: Path, old: str, new: str) -> Path:
 
 
 def _read_csv_matrix(path: Path) -> tuple[list[str], list[str], np.ndarray]:
+    import csv  # loaded only where CSV files are read or written
+
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -266,6 +283,8 @@ def _read_csv_matrix(path: Path) -> tuple[list[str], list[str], np.ndarray]:
 
 
 def _write_csv_matrix(path: Path, row_labels, col_labels, matrix: np.ndarray) -> None:
+    import csv
+
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([""] + list(col_labels))

@@ -13,7 +13,7 @@ toolbox.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,18 +176,15 @@ class IdentificationResult:
 
 def _tidy_structure(raw: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool, int, tuple]:
     """Clip float noise outside [0, 1]; anything larger flags inconsistency untouched."""
-    negatives = [
-        (int(i), int(j), float(raw[i, j]))
-        for i, j in zip(*np.where(raw < -tol.tol_entry))
-    ]
-    overshoots = raw > 1.0 + tol.tol_entry
-    if negatives or overshoots.any():
-        return raw, False, 0, tuple(negatives)
+    negative = raw < -tol.tol_entry
+    if negative.any() or (raw > 1.0 + tol.tol_entry).any():
+        ij = zip(*np.nonzero(negative))
+        return raw, False, 0, tuple((int(i), int(j), float(raw[i, j])) for i, j in ij)
     clipped = np.clip(raw, 0.0, 1.0)
-    n_clipped = int(np.sum(clipped != raw))
+    n_clipped = int(np.count_nonzero(clipped != raw))
     totals = clipped.sum(axis=1, keepdims=True)
     renormalized = np.divide(clipped, totals, out=clipped.copy(), where=totals > 0)
-    close = np.max(np.abs(renormalized - clipped), axis=1, keepdims=True) <= tol.tol_entry
+    close = np.abs(renormalized - clipped).max(axis=1, keepdims=True) <= tol.tol_entry
     return np.where(close, renormalized, clipped), True, n_clipped, ()
 
 
@@ -237,9 +234,9 @@ def identify_structure(
         for i, j, value in negative_ij
     )
     diagnostics = StructureDiagnostics(
-        residual=float(np.max(np.abs(beliefs.entries @ raw - q))),
+        residual=float(np.abs(beliefs.entries @ raw - q).max()),
         negative_entries=negative_entries,
-        max_row_sum_error=float(np.max(np.abs(tidy.sum(axis=1) - 1.0))),
+        max_row_sum_error=float(np.abs(tidy.sum(axis=1) - 1.0).max()),
         clipped_entries=n_clipped,
     )
     return IdentificationResult(
@@ -259,8 +256,8 @@ def _roundtrip_errors(
     if not keep.all():
         return float("inf"), float("inf")
     return (
-        float(np.max(np.abs(beliefs - landscape.B.entries))),
-        float(np.max(np.abs(hypotheticals - landscape.Q.entries))),
+        float(np.abs(beliefs - landscape.B.entries).max()),
+        float(np.abs(hypotheticals - landscape.Q.entries).max()),
     )
 
 
@@ -278,11 +275,13 @@ def _regression_identification(
     if prior is None:
         return partial, None
     b_err, q_err = _roundtrip_errors(landscape, partial.structure, prior.representative(), tol)
-    diagnostics = replace(
-        partial.diagnostics, roundtrip_belief_error=b_err, roundtrip_hypothetical_error=q_err
+    d = partial.diagnostics
+    diagnostics = StructureDiagnostics(
+        d.residual, d.negative_entries, d.max_row_sum_error, d.clipped_entries, b_err, q_err
     )
-    full = replace(partial, prior=prior, peer_accuracy=accuracy, diagnostics=diagnostics)
-    return partial, full
+    return partial, IdentificationResult(
+        partial.structure, prior, accuracy, diagnostics, partial.consistent_structure
+    )
 
 
 def identify(

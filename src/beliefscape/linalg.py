@@ -70,7 +70,7 @@ class _SVD:
         return x if self.chol is None else np.linalg.solve(self.chol.T, x)
 
     def rank(self, tol: Tolerances) -> int:
-        return int(np.sum(self.s > tol.rank_cutoff(self.s)))
+        return int(np.count_nonzero(self.s > tol.rank_cutoff(self.s)))
 
     def pinv(self, tol: Tolerances, lam: float = 0.0) -> np.ndarray:
         """V diag(s / (s² + lam)) Uᵀ; at lam = 0, 1/s above the rank cutoff and 0 below."""

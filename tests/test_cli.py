@@ -459,7 +459,7 @@ class TestMoreCommands:
 
     def test_failed_selftest_exits_1(self, monkeypatch, capsys):
         checks = [("round trip", True, ""), ("prior injectivity", False, "worst 0.3")]
-        monkeypatch.setattr("beliefscape.cli.run_selftest", lambda seed, trials: checks)
+        monkeypatch.setattr("beliefscape.selfcheck.run_selftest", lambda seed, trials: checks)
         code, out = run_cli(["selftest"], capsys)
         assert code == 1
         doc = json.loads(out)

@@ -15,6 +15,7 @@ from beliefscape import (
     validate_landscape,
 )
 from beliefscape import fixtures
+from beliefscape.core import _LABEL_AXES, _check_labels
 
 
 class TestTypes:
@@ -181,6 +182,55 @@ def test_malformed_input_message(case):
     with pytest.raises(StructuralError) as info:
         constructor(*args)
     assert str(info.value) == message
+
+
+def reference_check_labels(labels, n, field):
+    """The per-item conversion ``_check_labels`` did before it accepted exact-str tuples as is."""
+    axis, default = _LABEL_AXES[field]
+    if labels is None:
+        return default(n)
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != n:
+        raise StructuralError(f"{axis}: {len(labels)} labels for {n} entries")
+    if len(set(labels)) != len(labels):
+        raise StructuralError(f"{axis}: duplicate labels")
+    return labels
+
+
+class Label(str):
+    pass
+
+
+# Label inputs for two entries, each converted (or rejected) exactly as by the reference.
+LABEL_INPUTS = {
+    "tuple": ("a", "b"),
+    "list": ["a", "b"],
+    "np-str-items": (np.str_("a"), np.str_("b")),
+    "np-array": np.array(["a", "b"]),
+    "str-subclass": (Label("a"), "b"),
+    "ints": (1, 2),
+    "duplicate-after-str": (1, "1"),
+    "duplicate": ("a", "a"),
+    "duplicate-list": ["a", "a"],
+    "too-few": ("a",),
+    "too-few-list": ["a"],
+    "too-many": ("a", "b", "c"),
+    "empty": (),
+    "default": None,
+}
+
+
+@pytest.mark.parametrize("field", sorted(_LABEL_AXES))
+@pytest.mark.parametrize("case", sorted(LABEL_INPUTS))
+def test_check_labels_matches_the_per_item_conversion(case, field):
+    def outcome(check):
+        try:
+            labels = check(LABEL_INPUTS[case], 2, field)
+        except StructuralError as exc:
+            return "error", str(exc)
+        return labels, [type(label) for label in labels]
+
+    assert outcome(_check_labels) == outcome(reference_check_labels)
 
 
 class TestValidateLandscape:

@@ -86,6 +86,38 @@ floats = st.one_of(
 float_arrays = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6), elements=floats
 )
+# rows of float lists: equal-length ones (n x 0 included) are one block for the encoder
+float_rows = st.one_of(
+    st.integers(0, 6).flatmap(
+        lambda width: st.lists(st.lists(floats, min_size=width, max_size=width), max_size=4)
+    ),
+    st.lists(st.lists(floats, max_size=6), max_size=4),
+)
+# cells that force the re-encoding of their block: no point, or an exponent
+FALLBACK_CELLS = (0.0, -0.0, 1e-5, 1e13, float("nan"), float("inf"))
+
+
+def wide_block(seed: int, n_rows: int, n_cols: int, special, form: str):
+    """A seeded n_rows x n_cols block in [0.1, 1) as an array, rows of lists or of tuples;
+    ``special``, unless None, replaces one cell."""
+    rng = np.random.default_rng(seed)
+    block = 0.1 + 0.9 * rng.random((n_rows, n_cols))
+    if special is not None and block.size:
+        block[rng.integers(n_rows), rng.integers(n_cols)] = special
+    if form == "array":
+        return block
+    rows = block.tolist()
+    return rows if form == "lists" else tuple(map(tuple, rows))
+
+
+wide_blocks = st.builds(
+    wide_block,
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 4),
+    st.integers(0, 60),
+    st.sampled_from((None,) + FALLBACK_CELLS),
+    st.sampled_from(("array", "lists", "tuples")),
+)
 scalars = st.one_of(
     floats,
     st.integers(),
@@ -96,7 +128,7 @@ scalars = st.one_of(
     floats.map(np.float64),
 )
 documents = st.recursive(
-    st.one_of(scalars, float_arrays, st.lists(floats, max_size=8)),
+    st.one_of(scalars, float_arrays, st.lists(floats, max_size=8), float_rows, wide_blocks),
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
