@@ -223,10 +223,10 @@ def _identification_payload(result: IdentificationResult) -> dict:
     return payload
 
 
-def _clip_warnings(result: IdentificationResult | None) -> list[str]:
-    if result is None or result.diagnostics.clipped_entries == 0:
-        return []
+def _clip_warnings(result: IdentificationResult) -> list[str]:
     count = result.diagnostics.clipped_entries
+    if count == 0:
+        return []
     return [f"snapped {count} structure entr{'y' if count == 1 else 'ies'} into [0, 1]"]
 
 
@@ -244,12 +244,22 @@ def _load_validated_landscape(ns, tol, inputs):
     return landscape
 
 
-def _load_regularizer(path: str, n_states: int) -> Regularizer:
+def _judged(ns, tol, inputs):
+    """The landscape's route, its consistency verdict and the verdict's label."""
+    landscape = _load_validated_landscape(ns, tol, inputs)
+    verdict = consistency_check(landscape, tol)
+    label = "consistent" if verdict.consistent else "inconsistent"
+    return _route(landscape.B, tol)[0], verdict, label
+
+
+def _load_regularizer(path: str, n_states: int, inputs) -> Regularizer:
     """The --reg matrix: a JSON {"matrix": rows} or a CSV matrix, n_states x n_states."""
     if path.endswith(".csv"):
         doc = {"matrix": _read_csv_matrix(Path(path))[2].tolist()}
+        raw = Path(path).read_bytes()
     else:
-        doc, _, path = read_document(path)
+        doc, raw, path = read_document(path)
+    inputs[path] = sha256_hex(raw)
     try:
         return Regularizer(_matrix(doc, "matrix", n_states, n_states, path))
     except ValueError as exc:
@@ -316,11 +326,9 @@ def _cmd_identify(ns, tol, inputs):
             "per_state_probability": probabilities,
         }
         return result, "inconsistent" if outside else None, outside
-    landscape = _load_validated_landscape(ns, tol, inputs)
-    verdict = consistency_check(landscape, tol)
-    result = _identification_payload(verdict.identification)
+    route, verdict, label = _judged(ns, tol, inputs)
+    result = {"route": route, **_identification_payload(verdict.identification)}
     result["consistency"] = {"consistent": verdict.consistent, "failed": list(verdict.failed)}
-    label = "consistent" if verdict.consistent else "inconsistent"
     return result, label, _clip_warnings(verdict.identification)
 
 
@@ -343,7 +351,7 @@ def _cmd_sp(ns, tol, inputs):
 
 def _cmd_ridge(ns, tol, inputs):
     landscape = _load_validated_landscape(ns, tol, inputs)
-    reg = _load_regularizer(ns.reg, landscape.n_states) if ns.reg else None
+    reg = _load_regularizer(ns.reg, landscape.n_states, inputs) if ns.reg else None
     under = identify_underdetermined(landscape, tol)
     # --reg moves only the ridge numbers, which all read one factorization
     svd = landscape.B._svd if reg is None else _SVD.of(landscape.B.entries, reg)
@@ -374,27 +382,13 @@ def _cmd_ridge(ns, tol, inputs):
 
 
 def _cmd_check(ns, tol, inputs):
-    landscape = _load_validated_landscape(ns, tol, inputs)
-    route, _ = _route(landscape.B, tol)
-    if route == "minimum-norm":
-        under = identify_underdetermined(landscape, tol)
-        ok = under.restored.kind != "infeasible"
-        result = {
-            "route": route,
-            "consistent": ok,
-            "restoration_kind": under.restored.kind,
-            "residual": under.residual,
-        }
-        return result, "consistent" if ok else "inconsistent", ()
-    verdict = consistency_check(landscape, tol)
+    route, verdict, label = _judged(ns, tol, inputs)
     result = {
         "route": route,
         "consistent": verdict.consistent,
         "failed": list(verdict.failed),
+        "diagnostics": _identification_payload(verdict.identification)["diagnostics"],
     }
-    if verdict.identification is not None:
-        result["diagnostics"] = _identification_payload(verdict.identification)["diagnostics"]
-    label = "consistent" if verdict.consistent else "inconsistent"
     return result, label, _clip_warnings(verdict.identification)
 
 
@@ -433,7 +427,7 @@ def _cmd_reduce(ns, tol, inputs):
             structure, prior = reduction.embed(
                 reduced_result.structure, reduced_result.prior.unique_prior
             )
-            gaps = _roundtrip_errors(landscape, structure, prior, tol)
+            gaps = _roundtrip_errors(landscape, structure.entries, prior.entries, tol)
             if max(gaps) > tol.tol_match:
                 b_gap, q_gap = (f"{g:.3g}" if g > tol.tol_match else "within tol_match" for g in gaps)
                 raise NotConvexDependentError(

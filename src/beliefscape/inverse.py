@@ -1,14 +1,15 @@
 """Inverse procedures: recover the informational environment from a belief landscape.
 
-The regression route identifies the structure column by column (each
-hypothetical column regressed on the state beliefs) and the prior as the
-eigenvalue-1 eigenvector of the peer-accuracy matrix. The minimum-norm route
-covers more states than signals: the prior from the minimum-norm solution,
-then the structure from Bayes' rule with that prior. The signal-priors route
-starts from the stationary vector of the hypothetical matrix instead.
-Dependency reduction, partition detection, non-common-prior rationalization,
-consistency diagnostics, and crowd-wisdom state inference round out the
-toolbox.
+One pipeline identifies and judges every landscape, whatever the shape and
+rank of B: X = B⁺Q (the paper's regression of each hypothetical column on
+the state beliefs at full column rank, the minimum-norm solution otherwise),
+the prior as the eigenvalue-1 eigenvector of the accuracy matrix BᵀXᵀ, then
+the structure from Bayes' rule with that prior, kept only if it regenerates
+the landscape. :func:`consistency_check`, :func:`identify` and
+:func:`identify_underdetermined` read that one judgement. The signal-priors
+route starts from the stationary vector of the hypothetical matrix instead.
+Dependency reduction, partition detection, non-common-prior rationalization
+and crowd-wisdom state inference round out the toolbox.
 """
 
 from __future__ import annotations
@@ -152,9 +153,11 @@ def peer_accuracy_matrix(beliefs: StateBeliefMatrix, structure: InformationStruc
 class StructureDiagnostics:
     """Numerical health of an identified structure.
 
-    ``residual`` is the largest absolute entry of beliefs @ structure minus
-    the hypotheticals; round-trip errors compare the forward-generated
-    landscape against the observed one and are filled by :func:`identify`.
+    ``residual`` is the largest absolute entry of beliefs @ X minus the
+    hypotheticals, X the solve before any tidying; the next three fields
+    describe the reported structure. The round-trip errors are the judge's
+    gaps, those of the structure Bayes' rule judged (the reported one on a
+    consistent verdict); None when no nonnegative prior was found to judge with.
     """
 
     residual: float
@@ -211,6 +214,28 @@ def _regression_guard(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str, 
     return beliefs._svd.pinv(tol)
 
 
+def _identification(
+    beliefs: StateBeliefMatrix, x, q, shown, prior=None, accuracy=None, gaps=(None, None)
+) -> IdentificationResult:
+    """The result for the solve ``x`` that shows (structure, consistent, clipped, negative ij)."""
+    structure, consistent, n_clipped, negative_ij = shown
+    states, signals = beliefs.state_labels, beliefs.signal_labels
+    diagnostics = StructureDiagnostics(
+        float(np.abs(beliefs.entries @ x - q).max()),
+        tuple((states[i], signals[j], value) for i, j, value in negative_ij),
+        float(np.abs(structure.sum(axis=1) - 1.0).max()),
+        n_clipped,
+        *gaps,
+    )
+    return IdentificationResult(
+        InformationStructure(structure, state_labels=states, signal_labels=signals),
+        prior,
+        accuracy,
+        diagnostics,
+        consistent,
+    )
+
+
 def identify_structure(
     beliefs: StateBeliefMatrix,
     hypotheticals,
@@ -225,73 +250,20 @@ def identify_structure(
     """
     q = hypotheticals.entries if hasattr(hypotheticals, "entries") else np.asarray(hypotheticals)
     raw = _regression_guard(beliefs, tol, "use the minimum-norm path") @ q
-    tidy, consistent, n_clipped, negative_ij = _tidy_structure(raw, tol)
-    structure = InformationStructure(
-        tidy, state_labels=beliefs.state_labels, signal_labels=beliefs.signal_labels
-    )
-    negative_entries = tuple(
-        (beliefs.state_labels[i], beliefs.signal_labels[j], value)
-        for i, j, value in negative_ij
-    )
-    diagnostics = StructureDiagnostics(
-        residual=float(np.abs(beliefs.entries @ raw - q).max()),
-        negative_entries=negative_entries,
-        max_row_sum_error=float(np.abs(tidy.sum(axis=1) - 1.0).max()),
-        clipped_entries=n_clipped,
-    )
-    return IdentificationResult(
-        structure=structure,
-        prior=None,
-        peer_accuracy=None,
-        diagnostics=diagnostics,
-        consistent_structure=consistent,
-    )
+    return _identification(beliefs, raw, q, _tidy_structure(raw, tol))
 
 
 def _roundtrip_errors(
-    landscape: BeliefLandscape, structure: InformationStructure, prior: Prior, tol: Tolerances
+    landscape: BeliefLandscape, structure: np.ndarray, prior: np.ndarray, tol: Tolerances
 ) -> tuple[float, float]:
     """Largest gaps to Bayes' rule applied to (structure, prior); inf if a signal drops."""
-    keep, beliefs, hypotheticals = _bayes(structure.entries, prior.entries, tol)
+    keep, beliefs, hypotheticals = _bayes(structure, prior, tol)
     if not keep.all():
         return float("inf"), float("inf")
     return (
         float(np.abs(beliefs - landscape.B.entries).max()),
         float(np.abs(hypotheticals - landscape.Q.entries).max()),
     )
-
-
-def _regression_identification(
-    landscape: BeliefLandscape, tol: Tolerances
-) -> tuple[IdentificationResult, IdentificationResult | None]:
-    """Structure, prior, peer accuracy and round trip, each computed once.
-
-    Returns the structure-only result and the full one; the full one is None
-    when the peer-accuracy matrix has no eigenvalue-1 eigenvector.
-    """
-    partial = identify_structure(landscape.B, landscape.Q, tol)
-    accuracy = peer_accuracy_matrix(landscape.B, partial.structure)
-    prior = _accuracy_prior(accuracy, landscape.state_labels, tol)
-    if prior is None:
-        return partial, None
-    b_err, q_err = _roundtrip_errors(landscape, partial.structure, prior.representative(), tol)
-    d = partial.diagnostics
-    diagnostics = StructureDiagnostics(
-        d.residual, d.negative_entries, d.max_row_sum_error, d.clipped_entries, b_err, q_err
-    )
-    return partial, IdentificationResult(
-        partial.structure, prior, accuracy, diagnostics, partial.consistent_structure
-    )
-
-
-def identify(
-    landscape: BeliefLandscape, tol: Tolerances = DEFAULT_TOLERANCES
-) -> IdentificationResult:
-    """Full regression identification: structure, prior, accuracy, round trip."""
-    _, full = _regression_identification(landscape, tol)
-    if full is None:
-        raise NotModelGeneratedError(_NO_PRIOR)
-    return full
 
 
 # --------------------------------------------------------------------------
@@ -303,44 +275,51 @@ def identify(
 class ConsistencyVerdict:
     """Whether some common-prior environment generates the landscape, and why not.
 
-    ``failed`` can contain "nonnegative_structure", "prior", "reproduction".
+    ``failed`` can contain "nonnegative_structure" (judged on the regression
+    witness X = B⁺Q, on the regression route only), "prior" and "reproduction".
+    ``identification`` is never None. On a consistent verdict its structure is
+    the one Bayes' rule judged; on an inconsistent one it is the witness X,
+    tidied as :func:`identify_structure` tidies it.
     """
 
     consistent: bool
     failed: tuple[str, ...]
-    identification: IdentificationResult | None
+    identification: IdentificationResult
 
 
 def consistency_check(
     landscape: BeliefLandscape, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ConsistencyVerdict:
-    """Judge a landscape: nonnegative structure, a nonnegative prior, and a round trip.
+    """Judge a landscape: a nonnegative prior, and a Bayes structure that regenerates it.
 
     Plausibility of the inputs is nowhere near sufficient; most row-stochastic
     hypothetical matrices fail the round trip.
     """
-    partial, full = _regression_identification(landscape, tol)
-    failed = [] if partial.consistent_structure else ["nonnegative_structure"]
-    if full is None or any(m.min() < -tol.tol_entry for m in full.prior.members()):
-        return ConsistencyVerdict(False, (*failed, "prior", "reproduction"), partial)
-    diag = full.diagnostics
-    if diag.roundtrip_belief_error > tol.tol_match or diag.roundtrip_hypothetical_error > tol.tol_match:
-        failed.append("reproduction")
-    return ConsistencyVerdict(not failed, tuple(failed), full)
+    return _judge(landscape, tol)[0]
+
+
+def identify(
+    landscape: BeliefLandscape, tol: Tolerances = DEFAULT_TOLERANCES
+) -> IdentificationResult:
+    """Structure, prior, accuracy and round trip, as :func:`consistency_check` judged them."""
+    identification = consistency_check(landscape, tol).identification
+    if identification.prior is None:
+        raise NotModelGeneratedError(_NO_PRIOR)
+    return identification
 
 
 # --------------------------------------------------------------------------
-# More states than signals: minimum-norm route, then Bayes' rule
+# The one judge for every B: X = B⁺Q, the prior from BᵀXᵀ, then Bayes' rule
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RestorationResult:
-    """What the Bayes step decides on the minimum-norm route: ``kind`` and ``structure``.
+    """What the Bayes step decides: ``kind`` and ``structure``.
 
-    Every exact solution of hypotheticals = beliefs @ X is the minimum-norm
-    matrix plus per-column combinations of the null basis (held by
-    :class:`UnderdeterminedResult`). Bayes' rule picks one of them. With p the
+    Every exact solution of hypotheticals = beliefs @ X is B⁺Q plus per-column
+    combinations of B's null basis (held by :class:`UnderdeterminedResult`;
+    empty at full column rank). Bayes' rule picks one of them. With p the
     identified prior's representative, Q = B diag(1/p) Bᵀ diag(m), so each
     column of Q fixes one entry of the signal marginal m whatever B's row rank;
     then structure[θ, s] = B[s, θ] m[s] / p[θ]. A state with p at or below
@@ -348,7 +327,8 @@ class RestorationResult:
     "infeasible" (no environment with this prior generates the data) unless
     the structure is nonnegative and Bayes' rule regenerates B and Q from it
     within ``tol_match``; otherwise "family" when some state has no identified
-    row, and "unique" when every state has one.
+    row, and "unique" when every state has one. It is "infeasible" exactly
+    when the consistency verdict is inconsistent.
     """
 
     kind: str
@@ -357,7 +337,7 @@ class RestorationResult:
 
 @dataclass(frozen=True)
 class UnderdeterminedResult:
-    """Everything the minimum-norm route identifies when signals are scarce.
+    """Everything the judge identifies, read for scarce signals or dependent columns.
 
     The ridge limit solves hypotheticals = beliefs @ X but need not be a
     stochastic matrix; any true structure differs from it column-wise by
@@ -388,54 +368,84 @@ def _bayes_structure(b: np.ndarray, weights: np.ndarray, prior: np.ndarray) -> n
     return (b * weights[:, None]).T / prior[:, None]
 
 
-def _bayes_restoration(
-    landscape: BeliefLandscape, prior: PriorFamily, tol: Tolerances
-) -> RestorationResult:
-    """The structure Bayes' rule gives with the prior's representative, judged by its round trip."""
-    p = prior.representative()
-    seen = p.entries > tol.tol_entry
+_INFEASIBLE = RestorationResult("infeasible", None)
+
+
+def _bayes_step(
+    landscape: BeliefLandscape, p: np.ndarray, tol: Tolerances
+) -> tuple[str, np.ndarray, tuple[float, float]]:
+    """Bayes' rule with prior p: the restoration kind, the structure before clipping, its gaps."""
+    seen = p > tol.tol_entry
     b, q = landscape.B.entries[:, seen], landscape.Q.entries
-    gram = (b / p.entries[seen]) @ b.T  # Q = gram @ diag(m)
+    gram = (b / p[seen]) @ b.T  # Q = gram @ diag(m)
     fit = (gram * gram).sum(axis=0)
     weights = np.divide((gram * q).sum(axis=0), fit, out=np.zeros_like(fit), where=fit > 0)
     structure = np.full((landscape.n_states, landscape.n_signals), 1.0 / landscape.n_signals)
-    structure[seen] = _bayes_structure(b, weights, p.entries[seen])
-    b_err, q_err = _roundtrip_errors(landscape, InformationStructure(structure), p, tol)
-    consistent = structure.min() >= -tol.tol_entry and max(b_err, q_err) <= tol.tol_match
-    return RestorationResult(
-        ("unique" if seen.all() else "family") if consistent else "infeasible",
-        np.clip(structure, 0.0, 1.0) if consistent else None,
-    )
+    structure[seen] = _bayes_structure(b, weights, p[seen])
+    gaps = _roundtrip_errors(landscape, structure, p, tol)
+    if structure.min() < -tol.tol_entry or max(gaps) > tol.tol_match:
+        return "infeasible", structure, gaps
+    return ("unique" if seen.all() else "family"), structure, gaps
+
+
+def _judge(
+    landscape: BeliefLandscape, tol: Tolerances
+) -> tuple[ConsistencyVerdict, np.ndarray, RestorationResult]:
+    """The one identification pipeline, whatever B's shape and rank: (verdict, X, restoration).
+
+    X = B⁺Q from B's cached SVD is the regression at full column rank and the
+    minimum-norm solution otherwise. The prior comes from A = Bᵀ Xᵀ before any
+    tidying: renormalizing X's rows would move A off its fixed point by about
+    cond(B) times the input's rounding. Bayes' rule with that prior judges
+    (see :class:`RestorationResult`) unless the prior is missing or negative.
+    X's own sign is judged on the regression route only, where it is the
+    paper's structure; only a failed verdict shows X, so only then is it tidied.
+    """
+    beliefs, q = landscape.B, landscape.Q.entries
+    x = beliefs._svd.solve(q, tol)
+    accuracy = beliefs.entries.T @ x.T
+    prior = _accuracy_prior(accuracy, landscape.state_labels, tol)
+    failed = []
+    if x.min() < -tol.tol_entry and _route(beliefs, tol)[0] == "regression":
+        failed.append("nonnegative_structure")
+    gaps = (None, None)
+    if prior is None or any(m.min() < -tol.tol_entry for m in prior.members()):
+        failed += ["prior", "reproduction"]
+    else:
+        kind, judged, gaps = _bayes_step(landscape, prior.representative().entries, tol)
+        if kind == "infeasible":
+            failed.append("reproduction")
+    if failed:
+        restored, shown = _INFEASIBLE, _tidy_structure(x, tol)
+    else:
+        structure = np.clip(judged, 0.0, 1.0)
+        restored = RestorationResult(kind, structure)
+        shown = structure, True, int(np.count_nonzero(structure != judged)), ()
+    identification = _identification(beliefs, x, q, shown, prior, accuracy, gaps)
+    return ConsistencyVerdict(not failed, tuple(failed), identification), x, restored
 
 
 def identify_underdetermined(
     landscape: BeliefLandscape, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> UnderdeterminedResult:
-    """Minimum-norm identification for more states than signals (or dependent columns).
+    """The judge's findings for more states than signals (or dependent columns).
 
-    The ridge limit, residual and null basis all read B's cached SVD. The prior
-    is the eigenvalue-1 eigenvector of the ridge-limit accuracy matrix; it holds
-    for any exact solution, so no regularizer would change it. Bayes' rule with
-    that prior's representative then gives the structure in closed form,
-    whatever B's row rank (see :class:`RestorationResult`).
+    The ridge limit X, residual and null basis all read B's cached SVD. The
+    prior holds for any exact solution of Q = B X, so no regularizer would
+    change it; Bayes' rule with that prior's representative then gives the
+    structure in closed form, whatever B's row rank (see :class:`RestorationResult`).
     """
-    b = landscape.B.entries
-    q = landscape.Q.entries
-    ridge_limit = landscape.B._svd.solve(q, tol)
-    basis = landscape.B._svd.null_basis(tol)
-    labels = landscape.state_labels
-    prior = _accuracy_prior(b.T @ ridge_limit.T, labels, tol)
-    if prior is None:
-        raise NotModelGeneratedError(
-            "the ridge-limit accuracy matrix has no eigenvalue-1 eigenvector"
-        )
+    verdict, ridge_limit, restored = _judge(landscape, tol)
+    found = verdict.identification
+    if found.prior is None:
+        raise NotModelGeneratedError(_NO_PRIOR)
     return UnderdeterminedResult(
         ridge_limit=ridge_limit,
-        null_basis=basis,
-        prior=prior,
-        restored=_bayes_restoration(landscape, prior, tol),
-        residual=float(np.max(np.abs(b @ ridge_limit - q))),
-        state_labels=labels,
+        null_basis=landscape.B._svd.null_basis(tol),
+        prior=found.prior,
+        restored=restored,
+        residual=found.diagnostics.residual,
+        state_labels=landscape.state_labels,
         signal_labels=landscape.signal_labels,
     )
 

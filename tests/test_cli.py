@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -224,9 +225,13 @@ class TestCommandContract:
                 "infeasible",
             }
 
-    def test_identify_underdetermined_input_points_at_ridge(self, workdir, capsys):
-        code, _ = run_cli(["identify", workdir / "scarce.json"], capsys)
-        assert code == 1
+    def test_identify_reports_the_minimum_norm_route_on_scarce_input(self, workdir, capsys):
+        code, out = run_cli(["identify", workdir / "scarce.json"], capsys)
+        doc = json.loads(out)
+        assert (code, doc["verdict"], doc["result"]["route"]) == (0, "consistent", "minimum-norm")
+        np.testing.assert_allclose(
+            doc["result"]["structure"], fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE, atol=1e-9
+        )
 
 
 class TestMoreCommands:
@@ -516,6 +521,18 @@ class TestMoreCommands:
         land = fixtures.two_signal_three_state_landscape()
         limit = np.array(doc["result"]["ridge_limit"])
         np.testing.assert_allclose(land.B.entries @ limit, land.Q.entries, atol=1e-8)
+
+    def test_ridge_names_the_regularizer_among_its_inputs(self, workdir, capsys):
+        reg_json, reg_csv = workdir / "reg.json", workdir / "reg.csv"
+        reg_json.write_text(json.dumps({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 2]]}))
+        reg_csv.write_text(",a,b,c\na,1,0,0\nb,0,1,0\nc,0,0,2\n")
+        scarce = str(workdir / "scarce.json")
+        for reg in (reg_json, reg_csv):
+            code, out = run_cli(["ridge", scarce, "--reg", reg], capsys)
+            inputs = json.loads(out)["inputs"]
+            assert code == 0
+            assert list(inputs) == [scarce, str(reg)]
+            assert inputs[str(reg)] == hashlib.sha256(reg.read_bytes()).hexdigest()
 
     def test_regularizer_moves_only_the_ridge_numbers(self, workdir, capsys):
         # The prior and the Bayes structure hold for every exact solution of Q = B X;

@@ -9,6 +9,7 @@ from beliefscape import (
     BeliefLandscape,
     DEFAULT_TOLERANCES,
     HypotheticalBeliefMatrix,
+    InformationalEnvironment,
     InformationStructure,
     Prior,
     RankDeficientError,
@@ -23,6 +24,7 @@ from beliefscape import (
     identify_prior,
     identify_single_column,
     identify_structure,
+    identify_underdetermined,
     infer_state,
     infer_state_from_profile,
     peer_accuracy_matrix,
@@ -31,7 +33,7 @@ from beliefscape import (
     sample_environment,
 )
 from beliefscape import fixtures, inverse
-from beliefscape.fileio import dumps_report
+from beliefscape.fileio import dumps_report, landscape_from_doc, landscape_to_doc
 
 from conftest import random_beliefs, random_stochastic
 
@@ -168,7 +170,7 @@ class TestRoundTripErrors:
         entries = np.array([[0.625, 0.375], [0.375, 0.625]])
         entries[:, dead] = 0.0
         errors = inverse._roundtrip_errors(
-            landscape, InformationStructure(entries), Prior([0.5, 0.5]), DEFAULT_TOLERANCES
+            landscape, entries, np.array([0.5, 0.5]), DEFAULT_TOLERANCES
         )
         assert errors == (float("inf"), float("inf"))
 
@@ -210,9 +212,36 @@ class TestConsistencyCheck:
         assert not verdict.consistent
         assert "nonnegative_structure" in verdict.failed
 
-    def test_underdetermined_input_routed_elsewhere(self):
-        with pytest.raises(UnderdeterminedError):
-            consistency_check(fixtures.two_signal_three_state_landscape())
+    def test_scarce_input_gets_the_verdict_of_identify_underdetermined(self):
+        land = fixtures.two_signal_three_state_landscape()
+        moved = BeliefLandscape(land.B, HypotheticalBeliefMatrix([[0.9, 0.1], [0.1, 0.9]]))
+        verdicts = []
+        for landscape in (land, moved):
+            verdict = consistency_check(landscape)
+            kind = identify_underdetermined(landscape).restored.kind
+            assert verdict.consistent == (kind != "infeasible")
+            verdicts.append(verdict.failed)
+        assert verdicts == [(), ("reproduction",)]
+
+    @pytest.mark.parametrize("spread", [1e-2, 1e-3, 1e-4])
+    def test_weak_landscapes_survive_their_own_rounding(self, spread):
+        # Structure rows shrunk toward uniform give cond(B) near 2e3, 2e4 and 2e5;
+        # stored to 12 digits, each is still judged consistent, while 1e-6 of
+        # mass moved within a row of Q is not.
+        rng = np.random.default_rng(0)
+        false_alarms = rejected = 0
+        for _ in range(100):
+            env = sample_environment(rng, 3, 4)
+            rows = 0.25 + spread * (env.structure.entries - 0.25)
+            weak = InformationalEnvironment(InformationStructure(rows), env.prior)
+            land = generate_landscape(weak)
+            land = landscape_from_doc(json.loads(dumps_report(landscape_to_doc(land))))
+            false_alarms += not consistency_check(land).consistent
+            q = land.Q.entries.copy()
+            q[0, :2] += [1e-6, -1e-6]
+            moved = BeliefLandscape(land.B, HypotheticalBeliefMatrix(q))
+            rejected += not consistency_check(moved).consistent
+        assert (false_alarms, rejected) == (0, 100)
 
     def test_perturbed_hypotheticals_flip_to_inconsistent(self):
         rng = np.random.default_rng(321)

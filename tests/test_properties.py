@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beliefscape import (
+    DEFAULT_TOLERANCES,
     BeliefLandscape,
     HypotheticalBeliefMatrix,
     InformationalEnvironment,
@@ -19,6 +20,7 @@ from beliefscape import (
     consistency_check,
     generate_landscape,
     identify,
+    identify_structure,
     identify_underdetermined,
     sample_environment,
     signal_priors_identify,
@@ -273,9 +275,44 @@ def test_check_takes_the_regression_route_exactly_when_it_applies(tmp_path_facto
     with contextlib.redirect_stdout(out):
         main(["check", path])
     route = json.loads(out.getvalue())["result"]["route"]
+    stored = load_landscape(path)[0]
     try:
-        consistency_check(load_landscape(path)[0])
+        identify_structure(stored.B, stored.Q)
     except (UnderdeterminedError, RankDeficientError):
         assert route == "minimum-norm"
     else:
         assert route == "regression"
+
+
+@settings(max_examples=100, deadline=None)
+@given(routed_landscapes(), st.data())
+def test_relabelling_keeps_the_verdict_on_every_route(landscape, data):
+    if landscape.n_signals > 1 and data.draw(st.booleans()):
+        # Move 1e-3 of mass within the first row of Q: still stochastic, no longer generated.
+        q = landscape.Q.entries.copy()
+        q[0, :2] += [1e-3, -1e-3]
+        landscape = BeliefLandscape(landscape.B, HypotheticalBeliefMatrix(q))
+    states = np.array(data.draw(st.permutations(range(landscape.n_states))))
+    signals = np.array(data.draw(st.permutations(range(landscape.n_signals))))
+    verdict = consistency_check(landscape)
+    relabelled = consistency_check(relabel(landscape, states, signals))
+    assert (relabelled.consistent, relabelled.failed) == (verdict.consistent, verdict.failed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(routed_landscapes())
+def test_generated_landscapes_are_judged_consistent_by_an_environment_that_regenerates_them(
+    landscape,
+):
+    verdict = consistency_check(landscape)
+    assert verdict.consistent
+    found = verdict.identification
+    structure = found.structure.entries
+    assert structure.min() >= 0.0 and structure.max() <= 1.0
+    assert np.abs(structure.sum(axis=1) - 1.0).max() <= DEFAULT_TOLERANCES.tol_stochastic
+    regenerated = generate_landscape(
+        InformationalEnvironment(found.structure, found.prior.representative())
+    )
+    tol_match = DEFAULT_TOLERANCES.tol_match
+    assert np.abs(regenerated.B.entries - landscape.B.entries).max() <= tol_match
+    assert np.abs(regenerated.Q.entries - landscape.Q.entries).max() <= tol_match
