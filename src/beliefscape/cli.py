@@ -204,6 +204,7 @@ def _identification_payload(result: IdentificationResult) -> dict:
         "signals": list(result.structure.signal_labels),
         "structure": result.structure.entries,
         "consistent_structure": result.consistent_structure,
+        "restoration_kind": result.restoration_kind,
         "diagnostics": {
             "residual": diag.residual,
             "max_row_sum_error": diag.max_row_sum_error,
@@ -386,6 +387,7 @@ def _cmd_check(ns, tol, inputs):
     result = {
         "route": route,
         "consistent": verdict.consistent,
+        "restoration_kind": verdict.identification.restoration_kind,
         "failed": list(verdict.failed),
         "diagnostics": _identification_payload(verdict.identification)["diagnostics"],
     }

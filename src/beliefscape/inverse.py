@@ -175,6 +175,7 @@ class IdentificationResult:
     peer_accuracy: np.ndarray | None
     diagnostics: StructureDiagnostics
     consistent_structure: bool
+    restoration_kind: str | None = None  # the judge's RestorationResult.kind; None unjudged
 
 
 def _tidy_structure(raw: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool, int, tuple]:
@@ -215,7 +216,7 @@ def _regression_guard(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str, 
 
 
 def _identification(
-    beliefs: StateBeliefMatrix, x, q, shown, prior=None, accuracy=None, gaps=(None, None)
+    beliefs: StateBeliefMatrix, x, q, shown, prior=None, accuracy=None, gaps=(None, None), kind=None
 ) -> IdentificationResult:
     """The result for the solve ``x`` that shows (structure, consistent, clipped, negative ij)."""
     structure, consistent, n_clipped, negative_ij = shown
@@ -233,6 +234,7 @@ def _identification(
         accuracy,
         diagnostics,
         consistent,
+        kind,
     )
 
 
@@ -277,9 +279,9 @@ class ConsistencyVerdict:
 
     ``failed`` can contain "nonnegative_structure" (judged on the regression
     witness X = B⁺Q, on the regression route only), "prior" and "reproduction".
-    ``identification`` is never None. On a consistent verdict its structure is
-    the one Bayes' rule judged; on an inconsistent one it is the witness X,
-    tidied as :func:`identify_structure` tidies it.
+    ``identification`` is never None. On a consistent verdict its structure and
+    peer accuracy are the judged Bayes structure's; on an inconsistent one, the
+    witness X tidied as :func:`identify_structure` tidies it, and BᵀXᵀ.
     """
 
     consistent: bool
@@ -295,7 +297,15 @@ def consistency_check(
     Plausibility of the inputs is nowhere near sufficient; most row-stochastic
     hypothetical matrices fail the round trip.
     """
-    return _judge(landscape, tol)[0]
+    x, accuracy, prior, failed, kind, judged, gaps = _judge(landscape, tol)
+    if failed:
+        shown = _tidy_structure(x, tol)
+    else:
+        structure = np.clip(judged, 0.0, 1.0)
+        shown = structure, True, int(np.count_nonzero(structure != judged)), ()
+        accuracy = landscape.B.entries.T @ structure.T  # the peer accuracy of what was judged
+    found = _identification(landscape.B, x, landscape.Q.entries, shown, prior, accuracy, gaps, kind)
+    return ConsistencyVerdict(not failed, failed, found)
 
 
 def identify(
@@ -368,9 +378,6 @@ def _bayes_structure(b: np.ndarray, weights: np.ndarray, prior: np.ndarray) -> n
     return (b * weights[:, None]).T / prior[:, None]
 
 
-_INFEASIBLE = RestorationResult("infeasible", None)
-
-
 def _bayes_step(
     landscape: BeliefLandscape, p: np.ndarray, tol: Tolerances
 ) -> tuple[str, np.ndarray, tuple[float, float]]:
@@ -388,21 +395,18 @@ def _bayes_step(
     return ("unique" if seen.all() else "family"), structure, gaps
 
 
-def _judge(
-    landscape: BeliefLandscape, tol: Tolerances
-) -> tuple[ConsistencyVerdict, np.ndarray, RestorationResult]:
-    """The one identification pipeline, whatever B's shape and rank: (verdict, X, restoration).
+def _judge(landscape: BeliefLandscape, tol: Tolerances):
+    """The one pipeline, whatever B's shape and rank: (X, A, prior, failed, kind, judged, gaps).
 
     X = B⁺Q from B's cached SVD is the regression at full column rank and the
     minimum-norm solution otherwise. The prior comes from A = Bᵀ Xᵀ before any
     tidying: renormalizing X's rows would move A off its fixed point by about
-    cond(B) times the input's rounding. Bayes' rule with that prior judges
-    (see :class:`RestorationResult`) unless the prior is missing or negative.
-    X's own sign is judged on the regression route only, where it is the
-    paper's structure; only a failed verdict shows X, so only then is it tidied.
+    cond(B) times the input's rounding. Bayes' rule with that prior judges (see
+    :class:`RestorationResult`); X's own sign counts on the regression route
+    only. A failed verdict has kind "infeasible" and judged None.
     """
-    beliefs, q = landscape.B, landscape.Q.entries
-    x = beliefs._svd.solve(q, tol)
+    beliefs = landscape.B
+    x = beliefs._svd.solve(landscape.Q.entries, tol)
     accuracy = beliefs.entries.T @ x.T
     prior = _accuracy_prior(accuracy, landscape.state_labels, tol)
     failed = []
@@ -416,13 +420,8 @@ def _judge(
         if kind == "infeasible":
             failed.append("reproduction")
     if failed:
-        restored, shown = _INFEASIBLE, _tidy_structure(x, tol)
-    else:
-        structure = np.clip(judged, 0.0, 1.0)
-        restored = RestorationResult(kind, structure)
-        shown = structure, True, int(np.count_nonzero(structure != judged)), ()
-    identification = _identification(beliefs, x, q, shown, prior, accuracy, gaps)
-    return ConsistencyVerdict(not failed, tuple(failed), identification), x, restored
+        kind, judged = "infeasible", None
+    return x, accuracy, prior, tuple(failed), kind, judged, gaps
 
 
 def identify_underdetermined(
@@ -430,21 +429,19 @@ def identify_underdetermined(
 ) -> UnderdeterminedResult:
     """The judge's findings for more states than signals (or dependent columns).
 
-    The ridge limit X, residual and null basis all read B's cached SVD. The
-    prior holds for any exact solution of Q = B X, so no regularizer would
-    change it; Bayes' rule with that prior's representative then gives the
-    structure in closed form, whatever B's row rank (see :class:`RestorationResult`).
+    The prior holds for any exact solution of Q = B X, so no regularizer would
+    change it; Bayes' rule with its representative gives the structure in
+    closed form, whatever B's row rank (see :class:`RestorationResult`).
     """
-    verdict, ridge_limit, restored = _judge(landscape, tol)
-    found = verdict.identification
-    if found.prior is None:
+    x, _, prior, _, kind, judged, _ = _judge(landscape, tol)
+    if prior is None:
         raise NotModelGeneratedError(_NO_PRIOR)
     return UnderdeterminedResult(
-        ridge_limit=ridge_limit,
+        ridge_limit=x,
         null_basis=landscape.B._svd.null_basis(tol),
-        prior=found.prior,
-        restored=restored,
-        residual=found.diagnostics.residual,
+        prior=prior,
+        restored=RestorationResult(kind, None if judged is None else np.clip(judged, 0.0, 1.0)),
+        residual=float(np.abs(landscape.B.entries @ x - landscape.Q.entries).max()),
         state_labels=landscape.state_labels,
         signal_labels=landscape.signal_labels,
     )

@@ -229,8 +229,12 @@ class TestCommandContract:
         code, out = run_cli(["identify", workdir / "scarce.json"], capsys)
         doc = json.loads(out)
         assert (code, doc["verdict"], doc["result"]["route"]) == (0, "consistent", "minimum-norm")
+        assert doc["result"]["restoration_kind"] == "unique"
         np.testing.assert_allclose(
             doc["result"]["structure"], fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            doc["result"]["peer_accuracy"], fixtures.TWO_SIGNAL_THREE_STATE_ACCURACY, atol=1e-9
         )
 
 

@@ -45,19 +45,15 @@ def relabel(landscape: BeliefLandscape, states, signals) -> BeliefLandscape:
 
 @st.composite
 def relabelled_landscapes(draw):
-    """A well-conditioned generated landscape, maybe with Q bumped off the model, and an order."""
-    n_states = draw(st.integers(2, 4))
-    n_signals = draw(st.integers(n_states, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    landscape = generate_landscape(sample_environment(rng, n_states, n_signals, min_mass=0.05))
-    assume(np.linalg.cond(landscape.B.entries) < 1e3)
-    if draw(st.booleans()):
+    """A landscape on any route, maybe with Q bumped off the model, and an order."""
+    landscape = draw(routed_landscapes())
+    if landscape.n_signals > 1 and draw(st.booleans()):
         # Move 1e-3 of mass within the first row of Q: still stochastic, no longer generated.
         q = landscape.Q.entries.copy()
         q[0, :2] += [1e-3, -1e-3]
         landscape = BeliefLandscape(landscape.B, HypotheticalBeliefMatrix(q))
-    states = np.array(draw(st.permutations(range(n_states))))
-    signals = np.array(draw(st.permutations(range(n_signals))))
+    states = np.array(draw(st.permutations(range(landscape.n_states))))
+    signals = np.array(draw(st.permutations(range(landscape.n_signals))))
     return landscape, states, signals
 
 
@@ -282,21 +278,6 @@ def test_check_takes_the_regression_route_exactly_when_it_applies(tmp_path_facto
         assert route == "minimum-norm"
     else:
         assert route == "regression"
-
-
-@settings(max_examples=100, deadline=None)
-@given(routed_landscapes(), st.data())
-def test_relabelling_keeps_the_verdict_on_every_route(landscape, data):
-    if landscape.n_signals > 1 and data.draw(st.booleans()):
-        # Move 1e-3 of mass within the first row of Q: still stochastic, no longer generated.
-        q = landscape.Q.entries.copy()
-        q[0, :2] += [1e-3, -1e-3]
-        landscape = BeliefLandscape(landscape.B, HypotheticalBeliefMatrix(q))
-    states = np.array(data.draw(st.permutations(range(landscape.n_states))))
-    signals = np.array(data.draw(st.permutations(range(landscape.n_signals))))
-    verdict = consistency_check(landscape)
-    relabelled = consistency_check(relabel(landscape, states, signals))
-    assert (relabelled.consistent, relabelled.failed) == (verdict.consistent, verdict.failed)
 
 
 @settings(max_examples=100, deadline=None)
