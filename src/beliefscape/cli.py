@@ -54,11 +54,9 @@ from .forward import generate_landscape
 from .inverse import (
     IdentificationResult,
     PriorFamily,
-    _roundtrip_errors,
     _route,
     consistency_check,
     detect_partitional,
-    identify,
     identify_single_column,
     identify_underdetermined,
     infer_state,
@@ -246,11 +244,11 @@ def _load_validated_landscape(ns, tol, inputs):
 
 
 def _judged(ns, tol, inputs):
-    """The landscape's route, its consistency verdict and the verdict's label."""
+    """The loaded landscape, its route, its consistency verdict and the verdict's label."""
     landscape = _load_validated_landscape(ns, tol, inputs)
     verdict = consistency_check(landscape, tol)
     label = "consistent" if verdict.consistent else "inconsistent"
-    return _route(landscape.B, tol)[0], verdict, label
+    return landscape, _route(landscape.B, tol)[0], verdict, label
 
 
 def _load_regularizer(path: str, n_states: int, inputs) -> Regularizer:
@@ -327,7 +325,7 @@ def _cmd_identify(ns, tol, inputs):
             "per_state_probability": probabilities,
         }
         return result, "inconsistent" if outside else None, outside
-    route, verdict, label = _judged(ns, tol, inputs)
+    _, route, verdict, label = _judged(ns, tol, inputs)
     result = {"route": route, **_identification_payload(verdict.identification)}
     result["consistency"] = {"consistent": verdict.consistent, "failed": list(verdict.failed)}
     return result, label, _clip_warnings(verdict.identification)
@@ -383,7 +381,7 @@ def _cmd_ridge(ns, tol, inputs):
 
 
 def _cmd_check(ns, tol, inputs):
-    route, verdict, label = _judged(ns, tol, inputs)
+    _, route, verdict, label = _judged(ns, tol, inputs)
     result = {
         "route": route,
         "consistent": verdict.consistent,
@@ -409,7 +407,7 @@ def _cmd_rationalize(ns, tol, inputs):
 
 
 def _cmd_reduce(ns, tol, inputs):
-    landscape = _load_validated_landscape(ns, tol, inputs)
+    landscape, _, verdict, label = _judged(ns, tol, inputs)
     reduction = reduce_dependencies(landscape, tol)
     result = {
         "trivial": reduction.trivial,
@@ -421,24 +419,16 @@ def _cmd_reduce(ns, tol, inputs):
         },
         "reduced_beliefs": reduction.reduced.B.entries,
     }
-    if not reduction.trivial:
-        reduced_result = identify(reduction.reduced, tol)
-        result["reduced_structure"] = reduced_result.structure.entries
-        result["reduced_prior"] = _prior_payload(reduced_result.prior)
-        if reduced_result.prior.kind == "unique":
-            structure, prior = reduction.embed(
-                reduced_result.structure, reduced_result.prior.unique_prior
-            )
-            gaps = _roundtrip_errors(landscape, structure.entries, prior.entries, tol)
-            if max(gaps) > tol.tol_match:
-                b_gap, q_gap = (f"{g:.3g}" if g > tol.tol_match else "within tol_match" for g in gaps)
-                raise NotConvexDependentError(
-                    f"the embedded environment misses the landscape (B {b_gap}, Q {q_gap}):"
-                    " a removed state is not a split of one kept state; run check instead"
-                )
-            result["embedded_structure"] = structure.entries
-            result["embedded_prior"] = prior.entries
-    return result, None, ()
+    if reduction.trivial:
+        return result, None, ()
+    # No embedding of the reduced landscape regenerates a removed state that mixes
+    # two kept ones, which is model data; so the judge gives verdict and environment.
+    result["consistency"] = {"consistent": verdict.consistent, "failed": list(verdict.failed)}
+    if verdict.consistent:
+        found = verdict.identification
+        result["embedded_structure"] = found.structure.entries
+        result["embedded_prior"] = found.prior.representative().entries
+    return result, label, ()
 
 
 def _cmd_partition(ns, tol, inputs):
@@ -466,7 +456,13 @@ def _cmd_infer_state(ns, tol, inputs):
         landscape = landscape_from_doc(doc_in, name)
         if not ns.no_validate:
             _validate_or_fail("landscape", validate_landscape(landscape.B, landscape.Q, tol).violations)
-        structure, source = identify(landscape, tol).structure, "identified landscape"
+        verdict = consistency_check(landscape, tol)
+        if not verdict.consistent:
+            raise InconsistentLandscapeError(
+                f"{name}: no common-prior environment generates the landscape"
+                f" (failed: {', '.join(verdict.failed)}); no state to infer"
+            )
+        structure, source = verdict.identification.structure, "identified landscape"
     if ns.signal not in structure.signal_labels:
         raise ParseError(f"{name}: no signal labelled {ns.signal!r}")
     column = structure.entries[:, structure.signal_labels.index(ns.signal)]

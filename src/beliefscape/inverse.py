@@ -6,10 +6,11 @@ the state beliefs at full column rank, the minimum-norm solution otherwise),
 the prior as the eigenvalue-1 eigenvector of the accuracy matrix BᵀXᵀ, then
 the structure from Bayes' rule with that prior, kept only if it regenerates
 the landscape. :func:`consistency_check`, :func:`identify` and
-:func:`identify_underdetermined` read that one judgement. The signal-priors
-route starts from the stationary vector of the hypothetical matrix instead.
-Dependency reduction, partition detection, non-common-prior rationalization
-and crowd-wisdom state inference round out the toolbox.
+:func:`identify_underdetermined` read that one judgement, as does every CLI
+command that judges a landscape. The signal-priors route starts from the
+stationary vector of the hypothetical matrix instead. Dependency reduction,
+partition detection, non-common-prior rationalization and crowd-wisdom state
+inference round out the toolbox.
 """
 
 from __future__ import annotations
@@ -666,6 +667,7 @@ class ReductionResult:
     rows. That regenerates the landscape when each removed column is
     proportional to one kept column (a split state); a column that mixes two
     or more is absorbed into their rows, and the embedding in general misses Q.
+    So no verdict reads :meth:`embed`: the ``reduce`` command reports the judge's.
     """
 
     reduced: BeliefLandscape

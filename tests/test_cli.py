@@ -358,23 +358,57 @@ class TestMoreCommands:
             np.testing.assert_allclose(regenerated.B.entries, landscape.B.entries, atol=1e-8)
             np.testing.assert_allclose(regenerated.Q.entries, landscape.Q.entries, atol=1e-8)
 
-    def test_reduce_rejects_a_state_that_mixes_two_others(self, workdir, capsys):
-        # The reduced landscape absorbs the mixed row into the kept rows, so the
-        # embedded environment misses Q; check judges such landscapes, and they are
-        # model data.
+    def test_reduce_agrees_with_check_on_a_state_that_mixes_two_others(self, workdir, capsys):
+        # The reduced landscape absorbs the mixed row into the kept rows, so no
+        # embedding of it regenerates Q; the judge recovers the environment itself.
         rng = np.random.default_rng(8)
         path = workdir / "mixed.json"
         for n_states in (2, 3, 4, 2, 3, 4):
-            save_landscape(
-                generate_landscape(mixed_state_environment(rng, n_states, n_states + 1)), str(path)
-            )
+            env = mixed_state_environment(rng, n_states, n_states + 1)
+            save_landscape(generate_landscape(env), str(path))
             code, out = run_cli(["reduce", path], capsys)
             doc = json.loads(out)
-            assert (code, doc["verdict"]) == (2, "infeasible")
-            assert doc["result"]["error"] == "NotConvexDependentError"
-            assert "run check" in doc["result"]["message"]
+            assert (code, doc["verdict"]) == (0, "consistent")
+            result = doc["result"]
+            assert result["removed_states"] == [f"th{n_states + 1}"]
+            np.testing.assert_allclose(result["embedded_structure"], env.structure.entries, atol=1e-8)
+            np.testing.assert_allclose(result["embedded_prior"], env.prior.entries, atol=1e-8)
             code, out = run_cli(["check", path], capsys)
             assert (code, json.loads(out)["verdict"]) == (0, "consistent")
+
+    def test_reduce_and_check_share_one_verdict(self, workdir, capsys):
+        # Split and mixed states, each also with 1e-3 moved within Q's first row
+        # (still stochastic, no longer generated): reduce exits as check does, and a
+        # consistent reduce embeds exactly what identify reports.
+        rng = np.random.default_rng(11)
+        path = workdir / "dependent.json"
+        for make in (split_state_environment, mixed_state_environment):
+            for n_states in (2, 3, 4, 2, 3, 4):
+                landscape = generate_landscape(make(rng, n_states, n_states + 1))
+                q = landscape.Q.entries.copy()
+                q[0, :2] += [1e-3, -1e-3]
+                moved = BeliefLandscape(landscape.B, HypotheticalBeliefMatrix(q))
+                for case, expected in ((landscape, 0), (moved, 2)):
+                    save_landscape(case, str(path))
+                    code, out = run_cli(["reduce", path], capsys)
+                    reduced = json.loads(out)["result"]
+                    assert reduced["trivial"] is False
+                    assert code == run_cli(["check", path], capsys)[0] == expected
+                    if code == 0:
+                        identified = json.loads(run_cli(["identify", path], capsys)[1])["result"]
+                        assert reduced["embedded_structure"] == identified["structure"]
+                        assert reduced["embedded_prior"] == identified["prior"]["values"]
+
+    @pytest.mark.parametrize("name", ["a916.json", "split.json"])
+    def test_infer_state_names_no_state_on_an_inconsistent_landscape(self, workdir, capsys, name):
+        save_landscape(fixtures.split_state_landscape(), str(workdir / "split.json"))
+        path = workdir / name
+        code, out = run_cli(["infer-state", path, "--signal", "s1", "--share", "0.5"], capsys)
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (2, "infeasible")
+        assert doc["result"]["error"] == "InconsistentLandscapeError"
+        assert "state" not in doc["result"]
+        assert doc["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
     def test_infer_state_from_environment(self, workdir, capsys):
         code, out = run_cli(

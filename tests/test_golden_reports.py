@@ -52,6 +52,7 @@ CASES = {
     "reduce": ["reduce", "split.json"],
     "partition": ["partition", "partition.json"],
     "infer_state": ["infer-state", "env.json", "--signal", "reveal-th2", "--share", "0.5"],
+    "infer_state_inconsistent": ["infer-state", "a916.json", "--signal", "s1", "--share", "0.375"],
     "generate": ["generate", "env.json"],
     "identify_pretty": ["identify", "--format", "pretty", "a58.json"],
     "partition_not_partitional": ["partition", "ton.json"],
