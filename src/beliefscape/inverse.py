@@ -40,6 +40,7 @@ from .core import (
 from .forward import _bayes
 from .linalg import (
     NullSpaceBasis,
+    _nnls,
     regression_operator,
     unit_eigenvector_eigenvalue_one,
 )
@@ -454,30 +455,25 @@ def reconstruct_from_prior(
     """Rebuild the structure from the beliefs and a known prior by Bayes' rule.
 
     The signal marginal m mixes the belief rows into the prior (Bᵀm = prior);
-    then structure[state, signal] = belief * m / prior. At full row rank m is
-    unique and read off B's cached SVD. With dependent belief rows the
-    minimum-norm m can be negative where a nonnegative one exists, so scipy's
-    ``nnls`` finds m there. A prior with a zero entry, or one that no
-    nonnegative m reproduces within ``tol_match``, raises NotInHullError.
+    then structure[state, signal] = belief * m / prior. A nonnegative least
+    squares solve finds m, whatever B's row rank: at full row rank it is the
+    unique mixture, and with dependent belief rows it is a nonnegative one
+    where the minimum-norm m may be negative. A prior with a zero entry, or
+    one that no nonnegative m reproduces within ``tol_match``, raises
+    NotInHullError.
     """
     _require_states(beliefs, prior.n_states, "prior")
     p = prior.entries
     if p.min() <= tol.tol_entry:
         raise NotInHullError("the prior must put positive mass on every state")
-    if beliefs._svd.rank(tol) == beliefs.n_signals:
-        weights = beliefs._svd.pinv(tol).T @ p
-    else:
-        import scipy.optimize
-
-        weights = scipy.optimize.nnls(beliefs.entries.T, p)[0]
+    weights = _nnls(beliefs.entries.T, p, tol)
     residual = float(np.linalg.norm(beliefs.entries.T @ weights - p))
-    if weights.min() < -tol.tol_entry or residual > tol.tol_match:
+    if residual > tol.tol_match:
         raise NotInHullError(
-            "the prior is not a nonnegative mixture of the belief rows"
-            f" (residual {residual:.3g}, smallest weight {weights.min():.3g})"
+            f"the prior is not a nonnegative mixture of the belief rows (residual {residual:.3g})"
         )
     return InformationStructure(
-        _bayes_structure(beliefs.entries, np.maximum(weights, 0.0), p),
+        _bayes_structure(beliefs.entries, weights, p),
         state_labels=beliefs.state_labels,
         signal_labels=beliefs.signal_labels,
     )

@@ -1,19 +1,19 @@
 """Numerical kernels on small dense matrices.
 
-Least squares, minimum-norm and ridge solves with general regularizers, null
-spaces, eigenvalue-1 eigenvector extraction, and irreducibility analysis.
-Rank tests, null spaces and every solve read one SVD of the matrix (``_SVD``;
-a belief matrix keeps its own). ``_SVD.solve`` is the one solve, for the
-minimum-norm and the ridge solutions alike; a factorization whitened by a
-regularizer keeps the Cholesky factor that maps its solutions back. The
-normal-equation formulas define the values, not the algorithms. Everything
-here is numpy; scipy is imported only by one solver elsewhere: ``nnls``, for
-``reconstruct_from_prior`` on dependent belief rows.
+Least squares, minimum-norm and ridge solves with general regularizers,
+nonnegative least squares, null spaces, eigenvalue-1 eigenvector extraction,
+and irreducibility analysis. Rank tests, null spaces and every solve read one
+SVD of the matrix (``_SVD``; a belief matrix keeps its own). ``_SVD.solve`` is
+the one solve, for the minimum-norm and the ridge solutions alike and for each
+step of ``_nnls``, Lawson and Hanson's active-set method; a factorization
+whitened by a regularizer keeps the Cholesky factor that maps its solutions
+back. The normal-equation formulas define the values, not the algorithms.
+Everything here, and everything the package runs, is numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class _SVD:
             n = matrix.shape[1]
             if reg.matrix.shape != (n, n):
                 raise ValueError(f"regularizer shape {reg.matrix.shape} does not match {n} columns")
-            chol = np.linalg.cholesky(reg.matrix)
+            chol = reg.chol
             matrix = np.linalg.solve(chol, matrix.T).T
         wide = matrix.shape[0] < matrix.shape[1]
         return cls(*np.linalg.svd(matrix, full_matrices=wide), chol)
@@ -134,9 +134,13 @@ class EigenvalueOneResult:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Symmetric positive-definite matrix added (scaled) to the normal equations."""
+    """Symmetric positive-definite matrix added (scaled) to the normal equations.
+
+    Its Cholesky factor ``chol`` (reg = LLᵀ), made once, is the definiteness test.
+    """
 
     matrix: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float)
@@ -144,10 +148,13 @@ class Regularizer:
             raise ValueError(f"regularizer must be square, got shape {m.shape}")
         if not np.allclose(m, m.T, atol=DEFAULT_TOLERANCES.tol_match):
             raise ValueError("regularizer must be symmetric")
-        if np.linalg.eigvalsh(m).min() <= 0:
-            raise ValueError("regularizer must be positive definite")
+        try:
+            chol = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            raise ValueError("regularizer must be positive definite") from None
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "chol", chol)
 
 
 def least_squares_coefficients(
@@ -202,6 +209,41 @@ def ridge_solution_at(
     if not lam > 0:  # nan too
         raise ValueError("lam must be strictly positive")
     return _SVD.of(matrix, reg).solve(targets, DEFAULT_TOLERANCES, lam)
+
+
+def _nnls(matrix: np.ndarray, target: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """x ≥ 0 minimizing ||matrix @ x - target|| (Lawson and Hanson 1974, ch. 23).
+
+    Each step is the least-squares solve on the passive columns. The gradient
+    threshold scales with the problem, and both loops stop after 3n rounds.
+    """
+    n = matrix.shape[1]
+    floor = 10 * max(matrix.shape) * np.finfo(float).eps * np.abs(matrix).max(initial=0.0)
+    floor *= np.abs(target).max(initial=0.0)
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        gradient = matrix.T @ (target - matrix @ x)
+        gradient[passive] = -np.inf
+        j = int(gradient.argmax())
+        if gradient[j] <= floor:
+            break
+        passive[j] = True
+        for _ in range(3 * n):
+            z = np.zeros(n)
+            z[passive] = _SVD.of(matrix[:, passive]).solve(target, tol)
+            if (z[passive] > 0).all():
+                x = z
+                break
+            # step from x toward z until the first passive weight reaches 0
+            blocking = np.flatnonzero(passive & (z <= 0))
+            steps = np.divide(x[blocking], x[blocking] - z[blocking],
+                              out=np.zeros(blocking.size), where=x[blocking] > 0)
+            x = x + steps.min() * (z - x)
+            x[blocking[steps.argmin()]] = 0.0
+            passive &= x > 0
+            x[~passive] = 0.0
+    return x
 
 
 def null_space_basis(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> NullSpaceBasis:

@@ -724,6 +724,7 @@ class TestBadInput:
         [
             ("asym.json", '{"matrix": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]}', "must be symmetric"),
             ("indef.json", '{"matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}', "positive definite"),
+            ("singular.json", '{"matrix": [[1, 3, 0], [3, 9, 0], [0, 0, 1]]}', "positive definite"),
             ("small.json", '{"matrix": [[1, 0], [0, 1]]}', "'matrix' must have 3 rows, got 2"),
             ("wide.json", '{"matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]}',
              "matrix row 1 must have 3 columns, got 4"),

@@ -18,6 +18,7 @@ from beliefscape import (
     unit_eigenvector_eigenvalue_one,
 )
 from beliefscape import fixtures
+from beliefscape.linalg import _nnls
 
 from conftest import random_stochastic
 
@@ -198,6 +199,9 @@ class TestRidgeSolution:
             Regularizer([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="positive definite"):
             Regularizer([[1.0, 0.0], [0.0, -2.0]])
+        # exactly singular, though eigvalsh puts its smallest eigenvalue a rounding above 0
+        with pytest.raises(ValueError, match="positive definite"):
+            Regularizer([[1.0, 3.0, 0.0], [3.0, 9.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 class TestNullSpace:
@@ -371,3 +375,37 @@ def test_irreducibility_matches_scipy_strong_components(m):
     assert decomposition.class_edges == tuple(sorted(edges))
     assert decomposition.closed == tuple(all(a != k for a, _ in edges) for k in range(count))
     assert decomposition.irreducible == (count == 1)
+
+
+@st.composite
+def nnls_problems(draw):
+    """Small (matrix, target) pairs, with zero columns, zero targets and ill-conditioning."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    # Eighths, so no entry is a rounding-size speck beside a unit one: on such badly
+    # scaled input the gradient floor can stop early, by about sqrt(floor·|x|) in residual.
+    entries = st.integers(-8, 8)
+    a = np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n))).reshape(m, n) / 8
+    b = np.array(draw(st.lists(entries, min_size=m, max_size=m))) / 8
+    a[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    if draw(st.booleans()):
+        b[:] = 0.0
+    decades = draw(st.integers(0, 6))
+    if decades:  # singular values spread over that many decades
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        a = (u * (s * np.logspace(0, -decades, s.size))) @ vt
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(nnls_problems())
+def test_nnls_matches_scipy(problem):
+    from scipy.optimize import nnls
+
+    a, b = problem
+    x = _nnls(a, b, Tolerances())
+    expected, _ = nnls(a, b)
+    assert x.min() >= 0.0
+    # Residuals are compared as computed here, to the rounding of a @ x, which grows with
+    # the solution: scipy fits directions below the rank cutoff with weights near 1e16.
+    slack = 1e-12 * max(1.0, float(np.linalg.norm(expected)))
+    assert np.linalg.norm(a @ x - b) <= np.linalg.norm(a @ expected - b) + slack

@@ -238,3 +238,20 @@ def test_reconstruct_from_prior_on_dependent_rows_finds_nonnegative_weights():
     beliefs = StateBeliefMatrix([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     structure = reconstruct_from_prior(beliefs, Prior([0.9, 0.1]))
     np.testing.assert_allclose(structure.entries, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-12)
+
+
+def test_reconstruct_from_prior_agrees_with_the_pinv_marginal_at_full_row_rank():
+    # With independent belief rows the marginal Bᵀm = p is unique, m = pinv(Bᵀ) p, and
+    # the nonnegative solve must land on it.
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 400:
+        n_signals = int(rng.integers(1, 5))
+        env = sample_environment(rng, n_signals + int(rng.integers(1, 3)), n_signals)
+        b, p = generate_landscape(env).B, env.prior.entries
+        if np.linalg.matrix_rank(b.entries) < n_signals:
+            continue
+        expected = (b.entries * (np.linalg.pinv(b.entries.T) @ p)[:, None]).T / p[:, None]
+        got = reconstruct_from_prior(b, env.prior).entries
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+        checked += 1
