@@ -352,17 +352,15 @@ def _cmd_ridge(ns, tol, inputs):
     landscape = _load_validated_landscape(ns, tol, inputs)
     reg = _load_regularizer(ns.reg, landscape.n_states, inputs) if ns.reg else None
     under = identify_underdetermined(landscape, tol)
-    svd, q = landscape.B._svd, landscape.Q.entries
-    ridge_limit, residual = under.ridge_limit, under.residual
-    if reg is not None:  # --reg moves only the ridge numbers, which all read one factorization
-        svd = _SVD.of(landscape.B.entries, reg)
-        ridge_limit = svd.solve(q, tol)
-        residual = float(np.max(np.abs(landscape.B.entries @ ridge_limit - q)))
+    # --reg moves only the ridge numbers, which all read one factorization
+    svd = landscape.B._svd if reg is None else _SVD.of(landscape.B.entries, reg)
+    q = landscape.Q.entries
+    ridge_limit = under.ridge_limit if reg is None else svd.solve(q, tol)
     result = {
         "states": list(under.state_labels),
         "signals": list(under.signal_labels),
         "ridge_limit": ridge_limit,
-        "residual": residual,
+        "residual": float(np.max(np.abs(landscape.B.entries @ ridge_limit - q))),
         "null_basis": list(under.null_basis.vectors),
         "prior": _prior_payload(under.prior),
         "restoration": {

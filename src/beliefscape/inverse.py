@@ -458,19 +458,23 @@ def reconstruct_from_prior(
     then structure[state, signal] = belief * m / prior. A nonnegative least
     squares solve finds m, whatever B's row rank: at full row rank it is the
     unique mixture, and with dependent belief rows it is a nonnegative one
-    where the minimum-norm m may be negative. A prior with a zero entry, or
-    one that no nonnegative m reproduces within ``tol_match``, raises
-    NotInHullError.
+    where the minimum-norm m may be negative. Each equation is divided by its
+    prior entry, (Bᵀm) / prior = 1, which asks every structure row to sum to
+    one, so a rare state weighs as much as a common one. A prior with a zero
+    entry, or one for which no nonnegative m brings the row sums within
+    ``tol_match`` of one, raises NotInHullError.
     """
     _require_states(beliefs, prior.n_states, "prior")
     p = prior.entries
     if p.min() <= tol.tol_entry:
         raise NotInHullError("the prior must put positive mass on every state")
-    weights = _nnls(beliefs.entries.T, p, tol)
-    residual = float(np.linalg.norm(beliefs.entries.T @ weights - p))
+    rows = beliefs.entries.T / p[:, None]
+    weights = _nnls(rows, np.ones_like(p), tol)
+    residual = float(np.linalg.norm(rows @ weights - 1.0))
     if residual > tol.tol_match:
         raise NotInHullError(
-            f"the prior is not a nonnegative mixture of the belief rows (residual {residual:.3g})"
+            "the prior is not a nonnegative mixture of the belief rows"
+            f" (row-sum residual {residual:.3g})"
         )
     return InformationStructure(
         _bayes_structure(beliefs.entries, weights, p),

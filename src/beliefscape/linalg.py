@@ -214,21 +214,15 @@ def ridge_solution_at(
 def _nnls(matrix: np.ndarray, target: np.ndarray, tol: Tolerances) -> np.ndarray:
     """x ≥ 0 minimizing ||matrix @ x - target|| (Lawson and Hanson 1974, ch. 23).
 
-    Each step is the least-squares solve on the passive columns. The gradient
-    threshold scales with the problem, and both loops stop after 3n rounds.
+    Each step solves least squares on the passive columns, which start as all
+    columns. The solve stops once the residual, or every gradient, is within
+    the rounding of its own evaluation; both loops stop after 3n rounds.
     """
     n = matrix.shape[1]
-    floor = 10 * max(matrix.shape) * np.finfo(float).eps * np.abs(matrix).max(initial=0.0)
-    floor *= np.abs(target).max(initial=0.0)
+    eps = 10 * max(matrix.shape) * np.finfo(float).eps
     x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
+    passive = np.ones(n, dtype=bool)
     for _ in range(3 * n):
-        gradient = matrix.T @ (target - matrix @ x)
-        gradient[passive] = -np.inf
-        j = int(gradient.argmax())
-        if gradient[j] <= floor:
-            break
-        passive[j] = True
         for _ in range(3 * n):
             z = np.zeros(n)
             z[passive] = _SVD.of(matrix[:, passive]).solve(target, tol)
@@ -243,6 +237,15 @@ def _nnls(matrix: np.ndarray, target: np.ndarray, tol: Tolerances) -> np.ndarray
             x[blocking[steps.argmin()]] = 0.0
             passive &= x > 0
             x[~passive] = 0.0
+        residual = target - matrix @ x
+        size = np.abs(residual).max(initial=0.0)
+        if size <= eps * (np.abs(target) + np.abs(matrix) @ x).max(initial=0.0):
+            break
+        gradient = matrix.T @ residual
+        live = ~passive & (gradient > eps * (np.abs(matrix).T @ np.abs(residual)))
+        if not live.any():
+            break
+        passive[np.where(live, gradient, -np.inf).argmax()] = True
     return x
 
 

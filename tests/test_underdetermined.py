@@ -226,6 +226,28 @@ class TestReconstructFromPrior:
         with pytest.raises(NotInHullError):
             reconstruct_from_prior(beliefs, Prior([0.9, 0.1]))
 
+    @pytest.mark.parametrize("rare", [1e-8, 2e-8, 5e-8, 8e-8])
+    def test_rare_state_prior(self, rare):
+        # B's second singular value is about rare, far above the rank cutoff, and the
+        # rare state's equation is as binding as the common one's.
+        structure = np.array([[0.5, 0.5], [1.0, 0.0]])
+        prior = np.array([1 - rare, rare])
+        joint = structure * prior[:, None]
+        beliefs = StateBeliefMatrix((joint / joint.sum(axis=0)).T)
+        got = reconstruct_from_prior(beliefs, Prior(prior)).entries
+        np.testing.assert_allclose(got, structure, rtol=0, atol=1e-10)
+
+    def test_rare_state_off_the_hull_rejected(self):
+        # The prior misses the hull by 1e-8 in absolute terms, within tol_match, but on a
+        # state of prior 3e-8: the rebuilt structure's row there would sum to about 2/3.
+        structure = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
+        prior = np.array([0.5, 0.5 - 2e-8, 2e-8])
+        joint = structure * prior[:, None]
+        beliefs = StateBeliefMatrix((joint / joint.sum(axis=0)).T)
+        off = prior + [0.0, 0.0, 1e-8]
+        with pytest.raises(NotInHullError, match="row-sum residual"):
+            reconstruct_from_prior(beliefs, Prior(off / off.sum()))
+
     def test_boundary_prior_rejected(self):
         with pytest.raises(NotInHullError, match="positive mass"):
             reconstruct_from_prior(StateBeliefMatrix(np.eye(2)), Prior([1.0, 0.0]))
@@ -255,3 +277,21 @@ def test_reconstruct_from_prior_agrees_with_the_pinv_marginal_at_full_row_rank()
         got = reconstruct_from_prior(b, env.prior).entries
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
         checked += 1
+
+
+def test_reconstruct_from_prior_keeps_rare_states_stochastic_on_dependent_rows():
+    # More signals than states, so m is not unique; one state's prior is 1e-8 to 1e-6.
+    # Whichever nonnegative m the solve finds, every structure row must sum to one.
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n_states = int(rng.integers(2, 5))
+        n_signals = n_states + int(rng.integers(1, 3))
+        structure = rng.dirichlet(np.ones(n_signals), n_states)
+        prior = rng.dirichlet(np.ones(n_states))
+        prior[rng.integers(n_states)] = 10 ** rng.uniform(-8, -6)
+        prior /= prior.sum()
+        joint = structure * prior[:, None]
+        beliefs = StateBeliefMatrix((joint / joint.sum(axis=0)).T)
+        got = reconstruct_from_prior(beliefs, Prior(prior)).entries
+        assert got.min() >= 0.0
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-10)
