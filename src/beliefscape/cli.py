@@ -16,7 +16,6 @@ import os
 import sys
 import warnings
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 
@@ -37,8 +36,6 @@ from .core import (
 )
 from .fileio import (
     ParseError,
-    _matrix,
-    _read_csv_matrix,
     beliefs_and_column_from_doc,
     dumps_report,
     environment_from_doc,
@@ -46,9 +43,9 @@ from .fileio import (
     landscape_to_doc,
     load_environment,
     load_landscape,
+    load_matrix,
     read_document,
     save_landscape,
-    sha256_hex,
 )
 from .forward import generate_landscape
 from .inverse import (
@@ -253,24 +250,20 @@ def _judged(ns, tol, inputs):
 
 def _load_regularizer(path: str, n_states: int, inputs) -> Regularizer:
     """The --reg matrix: a JSON {"matrix": rows} or a CSV matrix, n_states x n_states."""
-    if path.endswith(".csv"):
-        doc = {"matrix": _read_csv_matrix(Path(path))[2].tolist()}
-        raw = Path(path).read_bytes()
-    else:
-        doc, raw, path = read_document(path)
-    inputs[path] = sha256_hex(raw)
+    matrix, digests = load_matrix(path, n_states, n_states)
+    inputs.update(digests)
     try:
-        return Regularizer(_matrix(doc, "matrix", n_states, n_states, path))
+        return Regularizer(matrix)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
-# Command handlers: each records the sha256 of every file it reads in
-# ``inputs`` as soon as it reads it, so a report cut short by a verdict error
-# still names them, and returns (result, verdict, warnings), which main turns
-# into the one report and the exit code; None means the handler wrote its own
-# output (generate's pipeline mode).
+# Command handlers: each loads its files through ``fileio``, records the
+# digests it returns in ``inputs`` at once, so a report cut short by a verdict
+# error still names them, and returns (result, verdict, warnings), which main
+# turns into the one report and the exit code; None means the handler wrote
+# its own output (generate's pipeline mode).
 # --------------------------------------------------------------------------
 
 
@@ -298,11 +291,9 @@ def _cmd_generate(ns, tol, inputs):
 
 def _cmd_identify(ns, tol, inputs):
     if ns.column is not None:
-        if ns.path != "-" and ns.path.endswith(".csv"):
-            raise ParseError("--column expects a JSON landscape document")
-        landscape_doc, raw, name = read_document(ns.path)
-        inputs[name] = sha256_hex(raw)
-        beliefs, column = beliefs_and_column_from_doc(landscape_doc, ns.column, name)
+        doc, name, digests = read_document(ns.path)
+        inputs.update(digests)
+        beliefs, column = beliefs_and_column_from_doc(doc, ns.column, name)
         if not ns.no_validate:
             # Q may be the one column: the identity stands in for Q, and the column's
             # entries must be probabilities.
@@ -445,15 +436,15 @@ def _cmd_partition(ns, tol, inputs):
 
 
 def _cmd_infer_state(ns, tol, inputs):
-    doc_in, raw, name = read_document(ns.path)
-    inputs[name] = sha256_hex(raw)
-    if "I" in doc_in and "prior" in doc_in:
-        env = environment_from_doc(doc_in, name)
+    doc, name, digests = read_document(ns.path)
+    inputs.update(digests)
+    if "I" in doc and "prior" in doc:
+        env = environment_from_doc(doc, name)
         if not ns.no_validate:
             _validate_or_fail("environment", validate_environment(env, tol).violations)
         structure, source = env.structure, "environment"
     else:
-        landscape = landscape_from_doc(doc_in, name)
+        landscape = landscape_from_doc(doc, name)
         if not ns.no_validate:
             _validate_or_fail("landscape", validate_landscape(landscape.B, landscape.Q, tol).violations)
         verdict = consistency_check(landscape, tol)
@@ -483,7 +474,7 @@ def _cmd_infer_state(ns, tol, inputs):
 def _cmd_selftest(ns, tol, inputs):
     from .selfcheck import run_selftest  # loads the fixtures; no other command needs either
 
-    checks = run_selftest(seed=ns.seed, trials=ns.trials)
+    checks = run_selftest(seed=ns.seed, trials=ns.trials, tol=tol)
     n_pass = sum(1 for _, ok, _ in checks if ok)
     result = {
         "passed": n_pass,
@@ -515,7 +506,7 @@ _HANDLERS = {
 # --------------------------------------------------------------------------
 
 
-def _is_matrix(value) -> bool:
+def _is_grid(value) -> bool:
     return (
         isinstance(value, list)
         and value
@@ -528,10 +519,10 @@ def _pretty_lines(value, indent: int = 0) -> list[str]:
     lines: list[str] = []
     if isinstance(value, dict):
         for key, item in value.items():
-            if isinstance(item, (dict, list)) and not _is_matrix(item) and item:
+            if isinstance(item, (dict, list)) and not _is_grid(item) and item:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_pretty_lines(item, indent + 1))
-            elif _is_matrix(item):
+            elif _is_grid(item):
                 lines.append(f"{pad}{key}:")
                 width = max(len(f"{c:.6g}") for r in item for c in r)
                 for row in item:

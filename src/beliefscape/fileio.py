@@ -1,14 +1,16 @@
 """File formats and deterministic report serialization.
 
-JSON is canonical; CSV is provided for matrices kept in spreadsheets.
-Numbers are written as decimals with 12 significant digits, which makes
-save/load round trips byte-stable after the first save. The encoder is the
-only code that rounds: documents hold unrounded values. ``dumps_report``
-formats each float block (float list or ndarray, or equal-length float lists)
-in one ``%`` call over one template of its layout, ``_g12`` each CSV row. A
-``%.12g`` token with a point and no exponent is the rounded value's JSON; only
-a block with another token (0, 1e-05, nan) goes through ``_float_tokens``. The
-JSON is byte-identical to indent-2 ``json.dumps`` of the 12-digit values.
+JSON is canonical; CSV is provided for matrices kept in spreadsheets, and a
+CSV pair is parsed as the JSON document it spells. Each input file is read
+once, by ``_read``, and its digest is of the bytes parsed. Numbers are written
+as decimals with 12 significant digits, which makes save/load round trips
+byte-stable after the first save. The encoder is the only code that rounds:
+documents hold unrounded values. ``dumps_report`` formats each float block
+(float list or ndarray, or equal-length float lists) in one ``%`` call over
+one template of its layout, ``_g12`` each CSV row. A ``%.12g`` token with a
+point and no exponent is the rounded value's JSON; only a block with another
+token (0, 1e-05, nan) goes through ``_float_tokens``. The JSON is
+byte-identical to indent-2 ``json.dumps`` of the 12-digit values.
 """
 
 from __future__ import annotations
@@ -107,10 +109,6 @@ def _encode_floats(cells: tuple, shape: tuple, newline: str) -> str:
     return text
 
 
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 # --------------------------------------------------------------------------
 # Document parsing
 # --------------------------------------------------------------------------
@@ -169,33 +167,30 @@ def _numbers(rows: list[list], key: str, source: str, vector: bool) -> np.ndarra
     return np.array(rows, dtype=float)
 
 
-def landscape_from_doc(doc: dict, source: str = "<input>") -> BeliefLandscape:
+def _beliefs_from_doc(doc: dict, source: str) -> StateBeliefMatrix:
+    """The labels and B of a landscape document: what every reader of one checks first."""
     states = _labels(doc, "states", source)
     signals = _labels(doc, "signals", source)
     b = _matrix(doc, "B", len(signals), len(states), source)
-    q = _matrix(doc, "Q", len(signals), len(signals), source)
-    return BeliefLandscape(
-        StateBeliefMatrix(b, state_labels=states, signal_labels=signals),
-        HypotheticalBeliefMatrix(q, signal_labels=signals),
-    )
+    return StateBeliefMatrix(b, state_labels=states, signal_labels=signals)
+
+
+def landscape_from_doc(doc: dict, source: str = "<input>") -> BeliefLandscape:
+    beliefs = _beliefs_from_doc(doc, source)
+    q = _matrix(doc, "Q", beliefs.n_signals, beliefs.n_signals, source)
+    return BeliefLandscape(beliefs, HypotheticalBeliefMatrix(q, beliefs.signal_labels))
 
 
 def beliefs_and_column_from_doc(
     doc: dict, column_label: str, source: str = "<input>"
 ) -> tuple[StateBeliefMatrix, np.ndarray]:
     """Beliefs plus one hypothetical column: either Q is n x 1, or pick by label."""
-    states = _labels(doc, "states", source)
-    signals = _labels(doc, "signals", source)
-    b = _matrix(doc, "B", len(signals), len(states), source)
-    beliefs = StateBeliefMatrix(b, state_labels=states, signal_labels=signals)
+    beliefs = _beliefs_from_doc(doc, source)
+    signals, n = beliefs.signal_labels, beliefs.n_signals
     rows = doc.get("Q")
-    n_cols = 0
-    if isinstance(rows, list) and rows and isinstance(rows[0], list):
-        n_cols = len(rows[0])
-    if n_cols == 1:
-        q = _matrix(doc, "Q", len(signals), 1, source)
-        return beliefs, q[:, 0]
-    q = _matrix(doc, "Q", len(signals), len(signals), source)
+    if isinstance(rows, list) and rows and isinstance(rows[0], list) and len(rows[0]) == 1:
+        return beliefs, _matrix(doc, "Q", n, 1, source)[:, 0]
+    q = _matrix(doc, "Q", n, n, source)
     if column_label not in signals:
         raise ParseError(f"{source}: no signal labelled {column_label!r}")
     return beliefs, q[:, signals.index(column_label)]
@@ -245,14 +240,29 @@ def _partner_path(path: Path, old: str, new: str) -> Path:
     return path.with_name(stem[:pos] + new + stem[pos + len(old) :] + path.suffix)
 
 
-def _read_csv_matrix(path: Path) -> tuple[list[str], list[str], np.ndarray]:
+def _read(path_or_dash: str) -> tuple[str, str, str]:
+    """(UTF-8 text, name, sha256 of the bytes decoded) of one read of a file or '-' (stdin)."""
+    if path_or_dash == "-":
+        raw, name = sys.stdin.buffer.read(), "<stdin>"
+    else:
+        name = path_or_dash
+        try:
+            raw = Path(path_or_dash).read_bytes()
+        except OSError as exc:
+            raise ParseError(f"{name}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name}: not UTF-8 text ({exc})") from None
+    return text, name, hashlib.sha256(raw).hexdigest()
+
+
+def _read_csv_matrix(path: Path, digests: dict[str, str]) -> tuple[list, list, np.ndarray]:
+    """(row labels, column labels, matrix) of one CSV file; its digest goes into ``digests``."""
     import csv  # loaded only where CSV files are read or written
 
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    rows = list(csv.reader(io.StringIO(text)))
+    text, _, digests[str(path)] = _read(str(path))
+    rows = list(csv.reader(io.StringIO(text, newline=None)))  # newlines as text mode reads them
     rows = [r for r in rows if r]
     if len(rows) < 2:
         raise ParseError(f"{path}: expected a header row and at least one data row")
@@ -291,68 +301,66 @@ def _write_csv_matrix(path: Path, row_labels, col_labels, matrix: np.ndarray) ->
         writer.writerows([label] + _g12(row.tolist()) for label, row in zip(row_labels, matrix))
 
 
-def read_document(path_or_dash: str) -> tuple[dict, bytes, str]:
-    """Read a JSON document from a path or standard input; returns (doc, raw bytes, name)."""
-    if path_or_dash == "-":
-        raw = sys.stdin.buffer.read()
-        name = "<stdin>"
-    else:
-        try:
-            raw = Path(path_or_dash).read_bytes()
-        except OSError as exc:
-            raise ParseError(f"{path_or_dash}: {exc}") from exc
-        name = path_or_dash
+def read_document(path_or_dash: str) -> tuple[dict, str, dict[str, str]]:
+    """A JSON document from a path or standard input ('-'): (doc, name, {name: sha256})."""
+    if path_or_dash.endswith(".csv"):
+        raise ParseError(f"{path_or_dash}: expected a JSON document")
+    text, name, digest = _read(path_or_dash)
     try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ParseError(f"{name}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: expected a JSON object")
-    return doc, raw, name
+    return doc, name, {name: digest}
+
+
+def _csv_pair_document(path: str, old: str, new: str) -> tuple[dict, str, dict[str, str]]:
+    """(document, name, digests) of a B/Q or I/prior pair; the partner is opened second."""
+    first_path = Path(path)
+    partner = _partner_path(first_path, old, new)
+    digests: dict[str, str] = {}
+    rows, cols, first = _read_csv_matrix(first_path, digests)
+    p_rows, p_cols, second = _read_csv_matrix(partner, digests)
+    if old == "B":
+        if p_rows != rows or p_cols != rows:
+            raise ParseError(f"{partner}: labels do not match {first_path}")
+        doc = {"states": cols, "signals": rows, "B": first.tolist(), "Q": second.tolist()}
+    else:
+        if p_cols != rows or len(p_rows) != 1:
+            raise ParseError(f"{partner}: expected one row over the state labels of {first_path}")
+        doc = {"states": rows, "signals": cols, "I": first.tolist(), "prior": second[0].tolist()}
+    return doc, str(first_path), digests
+
+
+def _load(path_or_dash: str, old: str, new: str, from_doc):
+    """``from_doc`` of a JSON document or of the CSV pair it names, and the input digests."""
+    if path_or_dash.endswith(".csv"):
+        doc, name, digests = _csv_pair_document(path_or_dash, old, new)
+    else:
+        doc, name, digests = read_document(path_or_dash)
+    return from_doc(doc, name), digests
 
 
 def load_landscape(path_or_dash: str) -> tuple[BeliefLandscape, dict[str, str]]:
     """Load a landscape from JSON ('-' for stdin) or a paired B/Q CSV file."""
-    if path_or_dash != "-" and path_or_dash.endswith(".csv"):
-        b_path = Path(path_or_dash)
-        q_path = _partner_path(b_path, "B", "Q")
-        signals, states, b = _read_csv_matrix(b_path)
-        q_rows, q_cols, q = _read_csv_matrix(q_path)
-        if q_rows != signals or q_cols != signals:
-            raise ParseError(f"{q_path}: labels do not match {b_path}")
-        landscape = BeliefLandscape(
-            StateBeliefMatrix(b, state_labels=states, signal_labels=signals),
-            HypotheticalBeliefMatrix(q, signal_labels=signals),
-        )
-        digests = {
-            str(b_path): sha256_hex(b_path.read_bytes()),
-            str(q_path): sha256_hex(q_path.read_bytes()),
-        }
-        return landscape, digests
-    doc, raw, name = read_document(path_or_dash)
-    return landscape_from_doc(doc, name), {name: sha256_hex(raw)}
+    return _load(path_or_dash, "B", "Q", landscape_from_doc)
 
 
 def load_environment(path_or_dash: str) -> tuple[InformationalEnvironment, dict[str, str]]:
     """Load an environment from JSON ('-' for stdin) or paired I/prior CSV files."""
-    if path_or_dash != "-" and path_or_dash.endswith(".csv"):
-        i_path = Path(path_or_dash)
-        p_path = _partner_path(i_path, "I", "prior")
-        states, signals, structure = _read_csv_matrix(i_path)
-        p_rows, p_cols, prior = _read_csv_matrix(p_path)
-        if p_cols != states or prior.shape[0] != 1:
-            raise ParseError(f"{p_path}: expected one row over the state labels of {i_path}")
-        env = InformationalEnvironment(
-            InformationStructure(structure, state_labels=states, signal_labels=signals),
-            Prior(prior[0], state_labels=states),
-        )
-        digests = {
-            str(i_path): sha256_hex(i_path.read_bytes()),
-            str(p_path): sha256_hex(p_path.read_bytes()),
-        }
-        return env, digests
-    doc, raw, name = read_document(path_or_dash)
-    return environment_from_doc(doc, name), {name: sha256_hex(raw)}
+    return _load(path_or_dash, "I", "prior", environment_from_doc)
+
+
+def load_matrix(path: str, n_rows: int, n_cols: int) -> tuple[np.ndarray, dict[str, str]]:
+    """An n_rows x n_cols matrix from JSON {"matrix": rows} or a labelled CSV matrix; digests."""
+    if path.endswith(".csv"):
+        digests: dict[str, str] = {}
+        doc = {"matrix": _read_csv_matrix(Path(path), digests)[2].tolist()}
+        name = str(Path(path))
+    else:
+        doc, name, digests = read_document(path)
+    return _matrix(doc, "matrix", n_rows, n_cols, name), digests
 
 
 def save_landscape(landscape: BeliefLandscape, path: str) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixtures
-from .core import DEFAULT_TOLERANCES, validate_landscape
+from .core import DEFAULT_TOLERANCES, Tolerances, validate_landscape
 from .forward import generate_landscape, sample_environment, signal_marginal
 from .inverse import (
     consistency_check,
@@ -25,8 +25,10 @@ def _close(a, b, tol=1e-8) -> bool:
     return a.shape == b.shape and float(np.max(np.abs(a - b))) <= tol
 
 
-def run_selftest(seed: int = 0, trials: int = 50) -> list[tuple[str, bool, str]]:
-    tol = DEFAULT_TOLERANCES
+def run_selftest(
+    seed: int = 0, trials: int = 50, tol: Tolerances = DEFAULT_TOLERANCES
+) -> list[tuple[str, bool, str]]:
+    """(name, ok, detail) of every check, each library call made with ``tol``."""
     results: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -35,7 +37,7 @@ def run_selftest(seed: int = 0, trials: int = 50) -> list[tuple[str, bool, str]]
     land = fixtures.truth_or_noise_landscape(0.3)
     report = validate_landscape(land.B, land.Q, tol)
     check("truth-or-noise landscape plausible", report.plausible)
-    result = identify(land)
+    result = identify(land, tol)
     env = fixtures.truth_or_noise_environment(0.3)
     check(
         "truth-or-noise identification",
@@ -46,14 +48,14 @@ def run_selftest(seed: int = 0, trials: int = 50) -> list[tuple[str, bool, str]]
 
     check(
         "symmetric binary a=b=5/8 consistent",
-        consistency_check(fixtures.symmetric_binary_landscape(5 / 8, 5 / 8)).consistent,
+        consistency_check(fixtures.symmetric_binary_landscape(5 / 8, 5 / 8), tol).consistent,
     )
     check(
         "symmetric binary a=b=9/16 inconsistent",
-        not consistency_check(fixtures.symmetric_binary_landscape(9 / 16, 9 / 16)).consistent,
+        not consistency_check(fixtures.symmetric_binary_landscape(9 / 16, 9 / 16), tol).consistent,
     )
 
-    under = identify_underdetermined(fixtures.two_signal_three_state_landscape())
+    under = identify_underdetermined(fixtures.two_signal_three_state_landscape(), tol)
     check(
         "two-signal/three-state minimum-norm route",
         _close(under.ridge_limit, fixtures.TWO_SIGNAL_THREE_STATE_RIDGE_LIMIT)
@@ -77,11 +79,11 @@ def run_selftest(seed: int = 0, trials: int = 50) -> list[tuple[str, bool, str]]
         """2-5 states, at least as many signals, and its landscape."""
         n_states = int(rng.integers(2, 6))
         env = sample_environment(rng, n_states, int(rng.integers(n_states, 9)))
-        return env, generate_landscape(env)
+        return env, generate_landscape(env, tol)
 
     def regression_error() -> float:
         env, land = draw_environment()
-        res = identify(land)
+        res = identify(land, tol)
         return max(
             gap(res.structure.entries, env.structure.entries),
             gap(res.prior.unique_prior.entries, env.prior.entries),
@@ -90,12 +92,12 @@ def run_selftest(seed: int = 0, trials: int = 50) -> list[tuple[str, bool, str]]
     def minimum_norm_error() -> float:
         n_states = int(rng.integers(3, 7))
         env = sample_environment(rng, n_states, n_states - 1)
-        und = identify_underdetermined(generate_landscape(env))
+        und = identify_underdetermined(generate_landscape(env, tol), tol)
         return max(und.residual, gap(und.prior.unique_prior.entries, env.prior.entries))
 
     def signal_priors_gap() -> float:
         env, land = draw_environment()
-        sp, reg = signal_priors_identify(land), identify(land)
+        sp, reg = signal_priors_identify(land, tol), identify(land, tol)
         return max(
             gap(sp.structure.entries, reg.structure.entries),
             gap(sp.prior.unique_prior.entries, reg.prior.unique_prior.entries),

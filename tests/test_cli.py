@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from beliefscape.fileio import (
     save_environment,
     save_landscape,
 )
+from test_identify import no_eigenvalue_one_landscape
 
 
 @pytest.fixture
@@ -410,6 +412,37 @@ class TestMoreCommands:
         assert "state" not in doc["result"]
         assert doc["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
+    def test_reduce_on_a_full_rank_landscape_is_trivial(self, workdir, capsys):
+        path = workdir / "ton.json"
+        save_landscape(fixtures.truth_or_noise_landscape(0.5), str(path))
+        code, out = run_cli(["reduce", path], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert "verdict" not in doc
+        assert doc["result"]["trivial"] is True
+        assert doc["result"]["removed_states"] == []
+        assert "consistency" not in doc["result"]
+
+    @pytest.mark.parametrize("command", ["check", "identify", "sp", "ridge"])
+    def test_no_eigenvalue_one_past_validation(self, workdir, command, capsys):
+        # B = I, Q = [[0.5, 0.2], [0.1, 0.3]]: Q is not stochastic, so only
+        # --no-validate lets it through, and A = Qᵀ has no eigenvalue 1.
+        path = workdir / "no_eigenvalue_one.json"
+        save_landscape(no_eigenvalue_one_landscape(), str(path))
+        code, out = run_cli([command, "--no-validate", path], capsys)
+        doc = json.loads(out)
+        assert code == 2
+        result = doc["result"]
+        if command in ("check", "identify"):
+            assert doc["verdict"] == "inconsistent"
+            assert "prior" not in result
+            assert not [k for k in result["diagnostics"] if k.startswith("roundtrip_")]
+            failed = result["failed"] if command == "check" else result["consistency"]["failed"]
+            assert failed == ["prior", "reproduction"]
+        else:
+            assert doc["verdict"] == "infeasible"
+            assert result["error"] == "NotModelGeneratedError"
+
     def test_infer_state_from_environment(self, workdir, capsys):
         code, out = run_cli(
             ["infer-state", workdir / "env.json", "--signal", "reveal-th2", "--share", "0.5"],
@@ -500,9 +533,17 @@ class TestMoreCommands:
         assert doc["verdict"] == "pass"
         assert doc["result"]["failed"] == 0
 
+    def test_selftest_honors_the_tolerances(self, capsys):
+        code, out = run_cli(["selftest", "--tol-match", "1e-30", "--trials", "1"], capsys)
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (1, "fail")
+        assert doc["tolerances"]["match"] == 1e-30
+        failed = [c["name"] for c in doc["result"]["checks"] if not c["ok"]]
+        assert "symmetric binary a=b=5/8 consistent" in failed
+
     def test_failed_selftest_exits_1(self, monkeypatch, capsys):
         checks = [("round trip", True, ""), ("prior injectivity", False, "worst 0.3")]
-        monkeypatch.setattr("beliefscape.selfcheck.run_selftest", lambda seed, trials: checks)
+        monkeypatch.setattr("beliefscape.selfcheck.run_selftest", lambda seed, trials, tol: checks)
         code, out = run_cli(["selftest"], capsys)
         assert code == 1
         doc = json.loads(out)
@@ -746,6 +787,37 @@ class TestBadInput:
         assert out == ""
         assert err.startswith(f"beliefscape: error: {reg}: ")
         assert re.search(message, err)
+
+    NOT_UTF8 = (
+        "not UTF-8 text ('utf-8' codec can't decode byte 0xe9 in position 21:"
+        " invalid continuation byte)"
+    )
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["infer-state", "env.json", "--signal", "zz", "--share", "0.5"],
+             "no signal labelled 'zz'"),
+            (["identify", "--column", "zz", "a916.json"], "no signal labelled 'zz'"),
+            (["infer-state", "crowd_B.csv", "--signal", "s1", "--share", "0.5"],
+             "expected a JSON document"),
+            (["identify", "--column", "s1", "crowd_B.csv"], "expected a JSON document"),
+            (["check", "latin1_B.csv"], NOT_UTF8),
+            (["generate", "latin1_I.csv"], NOT_UTF8),
+            (["ridge", "scarce.json", "--reg", "latin1.csv"], NOT_UTF8),
+        ],
+        ids=["infer_state_signal", "column_signal", "infer_state_csv", "column_csv",
+             "check_latin1", "generate_latin1", "ridge_reg_latin1"],
+    )
+    def test_unreadable_input_is_one_error_line(self, workdir, args, message, capsys,
+                                                 monkeypatch):
+        monkeypatch.chdir(workdir)
+        save_landscape(fixtures.truth_or_noise_landscape(0.5), "crowd_B.csv")
+        for name in ("latin1_B.csv", "latin1_Q.csv", "latin1_I.csv", "latin1.csv"):
+            Path(name).write_bytes(",th1,th2\ns1,0.5,0.5\nsé,0.5,0.5\n".encode("latin-1"))
+        path = args[1] if args[0] == "infer-state" else args[-1]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"beliefscape: error: {path}: {message}\n")
 
     def test_csv_regularizer_is_read(self, workdir, capsys):
         reg = workdir / "reg.csv"

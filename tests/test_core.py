@@ -173,6 +173,19 @@ MALFORMED = {
         SignalMarginal, ([0.5, 0.5], ("a", "a")),
         "signals: duplicate labels",
     ),
+    "landscape-signal-labels": (
+        BeliefLandscape,
+        (
+            StateBeliefMatrix(np.eye(2), None, ("a", "b")),
+            HypotheticalBeliefMatrix(np.eye(2), ("a", "c")),
+        ),
+        "signal axis: B and Q carry different signal labels",
+    ),
+    "environment-state-labels": (
+        InformationalEnvironment,
+        (InformationStructure(np.eye(2), ("a", "b")), Prior([0.5, 0.5], ("a", "c"))),
+        "state axis: structure and prior carry different state labels",
+    ),
 }
 
 
@@ -337,6 +350,15 @@ class TestValidateEnvironment:
         report = validate_environment(env)
         assert report.plausible
         assert report.prior_interior
+
+    @pytest.mark.parametrize(
+        "prior, described",
+        [((1.2, -0.2), "negative entry at prior[th2]: -0.2"), ((0.5, 0.6), "sum at prior: 1.1")],
+    )
+    def test_prior_off_the_simplex_described(self, prior, described):
+        env = InformationalEnvironment(InformationStructure(np.eye(2)), Prior(prior))
+        report = validate_environment(env)
+        assert [v.describe() for v in report.violations] == [described]
 
     def test_boundary_prior_not_interior(self):
         env = InformationalEnvironment(InformationStructure(np.eye(2)), Prior([1.0, 0.0]))

@@ -10,11 +10,16 @@ named by its place.
 
 from __future__ import annotations
 
+import builtins
+import collections
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import os
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +41,7 @@ from beliefscape import (
 from beliefscape.fileio import (
     ParseError,
     _read_csv_matrix,
+    beliefs_and_column_from_doc,
     dumps_report,
     environment_from_doc,
     environment_to_doc,
@@ -43,6 +49,8 @@ from beliefscape.fileio import (
     landscape_to_doc,
     load_environment,
     load_landscape,
+    load_matrix,
+    read_document,
     round12,
     save_environment,
     save_landscape,
@@ -322,9 +330,9 @@ def test_csv_cells_follow_float_parsing(cell, tmp_path):
         expected = float(cell)
     except ValueError:
         with pytest.raises(ParseError, match=r"non-numeric cell at row 3, column 3$"):
-            _read_csv_matrix(path)
+            _read_csv_matrix(path, {})
         return
-    rows, columns, data = _read_csv_matrix(path)
+    rows, columns, data = _read_csv_matrix(path, {})
     assert (rows, columns) == (["r1", "r2"], ["a", "b"])
     np.testing.assert_array_equal(data, [[0.5, 0.5], [0.25, expected]])
 
@@ -341,4 +349,138 @@ def test_first_bad_csv_row_or_cell_is_named(text, message, tmp_path):
     path = tmp_path / "m.csv"
     path.write_text(text)
     with pytest.raises(ParseError, match=f"{message}$"):
-        _read_csv_matrix(path)
+        _read_csv_matrix(path, {})
+
+
+# --------------------------------------------------------------------------
+# Reading files: one read per file, every rejection named and located
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "parse, doc, message",
+    [
+        (landscape_from_doc, {"states": [], "signals": ["s1"]},
+         "'states' must be a non-empty list of strings"),
+        (environment_from_doc,
+         {"states": ["a", "b", "c"], "signals": ["s1"], "I": [[1], [1], [1]], "prior": [0.5, 0.5]},
+         "'prior' must have 3 entries, got 2"),
+        (functools.partial(beliefs_and_column_from_doc, column_label="zz"),
+         {"states": ["a"], "signals": ["s1", "s2"], "B": [[1], [1]], "Q": [[1, 0], [0, 1]]},
+         "no signal labelled 'zz'"),
+    ],
+    ids=["no_states", "short_prior", "unknown_column"],
+)
+def test_bad_document_is_named(parse, doc, message):
+    with pytest.raises(ParseError) as info:
+        parse(doc, source="doc.json")
+    assert str(info.value) == f"doc.json: {message}"
+
+
+B_CSV = ",th1,th2\ns1,0.75,0.25\ns2,0.25,0.75\n"
+
+
+@pytest.mark.parametrize(
+    "files, load, message",
+    [
+        ({"crowd.csv": B_CSV}, load_landscape,
+         "crowd.csv: cannot derive the companion file; expected 'B' in the name"),
+        ({"x_B.csv": ",th1,th2\n"}, load_landscape,
+         "x_B.csv: expected a header row and at least one data row"),
+        ({"x_B.csv": ",th1,\ns1,1,0\n"}, load_landscape,
+         "x_B.csv: header must be a leading blank cell then column labels"),
+        ({"x_B.csv": ",th1,th1\ns1,1,0\n"}, load_landscape,
+         "x_B.csv: duplicate column label in header"),
+        ({"x_B.csv": ",th1,th2\ns1,1,0\ns1,0,1\n"}, load_landscape, "x_B.csv: duplicate row label"),
+        ({"x_B.csv": B_CSV, "x_Q.csv": ",s1,s3\ns1,0.5,0.5\ns3,0.5,0.5\n"}, load_landscape,
+         "x_Q.csv: labels do not match {dir}/x_B.csv"),
+        ({"x_I.csv": ",s1,s2\nth1,1,0\nth2,0,1\n", "x_prior.csv": ",th1,th3\nprior,0.5,0.5\n"},
+         load_environment, "x_prior.csv: expected one row over the state labels of {dir}/x_I.csv"),
+        ({"x.json": "{"}, load_landscape, "x.json: invalid JSON (Expecting property name"
+         " enclosed in double quotes: line 1 column 2 (char 1))"),
+    ],
+    ids=["no_partner", "no_rows", "blank_label", "duplicate_column", "duplicate_row",
+         "pair_labels", "prior_labels", "invalid_json"],
+)
+def test_bad_file_is_named(tmp_path, files, load, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    first = tmp_path / next(iter(files))
+    expected = f"{tmp_path}/{message.format(dir=tmp_path)}"
+    with pytest.raises(ParseError) as info:
+        load(str(first))
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(
+    "name, load",
+    [
+        ("x_B.csv", load_landscape),
+        ("x_I.csv", load_environment),
+        ("reg.csv", lambda path: load_matrix(path, 2, 2)),
+        ("x.json", load_landscape),
+    ],
+    ids=["landscape", "environment", "matrix", "json"],
+)
+def test_non_utf8_file_is_a_parse_error(tmp_path, name, load):
+    path = tmp_path / name
+    path.write_bytes(",th1,th2\ns1,0.5,0.5\nsé,0.5,0.5\n".encode("latin-1"))
+    with pytest.raises(ParseError) as info:
+        load(str(path))
+    assert str(info.value).startswith(f"{path}: not UTF-8 text (")
+
+
+def test_document_from_standard_input(monkeypatch):
+    raw = dumps_report(_landscape_doc()).encode()
+    monkeypatch.setattr("sys.stdin", types.SimpleNamespace(buffer=io.BytesIO(raw)))
+    doc, name, digests = read_document("-")
+    assert (doc, name) == (json.loads(raw), "<stdin>")
+    assert digests == {"<stdin>": hashlib.sha256(raw).hexdigest()}
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """How often each file is opened for reading, by path; every open goes through io.open."""
+    counts = collections.Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            counts[str(file)] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return counts
+
+
+def _digests(*paths) -> dict[str, str]:
+    return {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+def test_each_input_file_is_read_once(tmp_path, reads, capsys):
+    land, env = fixtures.truth_or_noise_landscape(0.5), fixtures.truth_or_noise_environment(0.5)
+    for name in ("crowd_B.csv", "crowd.json"):
+        save_landscape(land, str(tmp_path / name))
+    for name in ("crowd_I.csv", "env.json"):
+        save_environment(env, str(tmp_path / name))
+    cases = [
+        (load_landscape, "crowd_B.csv", ["crowd_B.csv", "crowd_Q.csv"]),
+        (load_landscape, "crowd.json", ["crowd.json"]),
+        (load_environment, "crowd_I.csv", ["crowd_I.csv", "crowd_prior.csv"]),
+        (load_environment, "env.json", ["env.json"]),
+    ]
+    for load, name, files in cases:
+        expected = _digests(*[tmp_path / f for f in files])
+        reads.clear()
+        assert load(str(tmp_path / name))[1] == expected
+        assert reads == {path: 1 for path in expected}
+
+    scarce, reg = tmp_path / "scarce.json", tmp_path / "reg.csv"
+    save_landscape(fixtures.two_signal_three_state_landscape(), str(scarce))
+    reg.write_text(",a,b,c\na,1,0,0\nb,0,1,0\nc,0,0,2\n")
+    expected = _digests(scarce, reg)
+    reads.clear()
+    assert cli.main(["ridge", str(scarce), "--reg", str(reg)]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"] == expected
+    assert reads == {path: 1 for path in expected}

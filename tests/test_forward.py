@@ -84,6 +84,13 @@ class TestHypotheticalMatrix:
         with pytest.raises(StructuralError, match="state axis"):
             hypothetical_matrix(structure, beliefs)
 
+    def test_signal_label_mismatch_rejected(self):
+        structure = InformationStructure(np.eye(2), signal_labels=("x", "y"))
+        beliefs = StateBeliefMatrix(np.eye(2))
+        message = "^signal axis: beliefs and structure carry different signal labels$"
+        with pytest.raises(StructuralError, match=message):
+            hypothetical_matrix(structure, beliefs)
+
 
 class TestSignalMarginal:
     def test_truth_or_noise(self):

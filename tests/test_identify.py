@@ -11,6 +11,7 @@ from beliefscape import (
     HypotheticalBeliefMatrix,
     InformationalEnvironment,
     InformationStructure,
+    NotModelGeneratedError,
     Prior,
     RankDeficientError,
     StateBeliefMatrix,
@@ -31,6 +32,7 @@ from beliefscape import (
     rationalize_noncommon,
     reconstruct_from_prior,
     sample_environment,
+    signal_priors_identify,
 )
 from beliefscape import fixtures, inverse
 from beliefscape.fileio import dumps_report, landscape_from_doc, landscape_to_doc
@@ -466,3 +468,44 @@ class TestRationalization:
         q = HypotheticalBeliefMatrix([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(StructureSupportError, match="s1"):
             rationalize_noncommon(BeliefLandscape(beliefs, q))
+
+
+def no_eigenvalue_one_landscape() -> BeliefLandscape:
+    """B = I and Q = [[0.5, 0.2], [0.1, 0.3]]: A = Qᵀ has eigenvalues 0.57 and 0.23.
+
+    Validated input never gets here: for row-stochastic B and Q, A shares its
+    nonzero spectrum with QᵀBB⁺, which has 1ᵀ as a left eigenvector.
+    """
+    q = HypotheticalBeliefMatrix([[0.5, 0.2], [0.1, 0.3]])
+    return BeliefLandscape(StateBeliefMatrix(np.eye(2)), q)
+
+
+class TestNoEigenvalueOne:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (identify, "the peer-accuracy matrix has no eigenvalue-1 eigenvector"),
+            (identify_underdetermined, "the peer-accuracy matrix has no eigenvalue-1 eigenvector"),
+            (
+                lambda land: identify_prior(land.B, InformationStructure(land.Q.entries)),
+                "the peer-accuracy matrix has no eigenvalue-1 eigenvector",
+            ),
+            (
+                signal_priors_identify,
+                "the hypothetical matrix has no stationary signal distribution",
+            ),
+        ],
+        ids=["identify", "identify_underdetermined", "identify_prior", "signal_priors_identify"],
+    )
+    def test_no_prior_is_a_finding(self, call, message):
+        with pytest.raises(NotModelGeneratedError, match=f"^{message}$"):
+            call(no_eigenvalue_one_landscape())
+
+    def test_consistency_check_fails_prior_and_reproduction(self):
+        verdict = consistency_check(no_eigenvalue_one_landscape())
+        assert not verdict.consistent
+        assert verdict.failed == ("prior", "reproduction")
+        assert verdict.identification.prior is None
+        diagnostics = verdict.identification.diagnostics
+        assert diagnostics.roundtrip_belief_error is None
+        assert diagnostics.roundtrip_hypothetical_error is None

@@ -203,6 +203,18 @@ class TestRidgeSolution:
         # exactly singular, though eigvalsh puts its smallest eigenvalue a rounding above 0
         with pytest.raises(ValueError, match="positive definite"):
             Regularizer([[1.0, 3.0, 0.0], [3.0, 9.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^regularizer must be square, got shape \(2, 3\)$"):
+            Regularizer([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        beliefs = fixtures.two_signal_three_state_landscape().B.entries
+        message = r"^regularizer shape \(2, 2\) does not match 3 columns$"
+        with pytest.raises(ValueError, match=message):
+            min_norm_solution(beliefs, np.eye(2), reg=np.eye(2))
+
+
+@pytest.mark.parametrize("function", [irreducibility, unit_eigenvector_eigenvalue_one])
+def test_square_matrix_required(function):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        function(np.ones((2, 3)))
 
 
 class TestNullSpace:

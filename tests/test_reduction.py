@@ -7,6 +7,7 @@ from beliefscape import (
     InformationalEnvironment,
     NotConvexDependentError,
     StateBeliefMatrix,
+    StructuralError,
     generate_landscape,
     identify,
     posterior_matrix,
@@ -58,6 +59,13 @@ class TestSplitStateFixture:
         np.testing.assert_allclose(
             reduced_land.B.entries, fixtures.SPLIT_STATE_REDUCED_B, atol=1e-12
         )
+
+
+    def test_embedding_needs_the_reduced_state_count(self):
+        reduction = reduce_dependencies(fixtures.split_state_landscape())
+        full = fixtures.split_state_embedded_environment()  # four states, not the three kept
+        with pytest.raises(StructuralError, match="^state axis: expected 3 reduced states"):
+            reduction.embed(full.structure, full.prior)
 
 
 class TestGeneralReduction:
