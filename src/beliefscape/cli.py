@@ -506,7 +506,7 @@ _HANDLERS = {
 # --------------------------------------------------------------------------
 
 
-def _is_grid(value) -> bool:
+def _is_matrix(value) -> bool:
     return (
         isinstance(value, list)
         and value
@@ -519,10 +519,10 @@ def _pretty_lines(value, indent: int = 0) -> list[str]:
     lines: list[str] = []
     if isinstance(value, dict):
         for key, item in value.items():
-            if isinstance(item, (dict, list)) and not _is_grid(item) and item:
+            if isinstance(item, (dict, list)) and not _is_matrix(item) and item:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_pretty_lines(item, indent + 1))
-            elif _is_grid(item):
+            elif _is_matrix(item):
                 lines.append(f"{pad}{key}:")
                 width = max(len(f"{c:.6g}") for r in item for c in r)
                 for row in item:

@@ -257,8 +257,11 @@ def _read(path_or_dash: str) -> tuple[str, str, str]:
     return text, name, hashlib.sha256(raw).hexdigest()
 
 
-def _read_csv_matrix(path: Path, digests: dict[str, str]) -> tuple[list, list, np.ndarray]:
-    """(row labels, column labels, matrix) of one CSV file; its digest goes into ``digests``."""
+def _read_csv_matrix(path: str | Path, digests: dict[str, str]) -> tuple[list, list, np.ndarray]:
+    """(row labels, column labels, matrix) of one CSV file.
+
+    Its sha256 goes into ``digests`` under ``str(path)``, the name its errors give.
+    """
     import csv  # loaded only where CSV files are read or written
 
     text, _, digests[str(path)] = _read(str(path))
@@ -315,28 +318,32 @@ def read_document(path_or_dash: str) -> tuple[dict, str, dict[str, str]]:
     return doc, name, {name: digest}
 
 
-def _csv_pair_document(path: str, old: str, new: str) -> tuple[dict, str, dict[str, str]]:
-    """(document, name, digests) of a B/Q or I/prior pair; the partner is opened second."""
-    first_path = Path(path)
-    partner = _partner_path(first_path, old, new)
-    digests: dict[str, str] = {}
-    rows, cols, first = _read_csv_matrix(first_path, digests)
-    p_rows, p_cols, second = _read_csv_matrix(partner, digests)
-    if old == "B":
-        if p_rows != rows or p_cols != rows:
-            raise ParseError(f"{partner}: labels do not match {first_path}")
-        doc = {"states": cols, "signals": rows, "B": first.tolist(), "Q": second.tolist()}
-    else:
-        if p_cols != rows or len(p_rows) != 1:
-            raise ParseError(f"{partner}: expected one row over the state labels of {first_path}")
-        doc = {"states": rows, "signals": cols, "I": first.tolist(), "prior": second[0].tolist()}
-    return doc, str(first_path), digests
+def _landscape_csv(path: Path, digests: dict[str, str]) -> dict:
+    """The landscape document of a B/Q CSV pair; the Q file is opened after B parses."""
+    q_path = _partner_path(path, "B", "Q")
+    signals, states, b = _read_csv_matrix(path, digests)
+    q_rows, q_cols, q = _read_csv_matrix(q_path, digests)
+    if q_rows != signals or q_cols != signals:
+        raise ParseError(f"{q_path}: labels do not match {path}")
+    return {"states": states, "signals": signals, "B": b.tolist(), "Q": q.tolist()}
 
 
-def _load(path_or_dash: str, old: str, new: str, from_doc):
-    """``from_doc`` of a JSON document or of the CSV pair it names, and the input digests."""
+def _environment_csv(path: Path, digests: dict[str, str]) -> dict:
+    """The environment document of an I/prior CSV pair; the prior file is opened after I parses."""
+    p_path = _partner_path(path, "I", "prior")
+    states, signals, structure = _read_csv_matrix(path, digests)
+    p_rows, p_cols, prior = _read_csv_matrix(p_path, digests)
+    if p_cols != states or len(p_rows) != 1:
+        raise ParseError(f"{p_path}: expected one row over the state labels of {path}")
+    prior = prior[0].tolist()
+    return {"states": states, "signals": signals, "I": structure.tolist(), "prior": prior}
+
+
+def _load(path_or_dash: str, csv_doc, from_doc):
+    """``from_doc`` of a JSON document or of the CSV pair ``csv_doc`` reads; the input digests."""
     if path_or_dash.endswith(".csv"):
-        doc, name, digests = _csv_pair_document(path_or_dash, old, new)
+        path, digests = Path(path_or_dash), {}
+        doc, name = csv_doc(path, digests), str(path)
     else:
         doc, name, digests = read_document(path_or_dash)
     return from_doc(doc, name), digests
@@ -344,20 +351,19 @@ def _load(path_or_dash: str, old: str, new: str, from_doc):
 
 def load_landscape(path_or_dash: str) -> tuple[BeliefLandscape, dict[str, str]]:
     """Load a landscape from JSON ('-' for stdin) or a paired B/Q CSV file."""
-    return _load(path_or_dash, "B", "Q", landscape_from_doc)
+    return _load(path_or_dash, _landscape_csv, landscape_from_doc)
 
 
 def load_environment(path_or_dash: str) -> tuple[InformationalEnvironment, dict[str, str]]:
     """Load an environment from JSON ('-' for stdin) or paired I/prior CSV files."""
-    return _load(path_or_dash, "I", "prior", environment_from_doc)
+    return _load(path_or_dash, _environment_csv, environment_from_doc)
 
 
 def load_matrix(path: str, n_rows: int, n_cols: int) -> tuple[np.ndarray, dict[str, str]]:
     """An n_rows x n_cols matrix from JSON {"matrix": rows} or a labelled CSV matrix; digests."""
     if path.endswith(".csv"):
         digests: dict[str, str] = {}
-        doc = {"matrix": _read_csv_matrix(Path(path), digests)[2].tolist()}
-        name = str(Path(path))
+        doc, name = {"matrix": _read_csv_matrix(path, digests)[2].tolist()}, path
     else:
         doc, name, digests = read_document(path)
     return _matrix(doc, "matrix", n_rows, n_cols, name), digests

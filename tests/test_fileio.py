@@ -440,17 +440,25 @@ def test_document_from_standard_input(monkeypatch):
 
 @pytest.fixture
 def reads(monkeypatch):
-    """How often each file is opened for reading, by path; every open goes through io.open."""
+    """How often each file is opened for reading, by path.
+
+    ``Path.read_bytes`` and ``read_text`` open through ``Path.open`` on every
+    supported Python (3.10's pathlib binds ``io.open`` at import, so a patched
+    ``io.open`` would not see them); a bare ``open(...)`` goes through
+    ``builtins.open``. Counting at those two places sees each open once.
+    """
     counts = collections.Counter()
-    real_open = io.open
 
-    def counting_open(file, mode="r", *args, **kwargs):
-        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
-            counts[str(file)] += 1
-        return real_open(file, mode, *args, **kwargs)
+    def counting(real_open):
+        def counting_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+                counts[str(file)] += 1
+            return real_open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(io, "open", counting_open)
-    monkeypatch.setattr(builtins, "open", counting_open)
+        return counting_open
+
+    monkeypatch.setattr(Path, "open", counting(Path.open))
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
     return counts
 
 
