@@ -91,7 +91,8 @@ class Tolerances:
                 raise ValueError(f"{field.name} must be positive and finite")
 
     def rank_cutoff(self, singular_values: np.ndarray) -> float:
-        return self.tol_rank * max(np.ravel(singular_values).tolist(), default=0.0)
+        """The cutoff for singular values in descending order, as LAPACK returns them."""
+        return self.tol_rank * singular_values[0] if singular_values.size else 0.0
 
 
 DEFAULT_TOLERANCES = Tolerances()

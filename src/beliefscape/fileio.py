@@ -90,7 +90,8 @@ def _encode(value, newline: str) -> str:
                 shape = (len(value), len(value[0]))
                 return _encode_floats(tuple([c for row in value for c in row]), shape, newline)
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in value]) + newline + "]"
+        body = map(_quote, value) if types == {str} else [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
     if isinstance(value, (float, np.floating)):
         return json.dumps(round12(float(value)))
     return json.dumps(int(value) if isinstance(value, np.integer) else value)

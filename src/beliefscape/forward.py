@@ -36,10 +36,15 @@ def _bayes(structure: np.ndarray, prior: np.ndarray, tol: Tolerances) -> tuple:
     """Bayes' rule on arrays: (surviving-signal mask, posteriors, peer predictions).
 
     Survivors have marginal above ``tol_entry``. Builds no objects, emits no warnings.
+    The mask indexes only when a signal drops. Unmasked, the operands keep the layout
+    ``a[:, mask]`` gives them, since a product's rounding follows its operands' layout.
     """
     joint = prior[:, None] * structure
     marginal = joint.sum(axis=0)
     keep = marginal > tol.tol_entry
+    if keep.all():
+        beliefs = np.ascontiguousarray(joint.T) / marginal[:, None]
+        return keep, beliefs, beliefs @ np.asfortranarray(structure)
     beliefs = joint[:, keep].T / marginal[keep][:, None]
     return keep, beliefs, beliefs @ structure[:, keep]
 

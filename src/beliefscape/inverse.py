@@ -303,7 +303,7 @@ def consistency_check(
     if failed:
         shown = _tidy_structure(x, tol)
     else:
-        structure = np.clip(judged, 0.0, 1.0)
+        structure = judged.clip(0.0, 1.0)
         shown = structure, True, int(np.count_nonzero(structure != judged)), ()
         accuracy = landscape.B.entries.T @ structure.T  # the peer accuracy of what was judged
     found = _identification(landscape.B, x, landscape.Q.entries, shown, prior, accuracy, gaps, kind)
@@ -383,18 +383,31 @@ def _bayes_structure(b: np.ndarray, weights: np.ndarray, prior: np.ndarray) -> n
 def _bayes_step(
     landscape: BeliefLandscape, p: np.ndarray, tol: Tolerances
 ) -> tuple[str, np.ndarray, tuple[float, float]]:
-    """Bayes' rule with prior p: the restoration kind, the structure before clipping, its gaps."""
+    """Bayes' rule with prior p: the restoration kind, the structure before clipping, its gaps.
+
+    The mask indexes only when some state is unseen. Unmasked, B is taken in the
+    Fortran order that ``B[:, seen]`` has, so the products round as they do masked.
+    """
     seen = p > tol.tol_entry
-    b, q = landscape.B.entries[:, seen], landscape.Q.entries
-    gram = (b / p[seen]) @ b.T  # Q = gram @ diag(m)
+    every = bool(seen.all())
+    if every:
+        b, p_seen = np.asfortranarray(landscape.B.entries), p
+    else:
+        b, p_seen = landscape.B.entries[:, seen], p[seen]
+    q = landscape.Q.entries
+    gram = (b / p_seen) @ b.T  # Q = gram @ diag(m)
     fit = (gram * gram).sum(axis=0)
-    weights = np.divide((gram * q).sum(axis=0), fit, out=np.zeros_like(fit), where=fit > 0)
-    structure = np.full((landscape.n_states, landscape.n_signals), 1.0 / landscape.n_signals)
-    structure[seen] = _bayes_structure(b, weights, p[seen])
+    weights = np.divide((gram * q).sum(axis=0), fit, out=np.zeros(fit.shape), where=fit > 0)
+    rows = _bayes_structure(b, weights, p_seen)
+    if every:
+        structure = rows
+    else:
+        structure = np.full((landscape.n_states, landscape.n_signals), 1.0 / landscape.n_signals)
+        structure[seen] = rows
     gaps = _roundtrip_errors(landscape, structure, p, tol)
     if structure.min() < -tol.tol_entry or max(gaps) > tol.tol_match:
         return "infeasible", structure, gaps
-    return ("unique" if seen.all() else "family"), structure, gaps
+    return ("unique" if every else "family"), structure, gaps
 
 
 def _judge(landscape: BeliefLandscape, tol: Tolerances):
@@ -442,7 +455,7 @@ def identify_underdetermined(
         ridge_limit=x,
         null_basis=landscape.B._svd.null_basis(tol),
         prior=prior,
-        restored=RestorationResult(kind, None if judged is None else np.clip(judged, 0.0, 1.0)),
+        restored=RestorationResult(kind, None if judged is None else judged.clip(0.0, 1.0)),
         residual=float(np.abs(landscape.B.entries @ x - landscape.Q.entries).max()),
         state_labels=landscape.state_labels,
         signal_labels=landscape.signal_labels,

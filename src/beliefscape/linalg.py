@@ -3,12 +3,15 @@
 Least squares, minimum-norm and ridge solves with general regularizers,
 nonnegative least squares, null spaces, eigenvalue-1 eigenvector extraction,
 and irreducibility analysis. Rank tests, null spaces and every solve read one
-SVD of the matrix (``_SVD``; a belief matrix keeps its own). ``_SVD.solve`` is
-the one solve, for the minimum-norm and the ridge solutions alike and for each
-step of ``_nnls``, Lawson and Hanson's active-set method; a factorization
-whitened by a regularizer keeps the Cholesky factor that maps its solutions
-back. The normal-equation formulas define the values, not the algorithms.
-Everything here, and everything the package runs, is numpy.
+SVD of the matrix (``_SVD``; a belief matrix keeps its own), with the rank
+cutoff ``tol_rank * s[0]``. ``_SVD.solve`` is the one solve, for the
+minimum-norm and the ridge solutions alike and for each step of ``_nnls``,
+Lawson and Hanson's active-set method; a factorization whitened by a
+regularizer keeps the Cholesky factor that maps its solutions back. The
+eigenvalue-1 step reads its rank and first null vector straight from the
+``np.linalg.svd`` of matrix − I. The normal-equation formulas define the
+values, not the algorithms. Everything here, and everything the package
+runs, is numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ class NullSpaceBasis:
 @dataclass(frozen=True)
 class _SVD:
     """One SVD of a matrix: thin, or full when it is wide, so ``vt`` spans the row space.
-    Cutoffs are ``tol.rank_cutoff``; the pseudoinverse is formed as numpy.linalg.pinv's.
+    The rank cutoff is ``tol_rank * s[0]``: LAPACK returns ``s`` in descending order.
+    The pseudoinverse is formed as numpy.linalg.pinv's.
     Given reg = LLᵀ, ``of`` factorizes matrix L⁻ᵀ (rank, null space and pinv are its)
     and keeps L as ``chol``, with which ``solve`` maps back to reg-weighted solutions."""
 
@@ -78,7 +82,7 @@ class _SVD:
             factors = self.s / (self.s * self.s + lam)
         else:
             large = self.s > tol.rank_cutoff(self.s)
-            factors = np.divide(1.0, self.s, out=np.zeros_like(self.s), where=large)
+            factors = np.divide(1.0, self.s, out=np.zeros(self.s.shape), where=large)
         return self.vt[: self.s.size].T @ (factors[:, None] * self.u.T)
 
     def rank_deficiency(self, tol: Tolerances) -> RankDeficientError | None:
@@ -286,15 +290,23 @@ def irreducibility(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
 
 
 def _fixed_direction(matrix: np.ndarray, tol: Tolerances) -> tuple[int, np.ndarray | None]:
-    """Dimension of the null space of (matrix - I); its first vector scaled to sum 1, or None."""
-    basis = _SVD.of(matrix - np.eye(matrix.shape[0])).null_basis(tol)
-    if basis.dimension == 0:
+    """Dimension of the null space of (matrix - I); its first vector scaled to sum 1, or None.
+
+    The right singular vectors past the rank span that null space. Dividing by
+    the sum cancels whatever sign the SVD gave the vector.
+    """
+    n = matrix.shape[0]
+    shifted = matrix.copy()  # C order, so the flat view's every (n + 1)th entry is diagonal
+    shifted.reshape(-1)[:: n + 1] -= 1.0
+    _, s, vt = np.linalg.svd(shifted, full_matrices=False)
+    rank = int(np.count_nonzero(s > tol.rank_cutoff(s)))
+    if rank == n:
         return 0, None
-    vector = basis.vectors[0]
+    vector = vt[rank]
     total = float(vector.sum())
     if abs(total) < 1e-12 * max(1.0, float(np.abs(vector).max())):
-        return basis.dimension, None
-    return basis.dimension, vector / total
+        return n - rank, None
+    return n - rank, vector / total
 
 
 def unit_eigenvector_eigenvalue_one(

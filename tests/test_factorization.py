@@ -1,10 +1,11 @@
 """Each belief matrix is factorized once.
 
 Rank tests, the regression, the minimum-norm solution and the null space all
-read one SVD of B, kept on the StateBeliefMatrix. These tests count every
-SVD call whose input equals B, through each name an SVD can be reached by:
-the public numpy and scipy functions and the module globals that
-``numpy.linalg.pinv`` and ``scipy.linalg.null_space`` call.
+read one SVD of B, kept on the StateBeliefMatrix, and each eigenvalue-1 step
+makes one SVD of its shifted matrix M - I. These tests count every SVD call,
+through each name an SVD can be reached by: the public numpy and scipy
+functions and the module globals that ``numpy.linalg.pinv`` and
+``scipy.linalg.null_space`` call.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from beliefscape import (
     rationalize_noncommon,
     ridge_solution_at,
     sample_environment,
+    signal_priors_identify,
     validate_landscape,
 )
 from beliefscape.cli import main
@@ -123,6 +125,44 @@ def test_underdetermined_factorizes_once(svd_inputs):
     landscape = fixtures.two_signal_three_state_landscape()
     identify_underdetermined(landscape)
     assert svds_of(svd_inputs, landscape.B.entries) == 1
+
+
+def shifted(matrix: np.ndarray) -> np.ndarray:
+    return matrix - np.eye(matrix.shape[0])
+
+
+def accuracy(landscape) -> np.ndarray:
+    """The judge's A = Bᵀ(B⁺Q)ᵀ, from B's cached SVD."""
+    x = landscape.B._svd.solve(landscape.Q.entries, DEFAULT_TOLERANCES)
+    return landscape.B.entries.T @ x.T
+
+
+# call -> (the matrix M whose eigenvalue-1 vectors it takes, whether it reads B's SVD)
+EIGENVALUE_ONE_CALLS = {
+    "consistency_check": (consistency_check, accuracy, True),
+    "identify_underdetermined": (identify_underdetermined, accuracy, True),
+    "signal_priors_identify": (signal_priors_identify, lambda land: land.Q.entries.T, False),
+}
+
+
+@pytest.mark.parametrize("call", sorted(EIGENVALUE_ONE_CALLS))
+@pytest.mark.parametrize(
+    "landscape",
+    [
+        pytest.param(LANDSCAPES["sampled_4x6"], id="4x6"),
+        pytest.param(TON, id="truth_or_noise"),
+        pytest.param(SCARCE, id="scarce"),
+    ],
+)
+def test_one_svd_per_eigenvalue_one_step(call, landscape, svd_inputs):
+    """Every SVD a call makes: B's, once, and one of M - I, with nothing else factorized."""
+    landscape = landscape()
+    function, eigen_matrix, reads_b = EIGENVALUE_ONE_CALLS[call]
+    svd_inputs.clear()
+    function(landscape)
+    expected = [landscape.B.entries] * reads_b + [shifted(eigen_matrix(landscape))]
+    assert len(svd_inputs) == len(expected)
+    assert [svds_of(svd_inputs, m) for m in expected] == [1] * len(expected)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (2, 4), (3, 5), (4, 3), (50, 60)], ids=str)

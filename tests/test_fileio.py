@@ -135,8 +135,17 @@ scalars = st.one_of(
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     floats.map(np.float64),
 )
+labels = st.lists(st.text(), min_size=1, max_size=8)  # all-str lists take their own path
 documents = st.recursive(
-    st.one_of(scalars, float_arrays, st.lists(floats, max_size=8), float_rows, wide_blocks),
+    st.one_of(
+        scalars,
+        float_arrays,
+        st.lists(floats, max_size=8),
+        float_rows,
+        wide_blocks,
+        labels,
+        labels.map(tuple),
+    ),
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
