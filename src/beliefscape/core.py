@@ -98,16 +98,6 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _freeze(values, shape_hint: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != ndim:
-        raise StructuralError(f"{shape_hint} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise StructuralError(f"{shape_hint} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
 def state_labels_for(n: int) -> tuple[str, ...]:
     return tuple(f"th{i + 1}" for i in range(n))
 
@@ -139,9 +129,17 @@ def _check_labels(labels: Sequence[str] | None, n: int, field: str) -> tuple[str
 def _freeze_labelled(value, name: str, ndim: int, square: bool = False, **axis_of: int) -> None:
     """Freeze ``value.entries`` and check or default each label field, in argument order.
 
+    The entries are copied as floats and checked for dimension, then finiteness, then
+    squareness. Finiteness is counted entry by entry: a sum would overflow, with a
+    warning, on finite entries near the largest float.
     ``axis_of`` maps a label field to the axis of the entries it labels.
     """
-    entries = _freeze(value.entries, name, ndim)
+    entries = np.array(value.entries, dtype=float)
+    if entries.ndim != ndim:
+        raise StructuralError(f"{name} must be {ndim}-dimensional, got shape {entries.shape}")
+    if np.count_nonzero(np.isfinite(entries)) != entries.size:
+        raise StructuralError(f"{name} contains non-finite entries")
+    entries.setflags(write=False)
     if square and entries.shape[0] != entries.shape[1]:
         raise StructuralError(f"{name} must be square, got shape {entries.shape}")
     object.__setattr__(value, "entries", entries)
@@ -375,13 +373,25 @@ def validate_landscape(
     """
     if B.n_signals != Q.n_signals:
         raise StructuralError(f"signal axis: B has {B.n_signals} rows, Q has {Q.n_signals}")
-    violations = _row_violations(B.entries, B.signal_labels, B.state_labels, "B", tol)
-    violations += _row_violations(Q.entries, Q.signal_labels, Q.signal_labels, "Q", tol)
-    zero_columns = np.all(np.abs(B.entries) <= tol.tol_entry, axis=0)
-    violations += [
-        Violation("zero column", f"B column {B.state_labels[j]}", 0.0)
-        for j in np.flatnonzero(zero_columns)
-    ]
+    b, q = B.entries, Q.entries
+    violations = []
+    # Whole-matrix reductions clear a plausible landscape; only one that trips them
+    # is searched row by row. Once no entry is below -tol_entry, a column of B is
+    # zero exactly when its largest entry is at most tol_entry.
+    if (
+        not b.size
+        or min(b.min(), q.min()) < -tol.tol_entry
+        or np.abs(b.sum(axis=1) - 1.0).max() > tol.tol_stochastic
+        or np.abs(q.sum(axis=1) - 1.0).max() > tol.tol_stochastic
+        or b.max(axis=0).min() <= tol.tol_entry
+    ):
+        violations = _row_violations(b, B.signal_labels, B.state_labels, "B", tol)
+        violations += _row_violations(q, Q.signal_labels, Q.signal_labels, "Q", tol)
+        zero_columns = np.all(np.abs(b) <= tol.tol_entry, axis=0)
+        violations += [
+            Violation("zero column", f"B column {B.state_labels[j]}", 0.0)
+            for j in np.flatnonzero(zero_columns)
+        ]
     rank = B.rank(tol)
     return PlausibilityReport(
         plausible=not violations,

@@ -51,6 +51,8 @@ def _bayes(structure: np.ndarray, prior: np.ndarray, tol: Tolerances) -> tuple:
 
 def _survivor_labels(env: InformationalEnvironment, keep: np.ndarray) -> tuple[str, ...]:
     """Labels of the signals ``_bayes`` kept; warns about dropped ones, raises if none is left."""
+    if keep.all():
+        return env.signal_labels
     if not keep.any():
         raise DegenerateEnvironmentError("every signal has zero marginal probability")
     dropped = [l for l, k in zip(env.signal_labels, keep) if not k]

@@ -1,16 +1,17 @@
 """Inverse procedures: recover the informational environment from a belief landscape.
 
-One pipeline identifies and judges every landscape, whatever the shape and
-rank of B: X = B⁺Q (the paper's regression of each hypothetical column on
-the state beliefs at full column rank, the minimum-norm solution otherwise),
-the prior as the eigenvalue-1 eigenvector of the accuracy matrix BᵀXᵀ, then
-the structure from Bayes' rule with that prior, kept only if it regenerates
-the landscape. :func:`consistency_check`, :func:`identify` and
-:func:`identify_underdetermined` read that one judgement, as does every CLI
-command that judges a landscape. The signal-priors route starts from the
-stationary vector of the hypothetical matrix instead. Dependency reduction,
-partition detection, non-common-prior rationalization and crowd-wisdom state
-inference round out the toolbox.
+One kernel of plain arrays identifies and judges every landscape, whatever
+the shape and rank of B (``_judge``): X = B⁺Q from B's cached SVD (the paper's
+regression of each hypothetical column on the state beliefs at full column
+rank, the minimum-norm solution otherwise), the prior as the eigenvalue-1
+eigenvector of the accuracy matrix BᵀXᵀ, then the structure from Bayes' rule
+with that prior, kept only if it regenerates the landscape.
+:func:`consistency_check`, :func:`identify` and :func:`identify_underdetermined`
+each build their typed result once, at their edge, from that one judgement, as
+does every CLI command that judges a landscape. The signal-priors route takes
+the same eigenvalue-1 step on Qᵀ, the stationary signal distribution, instead.
+Dependency reduction, partition detection, non-common-prior rationalization and
+crowd-wisdom state inference round out the toolbox.
 """
 
 from __future__ import annotations
@@ -38,12 +39,7 @@ from .core import (
     _require_states,
 )
 from .forward import _bayes
-from .linalg import (
-    NullSpaceBasis,
-    _nnls,
-    regression_operator,
-    unit_eigenvector_eigenvalue_one,
-)
+from .linalg import NullSpaceBasis, _fixed_vectors, _nnls
 
 # --------------------------------------------------------------------------
 # Prior families
@@ -113,14 +109,6 @@ def _prior_family(kind: str, members, supports, labels: tuple[str, ...]) -> Prio
     return PriorFamily(kind="family", state_labels=labels, class_priors=class_priors)
 
 
-def _accuracy_prior(accuracy: np.ndarray, labels, tol: Tolerances) -> PriorFamily | None:
-    """The prior an accuracy matrix's eigenvalue-1 eigenvectors identify; None without one."""
-    eigen = unit_eigenvector_eigenvalue_one(accuracy, tol)
-    if eigen.kind == "none":
-        return None
-    return _prior_family(eigen.kind, eigen.members(), eigen.family_classes, labels)
-
-
 _NO_PRIOR = "the peer-accuracy matrix has no eigenvalue-1 eigenvector"
 
 
@@ -135,10 +123,10 @@ def identify_prior(
     Perron vector per closed class of its positive-entry pattern.
     """
     _require_states(beliefs, structure.n_states, "structure")
-    prior = _accuracy_prior(peer_accuracy_matrix(beliefs, structure), beliefs.state_labels, tol)
-    if prior is None:
+    kind, vectors, classes = _fixed_vectors(peer_accuracy_matrix(beliefs, structure), tol)
+    if kind == "none":
         raise NotModelGeneratedError(_NO_PRIOR)
-    return prior
+    return _prior_family(kind, vectors, classes, beliefs.state_labels)
 
 
 def peer_accuracy_matrix(beliefs: StateBeliefMatrix, structure: InformationStructure) -> np.ndarray:
@@ -258,16 +246,13 @@ def identify_structure(
 
 
 def _roundtrip_errors(
-    landscape: BeliefLandscape, structure: np.ndarray, prior: np.ndarray, tol: Tolerances
+    b: np.ndarray, q: np.ndarray, structure: np.ndarray, prior: np.ndarray, tol: Tolerances
 ) -> tuple[float, float]:
-    """Largest gaps to Bayes' rule applied to (structure, prior); inf if a signal drops."""
-    keep, beliefs, hypotheticals = _bayes(structure, prior, tol)
-    if not keep.all():
+    """Largest gaps of B and Q to Bayes' rule on (structure, prior); inf if a signal drops."""
+    _, beliefs, hypotheticals = _bayes(structure, prior, tol)
+    if beliefs.shape != b.shape:  # a signal dropped
         return float("inf"), float("inf")
-    return (
-        float(np.abs(beliefs - landscape.B.entries).max()),
-        float(np.abs(hypotheticals - landscape.Q.entries).max()),
-    )
+    return float(np.abs(beliefs - b).max()), float(np.abs(hypotheticals - q).max())
 
 
 # --------------------------------------------------------------------------
@@ -299,14 +284,16 @@ def consistency_check(
     Plausibility of the inputs is nowhere near sufficient; most row-stochastic
     hypothetical matrices fail the round trip.
     """
-    x, accuracy, prior, failed, kind, judged, gaps = _judge(landscape, tol)
+    beliefs, q = landscape.B, landscape.Q.entries
+    x, accuracy, eigen, failed, kind, judged, gaps = _judge(beliefs.entries, beliefs._svd, q, tol)
     if failed:
         shown = _tidy_structure(x, tol)
     else:
         structure = judged.clip(0.0, 1.0)
         shown = structure, True, int(np.count_nonzero(structure != judged)), ()
-        accuracy = landscape.B.entries.T @ structure.T  # the peer accuracy of what was judged
-    found = _identification(landscape.B, x, landscape.Q.entries, shown, prior, accuracy, gaps, kind)
+        accuracy = beliefs.entries.T @ structure.T  # the peer accuracy of what was judged
+    prior = None if eigen[0] == "none" else _prior_family(*eigen, landscape.state_labels)
+    found = _identification(beliefs, x, q, shown, prior, accuracy, gaps, kind)
     return ConsistencyVerdict(not failed, failed, found)
 
 
@@ -332,8 +319,9 @@ class RestorationResult:
     Every exact solution of hypotheticals = beliefs @ X is B⁺Q plus per-column
     combinations of B's null basis (held by :class:`UnderdeterminedResult`;
     empty at full column rank). Bayes' rule picks one of them. With p the
-    identified prior's representative, Q = B diag(1/p) Bᵀ diag(m), so each
-    column of Q fixes one entry of the signal marginal m whatever B's row rank;
+    identified prior (a family's balanced mixture of its class vectors),
+    Q = B diag(1/p) Bᵀ diag(m), so each column of Q fixes one entry of the
+    signal marginal m whatever B's row rank;
     then structure[θ, s] = B[s, θ] m[s] / p[θ]. A state with p at or below
     ``tol_entry`` has no identified row and gets the uniform one. ``kind`` is
     "infeasible" (no environment with this prior generates the data) unless
@@ -381,7 +369,7 @@ def _bayes_structure(b: np.ndarray, weights: np.ndarray, prior: np.ndarray) -> n
 
 
 def _bayes_step(
-    landscape: BeliefLandscape, p: np.ndarray, tol: Tolerances
+    b: np.ndarray, q: np.ndarray, p: np.ndarray, tol: Tolerances
 ) -> tuple[str, np.ndarray, tuple[float, float]]:
     """Bayes' rule with prior p: the restoration kind, the structure before clipping, its gaps.
 
@@ -391,52 +379,57 @@ def _bayes_step(
     seen = p > tol.tol_entry
     every = bool(seen.all())
     if every:
-        b, p_seen = np.asfortranarray(landscape.B.entries), p
+        b_seen, p_seen = np.asfortranarray(b), p
     else:
-        b, p_seen = landscape.B.entries[:, seen], p[seen]
-    q = landscape.Q.entries
-    gram = (b / p_seen) @ b.T  # Q = gram @ diag(m)
+        b_seen, p_seen = b[:, seen], p[seen]
+    gram = (b_seen / p_seen) @ b_seen.T  # Q = gram @ diag(m)
     fit = (gram * gram).sum(axis=0)
     weights = np.divide((gram * q).sum(axis=0), fit, out=np.zeros(fit.shape), where=fit > 0)
-    rows = _bayes_structure(b, weights, p_seen)
+    rows = _bayes_structure(b_seen, weights, p_seen)
     if every:
         structure = rows
     else:
-        structure = np.full((landscape.n_states, landscape.n_signals), 1.0 / landscape.n_signals)
+        n_signals, n_states = b.shape
+        structure = np.full((n_states, n_signals), 1.0 / n_signals)
         structure[seen] = rows
-    gaps = _roundtrip_errors(landscape, structure, p, tol)
+    gaps = _roundtrip_errors(b, q, structure, p, tol)
     if structure.min() < -tol.tol_entry or max(gaps) > tol.tol_match:
         return "infeasible", structure, gaps
     return ("unique" if every else "family"), structure, gaps
 
 
-def _judge(landscape: BeliefLandscape, tol: Tolerances):
-    """The one pipeline, whatever B's shape and rank: (X, A, prior, failed, kind, judged, gaps).
+def _judge(b: np.ndarray, svd, q: np.ndarray, tol: Tolerances):
+    """The one kernel, whatever B's shape and rank: B's entries and cached SVD, and Q,
+    to (X, A, (prior kind, vectors, classes), failed, kind, judged, gaps).
 
-    X = B⁺Q from B's cached SVD is the regression at full column rank and the
-    minimum-norm solution otherwise. The prior comes from A = Bᵀ Xᵀ before any
-    tidying: renormalizing X's rows would move A off its fixed point by about
-    cond(B) times the input's rounding. Bayes' rule with that prior judges (see
-    :class:`RestorationResult`); X's own sign counts on the regression route
-    only. A failed verdict has kind "infeasible" and judged None.
+    X = B⁺Q is the regression at full column rank and the minimum-norm solution
+    otherwise. The prior comes from A = Bᵀ Xᵀ before any tidying: renormalizing
+    X's rows would move A off its fixed point by about cond(B) times the input's
+    rounding. Its kind, vectors and classes are :func:`linalg._fixed_vectors`'s.
+    Bayes' rule with that prior judges (see :class:`RestorationResult`); X's own
+    sign counts on the regression route only, that is at full column rank (which
+    needs at least as many signals as states). A failed verdict has kind
+    "infeasible" and judged None; its gaps are None when no nonnegative prior was
+    found to judge with.
     """
-    beliefs = landscape.B
-    x = beliefs._svd.solve(landscape.Q.entries, tol)
-    accuracy = beliefs.entries.T @ x.T
-    prior = _accuracy_prior(accuracy, landscape.state_labels, tol)
+    x = svd.solve(q, tol)
+    accuracy = b.T @ x.T
+    eigen = _fixed_vectors(accuracy, tol)
+    prior_kind, vectors, _ = eigen
     failed = []
-    if x.min() < -tol.tol_entry and _route(beliefs, tol)[0] == "regression":
+    if x.min() < -tol.tol_entry and svd.rank(tol) == b.shape[1]:
         failed.append("nonnegative_structure")
     gaps = (None, None)
-    if prior is None or any(m.min() < -tol.tol_entry for m in prior.members()):
+    if prior_kind == "none" or any(v.min() < -tol.tol_entry for v in vectors):
         failed += ["prior", "reproduction"]
     else:
-        kind, judged, gaps = _bayes_step(landscape, prior.representative().entries, tol)
+        p = vectors[0] if prior_kind == "unique" else np.mean(np.stack(vectors), axis=0)
+        kind, judged, gaps = _bayes_step(b, q, p, tol)
         if kind == "infeasible":
             failed.append("reproduction")
     if failed:
         kind, judged = "infeasible", None
-    return x, accuracy, prior, tuple(failed), kind, judged, gaps
+    return x, accuracy, eigen, tuple(failed), kind, judged, gaps
 
 
 def identify_underdetermined(
@@ -445,18 +438,19 @@ def identify_underdetermined(
     """The judge's findings for more states than signals (or dependent columns).
 
     The prior holds for any exact solution of Q = B X, so no regularizer would
-    change it; Bayes' rule with its representative gives the structure in
-    closed form, whatever B's row rank (see :class:`RestorationResult`).
+    change it; Bayes' rule with it (a family's balanced mixture) gives the structure
+    in closed form, whatever B's row rank (see :class:`RestorationResult`).
     """
-    x, _, prior, _, kind, judged, _ = _judge(landscape, tol)
-    if prior is None:
+    beliefs, q = landscape.B, landscape.Q.entries
+    x, _, eigen, _, kind, judged, _ = _judge(beliefs.entries, beliefs._svd, q, tol)
+    if eigen[0] == "none":
         raise NotModelGeneratedError(_NO_PRIOR)
     return UnderdeterminedResult(
         ridge_limit=x,
-        null_basis=landscape.B._svd.null_basis(tol),
-        prior=prior,
+        null_basis=beliefs._svd.null_basis(tol),
+        prior=_prior_family(*eigen, landscape.state_labels),
         restored=RestorationResult(kind, None if judged is None else judged.clip(0.0, 1.0)),
-        residual=float(np.abs(landscape.B.entries @ x - landscape.Q.entries).max()),
+        residual=float(np.abs(beliefs.entries @ x - q).max()),
         state_labels=landscape.state_labels,
         signal_labels=landscape.signal_labels,
     )
@@ -520,22 +514,27 @@ class SignalPriorsResult:
 def signal_priors_identify(
     landscape: BeliefLandscape, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> SignalPriorsResult:
-    """Marginal from the hypotheticals' stationary vector, then prior, then structure."""
+    """Marginal from the hypotheticals' stationary vector, then prior, then structure.
+
+    The marginal is the eigenvalue-1 step of the judge taken on Qᵀ; each marginal
+    m induces the prior Bᵀm. A family's priors are restricted to their supports.
+    """
     b = landscape.B.entries
-    eigen = unit_eigenvector_eigenvalue_one(landscape.Q.entries.T, tol)
-    if eigen.kind == "none":
+    kind, marginals, _ = _fixed_vectors(landscape.Q.entries.T, tol)
+    if kind == "none":
         raise NotModelGeneratedError(
             "the hypothetical matrix has no stationary signal distribution"
         )
     state_labels = landscape.state_labels
-    induced = [b.T @ vector for vector in eigen.members()]
-    supports = [tuple(np.flatnonzero(p > tol.tol_entry).tolist()) for p in induced]
-    prior = _prior_family(eigen.kind, induced, supports, state_labels)
-    if eigen.kind == "family":
+    if kind == "family":
+        induced = [b.T @ marginal for marginal in marginals]
+        supports = [tuple(np.flatnonzero(p > tol.tol_entry).tolist()) for p in induced]
+        prior = _prior_family("family", induced, supports, state_labels)
         return SignalPriorsResult(
-            kind="family", marginal=None, marginal_family=eigen.family, prior=prior, structure=None
+            kind="family", marginal=None, marginal_family=marginals, prior=prior, structure=None
         )
-    marginal, prior_vector = eigen.vector, induced[0]
+    marginal = marginals[0]
+    prior_vector = b.T @ marginal
     structure = None
     if prior_vector.min() > tol.tol_entry:
         structure = InformationStructure(
@@ -547,7 +546,7 @@ def signal_priors_identify(
         kind="unique",
         marginal=SignalMarginal(marginal, signal_labels=landscape.signal_labels),
         marginal_family=(),
-        prior=prior,
+        prior=_prior_family("unique", (prior_vector,), (), state_labels),
         structure=structure,
     )
 
@@ -677,7 +676,9 @@ class ReductionResult:
     kept columns are rescaled by one plus their total mixture weight, which
     keeps rows summing to one. Embedding spreads the identified prior back
     and rebuilds removed structure rows as prior-weighted mixtures of kept
-    rows. That regenerates the landscape when each removed column is
+    rows; a removed state with no mass (all its weights zero: a zero belief
+    column) gets prior zero and the uniform row, as the judge gives an unseen
+    state. That regenerates the landscape when each removed column is
     proportional to one kept column (a split state); a column that mixes two
     or more is absorbed into their rows, and the embedding in general misses Q.
     So no verdict reads :meth:`embed`: the ``reduce`` command reports the judge's.
@@ -715,10 +716,11 @@ class ReductionResult:
             total = mass.sum()
             full_prior[removed] = total
             if total > 0:
-                mixture = mass / total
+                rows[removed] = (mass / total) @ structure.entries
+            elif weights.any():
+                rows[removed] = (weights / weights.sum()) @ structure.entries
             else:
-                mixture = weights / weights.sum()
-            rows[removed] = mixture @ structure.entries
+                rows[removed] = 1.0 / structure.n_signals
         return (
             InformationStructure(
                 rows, state_labels=self.state_labels, signal_labels=structure.signal_labels
@@ -734,15 +736,20 @@ def reduce_dependencies(
 
     Columns are kept greedily in index order while they increase the rank;
     each dropped column must be a nonnegative mixture of the kept ones,
-    otherwise the split-state reading does not apply. A QR of the candidate
-    columns finds the first one that adds no rank (|R[j, j]| at or below B's
-    rank cutoff); once it is dropped the next QR tests the rest, so a B whose
-    dependent columns all come last needs one QR.
+    otherwise the split-state reading does not apply. Both come from the null
+    basis N of B's cached SVD (orthonormal rows), with no other factorization.
+    Column j adds no rank to the columns before it exactly when some null vector
+    is nonzero at j and zero past it, so the dropped columns are those that,
+    scanned from the last, add rank to N's columns already dropped. N is known
+    to within the rank cutoff over B's smallest singular value above it, which
+    sets what adds rank. The kept columns K and dropped ones R split B N = 0 into
+    B_K N_Kᵀ = -B_R N_Rᵀ, so the mixing weights are -N_R⁻¹ N_K.
     """
     b = landscape.B.entries
     n_states = landscape.n_states
-    target_rank = landscape.B.rank(tol)
-    if target_rank == n_states:
+    svd = landscape.B._svd
+    rank = svd.rank(tol)
+    if rank == n_states:
         return ReductionResult(
             reduced=landscape,
             kept_states=tuple(range(n_states)),
@@ -751,19 +758,31 @@ def reduce_dependencies(
             column_scale=np.ones(n_states),
             state_labels=landscape.state_labels,
         )
-    cutoff = tol.rank_cutoff(landscape.B._svd.s)
-    kept = list(range(n_states))
-    for _ in range(n_states - target_rank):
-        # Pivots after the first weak one are measured against a noise direction of Q.
-        weak = np.abs(np.linalg.qr(b[:, kept], mode="r").diagonal()) <= cutoff
-        first = int(np.argmax(weak)) if weak.any() else weak.size
-        if first >= target_rank:
-            break
-        del kept[first]
-    kept = kept[:target_rank]
-    removed = [j for j in range(n_states) if j not in kept]
+    null = svd.vt[rank:]
+    cutoff = tol.rank_cutoff(svd.s) / svd.s[rank - 1] if rank else 0.0
+    directions = np.zeros((0, null.shape[0]))  # orthonormal, spanning the dropped columns of N
+    removed = []
+    for j in range(n_states - 1, -1, -1):
+        column = null[:, j] - directions.T @ (directions @ null[:, j])
+        size = np.linalg.norm(column)
+        if size > cutoff:
+            removed.insert(0, j)
+            directions = np.vstack([directions, column / size])
+            if len(removed) == null.shape[0]:
+                break
+    else:
+        raise NotConvexDependentError(
+            "the dependent columns are not separable within the rank cutoff"
+        )
+    kept = [j for j in range(n_states) if j not in removed]
     kept_matrix = b[:, kept]
-    coefficients = regression_operator(kept_matrix, tol) @ b[:, removed]
+    coefficients = -np.linalg.solve(null[:, removed], null[:, kept]).T
+    # One refinement step through B⁺ from the same SVD: Z = B⁺G for the gap
+    # G = B_R - B_K W gives B_K (Z_K + W Z_R) = G - G Z_R, a second-order remainder.
+    # N's rounding is divided by N_R's entries, which shrink as the weights grow;
+    # the step brings the weights to a regression's accuracy.
+    z = svd.pinv(tol) @ (b[:, removed] - kept_matrix @ coefficients)
+    coefficients = coefficients + z[kept] + coefficients @ z[removed]
     residuals = np.max(np.abs(kept_matrix @ coefficients - b[:, removed]), axis=0)
     for j, w, residual in zip(removed, coefficients.T, residuals):
         if residual > tol.tol_match:

@@ -8,8 +8,10 @@ cutoff ``tol_rank * s[0]``. ``_SVD.solve`` is the one solve, for the
 minimum-norm and the ridge solutions alike and for each step of ``_nnls``,
 Lawson and Hanson's active-set method; a factorization whitened by a
 regularizer keeps the Cholesky factor that maps its solutions back. The
-eigenvalue-1 step reads its rank and first null vector straight from the
-``np.linalg.svd`` of matrix − I. The normal-equation formulas define the
+eigenvalue-1 step (``_fixed_vectors``: plain arrays, which the judge and the
+signal-priors route read and :func:`unit_eigenvector_eigenvalue_one` wraps)
+reads its rank and first null vector straight from the ``np.linalg.svd`` of
+matrix − I. The normal-equation formulas define the
 values, not the algorithms. Everything here, and everything the package
 runs, is numpy.
 """
@@ -293,7 +295,8 @@ def _fixed_direction(matrix: np.ndarray, tol: Tolerances) -> tuple[int, np.ndarr
     """Dimension of the null space of (matrix - I); its first vector scaled to sum 1, or None.
 
     The right singular vectors past the rank span that null space. Dividing by
-    the sum cancels whatever sign the SVD gave the vector.
+    the sum cancels whatever sign the SVD gave the vector, which is a unit vector,
+    so a sum within 1e-12 of zero has no simplex scaling.
     """
     n = matrix.shape[0]
     shifted = matrix.copy()  # C order, so the flat view's every (n + 1)th entry is diagonal
@@ -304,9 +307,41 @@ def _fixed_direction(matrix: np.ndarray, tol: Tolerances) -> tuple[int, np.ndarr
         return 0, None
     vector = vt[rank]
     total = float(vector.sum())
-    if abs(total) < 1e-12 * max(1.0, float(np.abs(vector).max())):
+    if abs(total) < 1e-12:
         return n - rank, None
     return n - rank, vector / total
+
+
+def _fixed_vectors(matrix: np.ndarray, tol: Tolerances) -> tuple[str, tuple, tuple]:
+    """The eigenvalue-1 eigenvectors of a square float matrix, simplex-normalized, as arrays.
+
+    Returns (kind, vectors, classes): kind "unique" with one vector, "family" with
+    one full-length vector per closed class and that class's index set, or
+    "none". One SVD of matrix - I decides the dimension; only a dimension of two
+    or more goes on to the class structure, one SVD per closed class.
+    """
+    dimension, vector = _fixed_direction(matrix, tol)
+    if dimension == 1 and vector is not None:
+        return "unique", (vector,), ()
+    if dimension < 2:
+        return "none", (), ()
+    decomposition = irreducibility(matrix, tol)
+    family = []
+    family_classes = []
+    for members, is_closed in zip(decomposition.classes, decomposition.closed):
+        if not is_closed:
+            continue
+        idx = list(members)
+        _, local = _fixed_direction(matrix[np.ix_(idx, idx)], tol)
+        if local is None:
+            continue
+        full = np.zeros(matrix.shape[0])
+        full[idx] = local
+        family.append(full)
+        family_classes.append(members)
+    if not family:
+        return "none", (), ()
+    return "family", tuple(family), tuple(family_classes)
 
 
 def unit_eigenvector_eigenvalue_one(
@@ -324,30 +359,7 @@ def unit_eigenvector_eigenvalue_one(
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    dimension, vector = _fixed_direction(matrix, tol)
-    if dimension == 0 or (dimension == 1 and vector is None):
-        return EigenvalueOneResult(kind="none")
-    if dimension == 1:
-        return EigenvalueOneResult(kind="unique", vector=vector)
-
-    decomposition = irreducibility(matrix, tol)
-    family = []
-    family_classes = []
-    for members, is_closed in zip(decomposition.classes, decomposition.closed):
-        if not is_closed:
-            continue
-        idx = list(members)
-        _, local = _fixed_direction(matrix[np.ix_(idx, idx)], tol)
-        if local is None:
-            continue
-        full = np.zeros(n)
-        full[idx] = local
-        family.append(full)
-        family_classes.append(members)
-    if not family:
-        return EigenvalueOneResult(kind="none")
-    return EigenvalueOneResult(
-        kind="family",
-        family=tuple(family),
-        family_classes=tuple(family_classes),
-    )
+    kind, vectors, classes = _fixed_vectors(matrix, tol)
+    if kind == "unique":
+        return EigenvalueOneResult(kind="unique", vector=vectors[0])
+    return EigenvalueOneResult(kind=kind, family=vectors, family_classes=classes)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,10 @@ MALFORMED = {
         StateBeliefMatrix, ([[0.5, np.inf]],),
         "state belief matrix contains non-finite entries",
     ),
+    "B-non-finite-before-labels": (
+        StateBeliefMatrix, ([[np.nan, 0.5]], ("a",)),
+        "state belief matrix contains non-finite entries",
+    ),
     "B-state-count": (
         StateBeliefMatrix, ([[0.5, 0.5]], ("a", "b", "c")),
         "states: 3 labels for 2 entries",
@@ -104,6 +110,14 @@ MALFORMED = {
     "Q-ndim": (
         HypotheticalBeliefMatrix, ([[[1.0]]],),
         "hypothetical belief matrix must be 2-dimensional, got shape (1, 1, 1)",
+    ),
+    "Q-ndim-before-non-finite": (
+        HypotheticalBeliefMatrix, ([np.nan],),
+        "hypothetical belief matrix must be 2-dimensional, got shape (1,)",
+    ),
+    "Q-huge-and-non-finite": (
+        HypotheticalBeliefMatrix, ([[1e308, 1e308], [np.nan, 1.0]],),
+        "hypothetical belief matrix contains non-finite entries",
     ),
     "Q-non-finite": (
         HypotheticalBeliefMatrix, ([[np.nan, 1.0], [0.0, 1.0]],),
@@ -133,6 +147,14 @@ MALFORMED = {
         InformationStructure, (1.0,),
         "information structure must be 2-dimensional, got shape ()",
     ),
+    "I-ndim-before-non-finite": (
+        InformationStructure, ([np.inf],),
+        "information structure must be 2-dimensional, got shape (1,)",
+    ),
+    "I-opposite-infinities": (
+        InformationStructure, ([[np.inf, -np.inf]],),
+        "information structure contains non-finite entries",
+    ),
     "I-non-finite": (
         InformationStructure, ([[1.0, -np.inf]],),
         "information structure contains non-finite entries",
@@ -155,10 +177,20 @@ MALFORMED = {
     ),
     "prior-ndim": (Prior, ([[0.5, 0.5]],), "prior must be 1-dimensional, got shape (1, 2)"),
     "prior-non-finite": (Prior, ([0.5, np.nan],), "prior contains non-finite entries"),
+    "prior-ndim-before-non-finite": (
+        Prior, ([[np.nan]],), "prior must be 1-dimensional, got shape (1, 1)"
+    ),
+    "prior-non-finite-before-labels": (
+        Prior, ([np.nan, 0.5], ("a",)), "prior contains non-finite entries"
+    ),
     "prior-state-count": (Prior, ([0.5, 0.5], ("a",)), "states: 1 labels for 2 entries"),
     "prior-state-duplicate": (Prior, ([0.5, 0.5], ("a", "a")), "states: duplicate labels"),
     "marginal-ndim": (
         SignalMarginal, (0.5,),
+        "signal marginal must be 1-dimensional, got shape ()",
+    ),
+    "marginal-ndim-before-non-finite": (
+        SignalMarginal, (np.nan,),
         "signal marginal must be 1-dimensional, got shape ()",
     ),
     "marginal-non-finite": (
@@ -195,6 +227,26 @@ def test_malformed_input_message(case):
     with pytest.raises(StructuralError) as info:
         constructor(*args)
     assert str(info.value) == message
+
+
+# Finite entries whose sum overflows: the finiteness check must not read the sum.
+HUGE = {
+    "B": (StateBeliefMatrix, [[1e308, 1e308]]),
+    "Q": (HypotheticalBeliefMatrix, [[1e308, 1e308], [1e308, 1e308]]),
+    "I": (InformationStructure, [[1e308, 1e308]]),
+    "prior": (Prior, [1e308, 1e308]),
+    "marginal": (SignalMarginal, [1e308, 1e308]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE))
+def test_finite_entries_whose_sum_overflows_are_accepted(case):
+    constructor, entries = HUGE[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = constructor(entries)
+    np.testing.assert_array_equal(value.entries, entries)
+    assert not value.entries.flags.writeable
 
 
 def reference_check_labels(labels, n, field):

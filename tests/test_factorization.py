@@ -1,8 +1,9 @@
 """Each belief matrix is factorized once.
 
-Rank tests, the regression, the minimum-norm solution and the null space all
-read one SVD of B, kept on the StateBeliefMatrix, and each eigenvalue-1 step
-makes one SVD of its shifted matrix M - I. These tests count every SVD call,
+Rank tests, the regression, the minimum-norm solution, the null space and the
+dependency reduction all read one SVD of B, kept on the StateBeliefMatrix, and
+each eigenvalue-1 step makes one SVD of its shifted matrix M - I, plus one per
+closed class when the prior is a family. These tests count every SVD call,
 through each name an SVD can be reached by: the public numpy and scipy
 functions and the module globals that ``numpy.linalg.pinv`` and
 ``scipy.linalg.null_space`` call.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import importlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +23,18 @@ import scipy.linalg
 
 from beliefscape import (
     DEFAULT_TOLERANCES,
+    InformationalEnvironment,
+    InformationStructure,
+    Prior,
     StateBeliefMatrix,
     consistency_check,
     fixtures,
     generate_landscape,
+    identify,
     identify_underdetermined,
+    irreducibility,
     rationalize_noncommon,
+    reduce_dependencies,
     ridge_solution_at,
     sample_environment,
     signal_priors_identify,
@@ -145,24 +153,88 @@ EIGENVALUE_ONE_CALLS = {
 }
 
 
+def closed_class_blocks(matrix: np.ndarray) -> list[np.ndarray]:
+    """The shifted block of each closed class of a matrix with a family of fixed vectors."""
+    decomposition = irreducibility(matrix)
+    return [
+        shifted(matrix[np.ix_(members, members)])
+        for members, closed in zip(decomposition.classes, decomposition.closed)
+        if closed
+    ]
+
+
+PARTITION = partial(fixtures.coarse_partition_landscape, [0.25, 1 / 6, 1 / 3, 0.25])
+
+
 @pytest.mark.parametrize("call", sorted(EIGENVALUE_ONE_CALLS))
 @pytest.mark.parametrize(
-    "landscape",
+    "landscape, family",
     [
-        pytest.param(LANDSCAPES["sampled_4x6"], id="4x6"),
-        pytest.param(TON, id="truth_or_noise"),
-        pytest.param(SCARCE, id="scarce"),
+        pytest.param(LANDSCAPES["sampled_4x6"], False, id="4x6"),
+        pytest.param(TON, False, id="truth_or_noise"),
+        pytest.param(SCARCE, False, id="scarce"),
+        pytest.param(PARTITION, True, id="partition"),
     ],
 )
-def test_one_svd_per_eigenvalue_one_step(call, landscape, svd_inputs):
-    """Every SVD a call makes: B's, once, and one of M - I, with nothing else factorized."""
+def test_one_svd_per_eigenvalue_one_step(call, landscape, family, svd_inputs):
+    """Every SVD a call makes: B's, once, and one of M - I, with nothing else factorized
+    but, for a family, each closed class's block."""
     landscape = landscape()
     function, eigen_matrix, reads_b = EIGENVALUE_ONE_CALLS[call]
     svd_inputs.clear()
     function(landscape)
-    expected = [landscape.B.entries] * reads_b + [shifted(eigen_matrix(landscape))]
+    seen = list(svd_inputs)
+    matrix = eigen_matrix(landscape)
+    blocks = closed_class_blocks(matrix) if family else []
+    assert len(blocks) == 3 * family
+    expected = [landscape.B.entries] * reads_b + [shifted(matrix)]
+    assert len(seen) == len(expected) + len(blocks)
+    assert [svds_of(seen, m) for m in expected] == [1] * len(expected)
+    # equal blocks (the two one-state classes) are counted together
+    assert [svds_of(seen, m) for m in blocks] == [svds_of(blocks, m) for m in blocks]
+
+
+def generated_split_landscape():
+    """A sampled environment with one state split in two: a dependent last belief column."""
+    env = sample_environment(np.random.default_rng(8), 3, 5)
+    rows = np.vstack([env.structure.entries, env.structure.entries[1]])
+    prior = np.append(env.prior.entries, 0.4 * env.prior.entries[1])
+    prior[1] *= 0.6
+    return generate_landscape(InformationalEnvironment(InformationStructure(rows), Prior(prior)))
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    calls: list[np.ndarray] = []
+    original = np.linalg.qr
+
+    def qr(a, *args, **kwargs):
+        calls.append(np.array(a, dtype=float, copy=True))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "landscape",
+    [
+        pytest.param(fixtures.split_state_landscape, id="split_fixture"),
+        pytest.param(generated_split_landscape, id="generated_split"),
+    ],
+)
+def test_reduce_and_identify_factorize_once(landscape, svd_inputs, qr_calls):
+    """B once, the reduced B once and its A - I once; no QR and no SVD of the kept columns."""
+    landscape = landscape()
+    svd_inputs.clear()
+    reduction = reduce_dependencies(landscape)
+    identify(reduction.reduced)
+    assert not reduction.trivial
+    reduced = reduction.reduced
+    expected = [landscape.B.entries, reduced.B.entries, shifted(accuracy(reduced))]
     assert len(svd_inputs) == len(expected)
     assert [svds_of(svd_inputs, m) for m in expected] == [1] * len(expected)
+    assert qr_calls == []
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (2, 4), (3, 5), (4, 3), (50, 60)], ids=str)

@@ -1,4 +1,4 @@
-"""The unmasked Bayes steps and the one-SVD eigenvalue-1 step against their references.
+"""The fast paths against the routes they replaced, which stay here as references.
 
 ``forward._bayes`` and ``inverse._bayes_step`` index with their keep or seen
 mask only when a signal or a state actually drops, and ``linalg._fixed_direction``
@@ -6,10 +6,18 @@ reads the rank and first null vector straight from ``np.linalg.svd``. The
 references below are the masked formulas and the ``_SVD.null_basis`` route,
 and the fast code must give the same floats bit for bit: a matmul's rounding
 follows its operands' memory layout, so the layouts must match too.
+
+The typed results are checked the same way against the routes that built them
+before the judge became one array kernel: the judge through
+``unit_eigenvector_eigenvalue_one``, a ``PriorFamily`` and its representative
+into the masked Bayes step; signal-priors through ``unit_eigenvector_eigenvalue_one``
+of Qᵀ; validation row by row; and the dependency reduction's repeated-QR scan
+with a regression on the kept columns.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -21,17 +29,33 @@ from hypothesis import strategies as st
 from beliefscape import (
     DEFAULT_TOLERANCES,
     BeliefLandscape,
+    ConsistencyVerdict,
     DroppedSignalWarning,
     HypotheticalBeliefMatrix,
     InformationalEnvironment,
     InformationStructure,
+    NotConvexDependentError,
+    NotModelGeneratedError,
+    PlausibilityReport,
     Prior,
+    RestorationResult,
+    SignalMarginal,
+    SignalPriorsResult,
     StateBeliefMatrix,
+    UnderdeterminedResult,
+    Violation,
+    consistency_check,
     generate_landscape,
+    identify,
+    identify_underdetermined,
+    reduce_dependencies,
+    regression_operator,
     sample_environment,
+    signal_priors_identify,
     unit_eigenvector_eigenvalue_one,
+    validate_landscape,
 )
-from beliefscape import forward, inverse, linalg
+from beliefscape import core, forward, inverse, linalg
 
 TOL = DEFAULT_TOLERANCES
 
@@ -152,15 +176,16 @@ def test_bayes_step_matches_the_masked_formula(kind, data):
     landscape = landscape_of(env, data.draw(st.booleans()))
     # the generator's prior, and the one the judge reads off the landscape
     priors = [env.prior.entries]
-    found = inverse._accuracy_prior(
+    found = reference_prior(
         landscape.B.entries.T @ landscape.B._svd.solve(landscape.Q.entries, TOL).T,
         landscape.state_labels,
         TOL,
     )
     if found is not None:
         priors.append(found.representative().entries)
+    b, q = landscape.B.entries, landscape.Q.entries
     for p in priors:
-        fast, reference = inverse._bayes_step(landscape, p, TOL), masked_bayes_step(landscape, p, TOL)
+        fast, reference = inverse._bayes_step(b, q, p, TOL), masked_bayes_step(landscape, p, TOL)
         assert fast[0] == reference[0]
         assert same(fast[1], reference[1])
         assert fast[2] == reference[2]
@@ -192,3 +217,289 @@ def test_fixed_direction_matches_the_null_basis_route(kind, data):
         assert (lean.kind, lean.family_classes) == (expected.kind, expected.family_classes)
         assert same(lean.vector, expected.vector)
         assert all(same(a, b) for a, b in zip(lean.family, expected.family, strict=True))
+
+
+# --------------------------------------------------------------------------
+# The typed results against the routes that built them before the array kernel
+# --------------------------------------------------------------------------
+
+
+def reference_prior(accuracy, labels, tol):
+    """The prior family read through ``unit_eigenvector_eigenvalue_one``; None without one."""
+    eigen = unit_eigenvector_eigenvalue_one(accuracy, tol)
+    if eigen.kind == "none":
+        return None
+    return inverse._prior_family(eigen.kind, eigen.members(), eigen.family_classes, labels)
+
+
+def reference_judge(landscape, tol):
+    """The judge as a chain of typed values: prior family, representative, masked Bayes step."""
+    beliefs = landscape.B
+    x = beliefs._svd.solve(landscape.Q.entries, tol)
+    accuracy = beliefs.entries.T @ x.T
+    prior = reference_prior(accuracy, landscape.state_labels, tol)
+    failed = []
+    if x.min() < -tol.tol_entry and inverse._route(beliefs, tol)[0] == "regression":
+        failed.append("nonnegative_structure")
+    gaps = (None, None)
+    if prior is None or any(m.min() < -tol.tol_entry for m in prior.members()):
+        failed += ["prior", "reproduction"]
+    else:
+        kind, judged, gaps = masked_bayes_step(landscape, prior.representative().entries, tol)
+        if kind == "infeasible":
+            failed.append("reproduction")
+    if failed:
+        kind, judged = "infeasible", None
+    return x, accuracy, prior, tuple(failed), kind, judged, gaps
+
+
+def reference_consistency_check(landscape, tol):
+    x, accuracy, prior, failed, kind, judged, gaps = reference_judge(landscape, tol)
+    if failed:
+        shown = inverse._tidy_structure(x, tol)
+    else:
+        structure = judged.clip(0.0, 1.0)
+        shown = structure, True, int(np.count_nonzero(structure != judged)), ()
+        accuracy = landscape.B.entries.T @ structure.T
+    found = inverse._identification(
+        landscape.B, x, landscape.Q.entries, shown, prior, accuracy, gaps, kind
+    )
+    return ConsistencyVerdict(not failed, failed, found)
+
+
+def reference_identify(landscape, tol):
+    identification = reference_consistency_check(landscape, tol).identification
+    if identification.prior is None:
+        raise NotModelGeneratedError(inverse._NO_PRIOR)
+    return identification
+
+
+def reference_underdetermined(landscape, tol):
+    x, _, prior, _, kind, judged, _ = reference_judge(landscape, tol)
+    if prior is None:
+        raise NotModelGeneratedError(inverse._NO_PRIOR)
+    return UnderdeterminedResult(
+        ridge_limit=x,
+        null_basis=landscape.B._svd.null_basis(tol),
+        prior=prior,
+        restored=RestorationResult(kind, None if judged is None else judged.clip(0.0, 1.0)),
+        residual=float(np.abs(landscape.B.entries @ x - landscape.Q.entries).max()),
+        state_labels=landscape.state_labels,
+        signal_labels=landscape.signal_labels,
+    )
+
+
+def reference_signal_priors(landscape, tol):
+    """Signal-priors through ``unit_eigenvector_eigenvalue_one`` of Qᵀ; supports for any kind."""
+    b = landscape.B.entries
+    eigen = unit_eigenvector_eigenvalue_one(landscape.Q.entries.T, tol)
+    if eigen.kind == "none":
+        raise NotModelGeneratedError(
+            "the hypothetical matrix has no stationary signal distribution"
+        )
+    induced = [b.T @ vector for vector in eigen.members()]
+    supports = [tuple(np.flatnonzero(p > tol.tol_entry).tolist()) for p in induced]
+    prior = inverse._prior_family(eigen.kind, induced, supports, landscape.state_labels)
+    if eigen.kind == "family":
+        return SignalPriorsResult("family", None, eigen.family, prior, None)
+    marginal, prior_vector = eigen.vector, induced[0]
+    structure = None
+    if prior_vector.min() > tol.tol_entry:
+        structure = InformationStructure(
+            inverse._bayes_structure(b, marginal, prior_vector),
+            state_labels=landscape.state_labels,
+            signal_labels=landscape.signal_labels,
+        )
+    marginal = SignalMarginal(marginal, signal_labels=landscape.signal_labels)
+    return SignalPriorsResult("unique", marginal, (), prior, structure)
+
+
+def reference_validate(B, Q, tol):
+    """Validation row by row, with no whole-matrix shortcut."""
+    violations = core._row_violations(B.entries, B.signal_labels, B.state_labels, "B", tol)
+    violations += core._row_violations(Q.entries, Q.signal_labels, Q.signal_labels, "Q", tol)
+    zero_columns = np.all(np.abs(B.entries) <= tol.tol_entry, axis=0)
+    violations += [
+        Violation("zero column", f"B column {B.state_labels[j]}", 0.0)
+        for j in np.flatnonzero(zero_columns)
+    ]
+    rank = B.rank(tol)
+    return PlausibilityReport(
+        plausible=not violations,
+        violations=tuple(violations),
+        rank=rank,
+        full_column_rank=rank == B.n_states,
+    )
+
+
+def equal(a, b) -> bool:
+    """Field by field: arrays with ``same``, other values with ==."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return same(a, b)
+    if dataclasses.is_dataclass(a):
+        return all(
+            equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(equal(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def outcome(function, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return function(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+# (the kernel-built entry point, the reference route)
+JUDGED = {
+    "consistency_check": (consistency_check, reference_consistency_check),
+    "identify": (identify, reference_identify),
+    "identify_underdetermined": (identify_underdetermined, reference_underdetermined),
+    "signal_priors_identify": (signal_priors_identify, reference_signal_priors),
+}
+LANDSCAPE_KINDS = (*KINDS, "scarce")
+
+
+@st.composite
+def landscapes(draw, kind):
+    """The landscape of an environment of ``kind`` ("scarce": more states than signals),
+    in either memory layout, and in half the draws with 1e-3 moved within Q's first row."""
+    if kind == "scarce":
+        n_signals = draw(st.integers(1, 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        env = sample_environment(rng, n_signals + draw(st.integers(1, 2)), n_signals)
+    else:
+        env = draw(environments(kind))
+    landscape = landscape_of(env, draw(st.booleans()))
+    if landscape.n_signals > 1 and draw(st.booleans()):
+        q = np.array(landscape.Q.entries)
+        q[0, 0] += 1e-3
+        q[0, 1] -= 1e-3
+        landscape = BeliefLandscape(
+            landscape.B, HypotheticalBeliefMatrix(q, signal_labels=landscape.signal_labels)
+        )
+    return landscape
+
+
+@pytest.mark.parametrize("kind", LANDSCAPE_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_judged_results_match_the_typed_reference_routes(kind, data):
+    landscape = data.draw(landscapes(kind))
+    for name, (fast, reference) in JUDGED.items():
+        got, expected = outcome(fast, landscape, TOL), outcome(reference, landscape, TOL)
+        assert equal(got, expected), name
+
+
+def test_a_two_block_structure_is_a_family_on_both_routes():
+    env = sample_environment(np.random.default_rng(5), 4, 4)
+    blocks = np.kron(np.eye(2), np.ones((2, 2)))  # states and signals in two groups
+    structure = blocks * env.structure.entries
+    structure /= structure.sum(axis=1, keepdims=True)
+    env = InformationalEnvironment(InformationStructure(structure), env.prior)
+    family = generate_landscape(env)
+    verdict = consistency_check(family)
+    assert verdict.consistent and verdict.identification.prior.kind == "family"
+    assert signal_priors_identify(family).kind == "family"
+    assert equal(verdict, reference_consistency_check(family, TOL))
+    assert equal(signal_priors_identify(family), reference_signal_priors(family, TOL))
+
+
+@st.composite
+def validation_inputs(draw):
+    """Landscapes with up to three defects: an entry pushed below zero (past or within
+    tol_entry), a row sum moved (past or within tol_stochastic), a column of B zeroed."""
+    landscape = draw(landscapes(draw(st.sampled_from(LANDSCAPE_KINDS))))
+    b, q = np.array(landscape.B.entries), np.array(landscape.Q.entries)
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from((b, q)))
+        i = draw(st.integers(0, target.shape[0] - 1))
+        j = draw(st.integers(0, target.shape[1] - 1))
+        defect = draw(st.sampled_from(("negative", "row_sum", "zero_column")))
+        size = draw(st.sampled_from((0.5, 2.0))) * (
+            TOL.tol_stochastic if defect == "row_sum" else TOL.tol_entry
+        )
+        if defect == "negative":
+            target[i, j] = -size
+        elif defect == "row_sum":
+            target[i, j] += draw(st.sampled_from((size, -size, 0.25)))
+        else:
+            b[:, j % b.shape[1]] = draw(st.sampled_from((0.0, size, -size)))
+    labels = landscape.signal_labels
+    return StateBeliefMatrix(b, signal_labels=labels), HypotheticalBeliefMatrix(q, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=validation_inputs())
+def test_validation_matches_the_per_row_reference(inputs):
+    B, Q = inputs
+    assert validate_landscape(B, Q, TOL) == reference_validate(B, Q, TOL)
+
+
+def reference_reduction_scan(landscape, tol):
+    """The kept and removed states and the mixing weights as the repeated-QR scan found them:
+    a QR of the candidate columns drops the first one whose |R[j, j]| is at or below B's
+    rank cutoff, then the next QR tests the rest; a regression on the kept columns weighs."""
+    b = landscape.B.entries
+    n_states = landscape.n_states
+    target_rank = landscape.B.rank(tol)
+    cutoff = tol.rank_cutoff(landscape.B._svd.s)
+    kept = list(range(n_states))
+    for _ in range(n_states - target_rank):
+        weak = np.abs(np.linalg.qr(b[:, kept], mode="r").diagonal()) <= cutoff
+        first = int(np.argmax(weak)) if weak.any() else weak.size
+        if first >= target_rank:
+            break
+        del kept[first]
+    kept = kept[:target_rank]
+    removed = [j for j in range(n_states) if j not in kept]
+    coefficients = regression_operator(b[:, kept], tol) @ b[:, removed]
+    for j, w in zip(removed, coefficients.T):
+        if w.min() < -tol.tol_entry:
+            label = landscape.state_labels[j]
+            raise NotConvexDependentError(f"column {label} needs negative weight")
+    return tuple(kept), tuple(removed), np.clip(coefficients.T, 0.0, None)
+
+
+def dependent_beliefs(rng):
+    """Row-normalized beliefs whose columns include up to three nonnegative mixtures of
+    well-conditioned base columns, all shuffled: tall, square and wide."""
+    n_signals = int(rng.integers(2, 7))
+    rank = int(rng.integers(1, n_signals + 1))
+    while True:
+        base = rng.dirichlet(np.ones(n_signals), size=rank).T
+        if np.linalg.cond(base) < 1e3:
+            break
+    weights = rng.dirichlet(np.ones(rank), size=int(rng.integers(1, 4)))
+    weights *= rng.uniform(0.2, 3.0, size=(len(weights), 1))
+    weights[rng.random(weights.shape) < 0.2] = 0.0
+    columns = np.column_stack([base, base @ weights.T])
+    columns = columns[:, rng.permutation(columns.shape[1])]
+    return columns / columns.sum(axis=1, keepdims=True)
+
+
+def test_reduction_matches_the_repeated_qr_scan():
+    rng = np.random.default_rng(2024)
+    shapes = set()
+    reduced = 0
+    for _ in range(2000):
+        b = dependent_beliefs(rng)
+        shapes.add(np.sign(b.shape[1] - b.shape[0]))
+        landscape = BeliefLandscape(StateBeliefMatrix(b), HypotheticalBeliefMatrix(np.eye(len(b))))
+        expected = outcome(reference_reduction_scan, landscape, TOL)
+        got = outcome(reduce_dependencies, landscape, TOL)
+        if isinstance(expected[0], type):  # the reference raised: so must the reduction
+            assert isinstance(got, tuple) and got[0] is expected[0]
+            assert got[1].startswith(expected[1])
+            continue
+        assert not isinstance(got, tuple), got
+        reduced += 1
+        kept, removed, weights = expected
+        assert (got.kept_states, got.removed_states) == (kept, removed)
+        np.testing.assert_allclose(np.array(got.mixing_weights), weights, rtol=0, atol=1e-12)
+    assert shapes == {-1, 0, 1} and reduced > 500

@@ -172,7 +172,8 @@ class TestRoundTripErrors:
         entries = np.array([[0.625, 0.375], [0.375, 0.625]])
         entries[:, dead] = 0.0
         errors = inverse._roundtrip_errors(
-            landscape, entries, np.array([0.5, 0.5]), DEFAULT_TOLERANCES
+            landscape.B.entries, landscape.Q.entries, entries, np.array([0.5, 0.5]),
+            DEFAULT_TOLERANCES,
         )
         assert errors == (float("inf"), float("inf"))
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,12 @@ from beliefscape import (
     BeliefLandscape,
     HypotheticalBeliefMatrix,
     InformationalEnvironment,
+    InformationStructure,
     NotConvexDependentError,
+    Prior,
     StateBeliefMatrix,
     StructuralError,
+    consistency_check,
     generate_landscape,
     identify,
     posterior_matrix,
@@ -166,3 +171,24 @@ class TestGeneralReduction:
             b_full,
             atol=1e-8,
         )
+
+
+def test_zero_belief_column_embeds_as_an_unseen_state():
+    # A prior with a zero entry gives a zero belief column; its mixing weights are
+    # all zero, and the embedding gives it prior zero and the uniform row.
+    structure = InformationStructure([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6], [0.3, 0.3, 0.4]])
+    env = InformationalEnvironment(structure, Prior([0.5, 0.5, 0.0]))
+    land = generate_landscape(env)
+    assert consistency_check(land).consistent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reduction = reduce_dependencies(land)
+        assert reduction.removed_states == (2,)
+        np.testing.assert_array_equal(reduction.mixing_weights[0], [0.0, 0.0])
+        result = identify(reduction.reduced)
+        embedded, prior = reduction.embed(result.structure, result.prior.unique_prior)
+        regenerated = generate_landscape(InformationalEnvironment(embedded, prior))
+    assert prior.entries[2] == 0.0
+    np.testing.assert_array_equal(embedded.entries[2], np.full(3, 1 / 3))
+    np.testing.assert_allclose(regenerated.B.entries, land.B.entries, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(regenerated.Q.entries, land.Q.entries, rtol=0, atol=1e-12)
