@@ -43,7 +43,6 @@ from .forward import (
     signal_marginal,
 )
 from .inverse import (
-    ClassPrior,
     ConsistencyVerdict,
     IdentificationResult,
     NonCommonPriorRationalization,

@@ -186,8 +186,8 @@ def _prior_payload(prior: PriorFamily) -> dict:
         "kind": "family",
         "states": list(prior.state_labels),
         "classes": [
-            {"states": list(cp.state_labels), "weights": cp.weights}
-            for cp in prior.class_priors
+            {"states": [prior.state_labels[i] for i in states], "weights": vector[list(states)]}
+            for states, vector in zip(prior.classes, prior.vectors)
         ],
     }
 
@@ -536,8 +536,6 @@ def _pretty_lines(value, indent: int = 0) -> list[str]:
                 lines.extend(_pretty_lines(item, indent))
             else:
                 lines.append(f"{pad}- {json.dumps(item)}")
-    else:
-        lines.append(f"{pad}{json.dumps(value)}")
     return lines
 
 

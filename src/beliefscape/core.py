@@ -77,7 +77,7 @@ class Tolerances:
     """Numerical slack used throughout; the model itself is exact.
 
     ``tol_rank`` is relative: the cutoff on singular values is
-    ``tol_rank * largest_singular_value``.
+    ``tol_rank * largest_singular_value``; the eigenvalue-1 step floors it at ``tol_rank``.
     """
 
     tol_stochastic: float = 1e-9

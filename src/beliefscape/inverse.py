@@ -10,6 +10,9 @@ with that prior, kept only if it regenerates the landscape.
 each build their typed result once, at their edge, from that one judgement, as
 does every CLI command that judges a landscape. The signal-priors route takes
 the same eigenvalue-1 step on Qᵀ, the stationary signal distribution, instead.
+Each reports its prior as a :class:`PriorFamily`: the eigenvalue-1 record
+(kind, vectors, classes) with state labels, from which the unique prior and
+the balanced mixture the Bayes step judges with are derived.
 Dependency reduction, partition detection, non-common-prior rationalization and
 crowd-wisdom state inference round out the toolbox.
 """
@@ -17,6 +20,7 @@ crowd-wisdom state inference round out the toolbox.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .core import (
     _require_states,
 )
 from .forward import _bayes
-from .linalg import NullSpaceBasis, _fixed_vectors, _nnls
+from .linalg import EigenvalueOneResult, NullSpaceBasis, _fixed_vectors, _nnls
 
 # --------------------------------------------------------------------------
 # Prior families
@@ -47,66 +51,31 @@ from .linalg import NullSpaceBasis, _fixed_vectors, _nnls
 
 
 @dataclass(frozen=True)
-class ClassPrior:
-    """The identified prior restricted to one closed class of states."""
-
-    states: tuple[int, ...]
-    state_labels: tuple[str, ...]
-    weights: np.ndarray
-
-    def full_vector(self, n_states: int) -> np.ndarray:
-        full = np.zeros(n_states)
-        full[list(self.states)] = self.weights
-        return full
-
-
-@dataclass(frozen=True)
-class PriorFamily:
-    """Either one prior, or one Perron vector per closed class.
+class PriorFamily(EigenvalueOneResult):
+    """An eigenvalue-1 answer over labelled states: one prior, or one Perron vector
+    per closed class (kind "family"), each zero off its class in ``classes``.
 
     In the family case the identified set is every convex combination of the
     class vectors; relative weight across classes cannot be determined from
     ex-post data.
     """
 
-    kind: str  # "unique" | "family"
     state_labels: tuple[str, ...]
-    unique_prior: Prior | None = None
-    class_priors: tuple[ClassPrior, ...] = ()
 
-    @property
-    def n_states(self) -> int:
-        return len(self.state_labels)
-
-    def members(self) -> tuple[np.ndarray, ...]:
-        """Extreme points of the identified set, as full-length vectors."""
-        if self.kind == "unique":
-            return (self.unique_prior.entries,)
-        return tuple(cp.full_vector(self.n_states) for cp in self.class_priors)
+    @cached_property
+    def unique_prior(self) -> Prior | None:
+        if self.kind != "unique":
+            return None
+        return Prior(self.vectors[0], state_labels=self.state_labels)
 
     def representative(self) -> Prior:
-        """The unique prior, or the balanced mixture of the class extremes."""
-        if self.kind == "unique":
-            return self.unique_prior
-        mean = np.mean(np.stack(self.members()), axis=0)
-        return Prior(mean, state_labels=self.state_labels)
+        """The unique prior, or the balanced mixture of the class vectors."""
+        return Prior(_balanced_mixture(self.kind, self.vectors), state_labels=self.state_labels)
 
 
-def _prior_family(kind: str, members, supports, labels: tuple[str, ...]) -> PriorFamily:
-    """The one prior (kind "unique"), or one class prior per member restricted to its support."""
-    if kind == "unique":
-        return PriorFamily(
-            kind="unique", state_labels=labels, unique_prior=Prior(members[0], state_labels=labels)
-        )
-    class_priors = tuple(
-        ClassPrior(
-            states=support,
-            state_labels=tuple(labels[i] for i in support),
-            weights=vector[list(support)],
-        )
-        for support, vector in zip(supports, members)
-    )
-    return PriorFamily(kind="family", state_labels=labels, class_priors=class_priors)
+def _balanced_mixture(kind: str, vectors) -> np.ndarray:
+    """The one vector of kind "unique", or the mean of a family's class vectors."""
+    return vectors[0] if kind == "unique" else np.mean(np.stack(vectors), axis=0)
 
 
 _NO_PRIOR = "the peer-accuracy matrix has no eigenvalue-1 eigenvector"
@@ -123,10 +92,10 @@ def identify_prior(
     Perron vector per closed class of its positive-entry pattern.
     """
     _require_states(beliefs, structure.n_states, "structure")
-    kind, vectors, classes = _fixed_vectors(peer_accuracy_matrix(beliefs, structure), tol)
-    if kind == "none":
+    eigen = _fixed_vectors(peer_accuracy_matrix(beliefs, structure), tol)
+    if eigen[0] == "none":
         raise NotModelGeneratedError(_NO_PRIOR)
-    return _prior_family(kind, vectors, classes, beliefs.state_labels)
+    return PriorFamily(*eigen, beliefs.state_labels)
 
 
 def peer_accuracy_matrix(beliefs: StateBeliefMatrix, structure: InformationStructure) -> np.ndarray:
@@ -292,7 +261,7 @@ def consistency_check(
         structure = judged.clip(0.0, 1.0)
         shown = structure, True, int(np.count_nonzero(structure != judged)), ()
         accuracy = beliefs.entries.T @ structure.T  # the peer accuracy of what was judged
-    prior = None if eigen[0] == "none" else _prior_family(*eigen, landscape.state_labels)
+    prior = None if eigen[0] == "none" else PriorFamily(*eigen, landscape.state_labels)
     found = _identification(beliefs, x, q, shown, prior, accuracy, gaps, kind)
     return ConsistencyVerdict(not failed, failed, found)
 
@@ -423,8 +392,7 @@ def _judge(b: np.ndarray, svd, q: np.ndarray, tol: Tolerances):
     if prior_kind == "none" or any(v.min() < -tol.tol_entry for v in vectors):
         failed += ["prior", "reproduction"]
     else:
-        p = vectors[0] if prior_kind == "unique" else np.mean(np.stack(vectors), axis=0)
-        kind, judged, gaps = _bayes_step(b, q, p, tol)
+        kind, judged, gaps = _bayes_step(b, q, _balanced_mixture(prior_kind, vectors), tol)
         if kind == "infeasible":
             failed.append("reproduction")
     if failed:
@@ -448,7 +416,7 @@ def identify_underdetermined(
     return UnderdeterminedResult(
         ridge_limit=x,
         null_basis=beliefs._svd.null_basis(tol),
-        prior=_prior_family(*eigen, landscape.state_labels),
+        prior=PriorFamily(*eigen, landscape.state_labels),
         restored=RestorationResult(kind, None if judged is None else judged.clip(0.0, 1.0)),
         residual=float(np.abs(beliefs.entries @ x - q).max()),
         state_labels=landscape.state_labels,
@@ -517,7 +485,8 @@ def signal_priors_identify(
     """Marginal from the hypotheticals' stationary vector, then prior, then structure.
 
     The marginal is the eigenvalue-1 step of the judge taken on Qᵀ; each marginal
-    m induces the prior Bᵀm. A family's priors are restricted to their supports.
+    m induces the prior Bᵀm. A family's vectors are its induced priors set to zero
+    outside their supports, which are its classes.
     """
     b = landscape.B.entries
     kind, marginals, _ = _fixed_vectors(landscape.Q.entries.T, tol)
@@ -526,15 +495,15 @@ def signal_priors_identify(
             "the hypothetical matrix has no stationary signal distribution"
         )
     state_labels = landscape.state_labels
+    induced = [b.T @ marginal for marginal in marginals]
     if kind == "family":
-        induced = [b.T @ marginal for marginal in marginals]
-        supports = [tuple(np.flatnonzero(p > tol.tol_entry).tolist()) for p in induced]
-        prior = _prior_family("family", induced, supports, state_labels)
+        vectors = tuple(np.where(p > tol.tol_entry, p, 0.0) for p in induced)
+        supports = tuple(tuple(np.flatnonzero(p).tolist()) for p in vectors)
+        prior = PriorFamily("family", vectors, supports, state_labels)
         return SignalPriorsResult(
             kind="family", marginal=None, marginal_family=marginals, prior=prior, structure=None
         )
-    marginal = marginals[0]
-    prior_vector = b.T @ marginal
+    marginal, prior_vector = marginals[0], induced[0]
     structure = None
     if prior_vector.min() > tol.tol_entry:
         structure = InformationStructure(
@@ -546,7 +515,7 @@ def signal_priors_identify(
         kind="unique",
         marginal=SignalMarginal(marginal, signal_labels=landscape.signal_labels),
         marginal_family=(),
-        prior=_prior_family("unique", (prior_vector,), (), state_labels),
+        prior=PriorFamily("unique", (prior_vector,), (), state_labels),
         structure=structure,
     )
 

@@ -8,12 +8,13 @@ cutoff ``tol_rank * s[0]``. ``_SVD.solve`` is the one solve, for the
 minimum-norm and the ridge solutions alike and for each step of ``_nnls``,
 Lawson and Hanson's active-set method; a factorization whitened by a
 regularizer keeps the Cholesky factor that maps its solutions back. The
-eigenvalue-1 step (``_fixed_vectors``: plain arrays, which the judge and the
-signal-priors route read and :func:`unit_eigenvector_eigenvalue_one` wraps)
-reads its rank and first null vector straight from the ``np.linalg.svd`` of
-matrix − I. The normal-equation formulas define the
-values, not the algorithms. Everything here, and everything the package
-runs, is numpy.
+eigenvalue-1 step (``_fixed_vectors``) returns plain (kind, vectors, classes),
+which the judge and the signal-priors route read; :class:`EigenvalueOneResult`
+is the one record of those three fields, and a prior family is that record with
+state labels. The step reads its rank and first null vector straight from the
+``np.linalg.svd`` of matrix − I, with the rank cutoff floored at ``tol_rank``.
+The normal-equation formulas define the values, not the algorithms. Everything
+here, and everything the package runs, is numpy.
 """
 
 from __future__ import annotations
@@ -122,20 +123,14 @@ class ClassDecomposition:
 class EigenvalueOneResult:
     """Eigenvalue-1 eigenvectors of a square matrix, simplex-normalized.
 
-    ``kind`` is "unique" (one direction), "family" (one Perron vector per
-    closed class, as full-length vectors supported on the class), or "none".
-    ``family_classes`` holds, per family member, the index set it lives on.
+    ``kind`` is "unique" (one vector), "family" (one Perron vector per closed
+    class, full length and zero off its class; ``classes`` holds each one's
+    index set), or "none" (no vectors). The fields are :func:`_fixed_vectors`'s.
     """
 
     kind: str
-    vector: np.ndarray | None = None
-    family: tuple[np.ndarray, ...] = ()
-    family_classes: tuple[tuple[int, ...], ...] = ()
-
-    def members(self) -> tuple[np.ndarray, ...]:
-        if self.kind == "unique":
-            return (self.vector,)
-        return self.family
+    vectors: tuple[np.ndarray, ...]
+    classes: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -294,15 +289,18 @@ def irreducibility(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
 def _fixed_direction(matrix: np.ndarray, tol: Tolerances) -> tuple[int, np.ndarray | None]:
     """Dimension of the null space of (matrix - I); its first vector scaled to sum 1, or None.
 
-    The right singular vectors past the rank span that null space. Dividing by
-    the sum cancels whatever sign the SVD gave the vector, which is a unit vector,
-    so a sum within 1e-12 of zero has no simplex scaling.
+    The right singular vectors past the rank span that null space. The rank cutoff
+    is floored at ``tol_rank``, the scale of matrix - I for a stochastic matrix: near
+    full revelation matrix - I is itself small, and a cutoff relative to it alone
+    would let rounding set the rank. Dividing by the sum cancels whatever sign the
+    SVD gave the vector, which is a unit vector, so a sum within 1e-12 of zero has
+    no simplex scaling.
     """
     n = matrix.shape[0]
     shifted = matrix.copy()  # C order, so the flat view's every (n + 1)th entry is diagonal
     shifted.reshape(-1)[:: n + 1] -= 1.0
     _, s, vt = np.linalg.svd(shifted, full_matrices=False)
-    rank = int(np.count_nonzero(s > tol.rank_cutoff(s)))
+    rank = int(np.count_nonzero(s > max(tol.rank_cutoff(s), tol.tol_rank)))
     if rank == n:
         return 0, None
     vector = vt[rank]
@@ -326,8 +324,7 @@ def _fixed_vectors(matrix: np.ndarray, tol: Tolerances) -> tuple[str, tuple, tup
     if dimension < 2:
         return "none", (), ()
     decomposition = irreducibility(matrix, tol)
-    family = []
-    family_classes = []
+    vectors, classes = [], []
     for members, is_closed in zip(decomposition.classes, decomposition.closed):
         if not is_closed:
             continue
@@ -337,11 +334,11 @@ def _fixed_vectors(matrix: np.ndarray, tol: Tolerances) -> tuple[str, tuple, tup
             continue
         full = np.zeros(matrix.shape[0])
         full[idx] = local
-        family.append(full)
-        family_classes.append(members)
-    if not family:
+        vectors.append(full)
+        classes.append(members)
+    if not vectors:
         return "none", (), ()
-    return "family", tuple(family), tuple(family_classes)
+    return "family", tuple(vectors), tuple(classes)
 
 
 def unit_eigenvector_eigenvalue_one(
@@ -359,7 +356,4 @@ def unit_eigenvector_eigenvalue_one(
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    kind, vectors, classes = _fixed_vectors(matrix, tol)
-    if kind == "unique":
-        return EigenvalueOneResult(kind="unique", vector=vectors[0])
-    return EigenvalueOneResult(kind=kind, family=vectors, family_classes=classes)
+    return EigenvalueOneResult(*_fixed_vectors(matrix, tol))

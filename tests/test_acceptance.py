@@ -104,7 +104,7 @@ def test_criterion_1d_scarce_signal_identification():
         eigen = bs.unit_eigenvector_eigenvalue_one(matrix)
         assert eigen.kind == "unique"
         np.testing.assert_allclose(
-            eigen.vector, fixtures.TWO_SIGNAL_THREE_STATE_PRIOR, atol=1e-9
+            eigen.vectors[0], fixtures.TWO_SIGNAL_THREE_STATE_PRIOR, atol=1e-9
         )
 
 
@@ -183,10 +183,9 @@ def test_criterion_1f_partition_fixture(p2, p3):
 
     family = bs.identify_underdetermined(land).prior
     assert family.kind == "family"
-    assert len(family.class_priors) == 3
-    assert [cp.states for cp in family.class_priors] == [(0,), (1, 2), (3,)]
+    assert family.classes == ((0,), (1, 2), (3,))
     np.testing.assert_allclose(
-        family.class_priors[1].weights, [p2 / (p2 + p3), p3 / (p2 + p3)], atol=1e-9
+        family.vectors[1], [0, p2 / (p2 + p3), p3 / (p2 + p3), 0], atol=1e-9
     )
 
 

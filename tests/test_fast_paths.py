@@ -3,9 +3,10 @@
 ``forward._bayes`` and ``inverse._bayes_step`` index with their keep or seen
 mask only when a signal or a state actually drops, and ``linalg._fixed_direction``
 reads the rank and first null vector straight from ``np.linalg.svd``. The
-references below are the masked formulas and the ``_SVD.null_basis`` route,
-and the fast code must give the same floats bit for bit: a matmul's rounding
-follows its operands' memory layout, so the layouts must match too.
+references below are the masked formulas and the ``_SVD.null_basis`` route
+(with the eigenvalue-1 step's rank cutoff, floored at ``tol_rank``), and the fast
+code must give the same floats bit for bit: a matmul's rounding follows its
+operands' memory layout, so the layouts must match too.
 
 The typed results are checked the same way against the routes that built them
 before the judge became one array kernel: the judge through
@@ -38,10 +39,12 @@ from beliefscape import (
     NotModelGeneratedError,
     PlausibilityReport,
     Prior,
+    PriorFamily,
     RestorationResult,
     SignalMarginal,
     SignalPriorsResult,
     StateBeliefMatrix,
+    Tolerances,
     UnderdeterminedResult,
     Violation,
     consistency_check,
@@ -90,9 +93,19 @@ def masked_bayes_step(landscape, p, tol):
     return ("unique" if seen.all() else "family"), structure, gaps
 
 
+@dataclasses.dataclass(frozen=True)
+class FlooredCutoff(Tolerances):
+    """Tolerances whose rank cutoff is floored at ``tol_rank``, as the eigenvalue-1 step's is."""
+
+    def rank_cutoff(self, singular_values: np.ndarray) -> float:
+        return max(super().rank_cutoff(singular_values), self.tol_rank)
+
+
 def null_basis_direction(matrix, tol):
-    """The first vector of ``_SVD.of(matrix - I).null_basis``, scaled to sum 1."""
-    basis = linalg._SVD.of(matrix - np.eye(matrix.shape[0])).null_basis(tol)
+    """The first vector of ``_SVD.of(matrix - I).null_basis`` under the floored cutoff,
+    scaled to sum 1."""
+    floored = FlooredCutoff(**dataclasses.asdict(tol))
+    basis = linalg._SVD.of(matrix - np.eye(matrix.shape[0])).null_basis(floored)
     if basis.dimension == 0:
         return 0, None
     vector = basis.vectors[0]
@@ -214,9 +227,8 @@ def test_fixed_direction_matches_the_null_basis_route(kind, data):
         lean = unit_eigenvector_eigenvalue_one(matrix, TOL)
         with mock.patch.object(linalg, "_fixed_direction", null_basis_direction):
             expected = unit_eigenvector_eigenvalue_one(matrix, TOL)
-        assert (lean.kind, lean.family_classes) == (expected.kind, expected.family_classes)
-        assert same(lean.vector, expected.vector)
-        assert all(same(a, b) for a, b in zip(lean.family, expected.family, strict=True))
+        assert (lean.kind, lean.classes) == (expected.kind, expected.classes)
+        assert all(same(a, b) for a, b in zip(lean.vectors, expected.vectors, strict=True))
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +241,7 @@ def reference_prior(accuracy, labels, tol):
     eigen = unit_eigenvector_eigenvalue_one(accuracy, tol)
     if eigen.kind == "none":
         return None
-    return inverse._prior_family(eigen.kind, eigen.members(), eigen.family_classes, labels)
+    return PriorFamily(eigen.kind, eigen.vectors, eigen.classes, labels)
 
 
 def reference_judge(landscape, tol):
@@ -242,7 +254,7 @@ def reference_judge(landscape, tol):
     if x.min() < -tol.tol_entry and inverse._route(beliefs, tol)[0] == "regression":
         failed.append("nonnegative_structure")
     gaps = (None, None)
-    if prior is None or any(m.min() < -tol.tol_entry for m in prior.members()):
+    if prior is None or any(v.min() < -tol.tol_entry for v in prior.vectors):
         failed += ["prior", "reproduction"]
     else:
         kind, judged, gaps = masked_bayes_step(landscape, prior.representative().entries, tol)
@@ -290,19 +302,26 @@ def reference_underdetermined(landscape, tol):
 
 
 def reference_signal_priors(landscape, tol):
-    """Signal-priors through ``unit_eigenvector_eigenvalue_one`` of Qᵀ; supports for any kind."""
+    """Signal-priors through ``unit_eigenvector_eigenvalue_one`` of Qᵀ; supports for any kind,
+    and a family's vectors rebuilt from their values on the supports."""
     b = landscape.B.entries
     eigen = unit_eigenvector_eigenvalue_one(landscape.Q.entries.T, tol)
     if eigen.kind == "none":
         raise NotModelGeneratedError(
             "the hypothetical matrix has no stationary signal distribution"
         )
-    induced = [b.T @ vector for vector in eigen.members()]
-    supports = [tuple(np.flatnonzero(p > tol.tol_entry).tolist()) for p in induced]
-    prior = inverse._prior_family(eigen.kind, induced, supports, landscape.state_labels)
+    induced = [b.T @ vector for vector in eigen.vectors]
+    supports = tuple(tuple(np.flatnonzero(p > tol.tol_entry).tolist()) for p in induced)
     if eigen.kind == "family":
-        return SignalPriorsResult("family", None, eigen.family, prior, None)
-    marginal, prior_vector = eigen.vector, induced[0]
+        vectors = []
+        for support, p in zip(supports, induced):
+            full = np.zeros(p.size)
+            full[list(support)] = p[list(support)]
+            vectors.append(full)
+        prior = PriorFamily("family", tuple(vectors), supports, landscape.state_labels)
+        return SignalPriorsResult("family", None, eigen.vectors, prior, None)
+    marginal, prior_vector = eigen.vectors[0], induced[0]
+    prior = PriorFamily("unique", (prior_vector,), (), landscape.state_labels)
     structure = None
     if prior_vector.min() > tol.tol_entry:
         structure = InformationStructure(

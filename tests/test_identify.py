@@ -115,9 +115,9 @@ class TestIdentifyPrior:
         land = fixtures.coarse_partition_landscape([0.25, p2, p3, 0.25])
         family = identify_prior(land.B, InformationStructure(fixtures.COARSE_PARTITION_STRUCTURE))
         assert family.kind == "family"
-        assert [cp.states for cp in family.class_priors] == [(0,), (1, 2), (3,)]
+        assert family.classes == ((0,), (1, 2), (3,))
         np.testing.assert_allclose(
-            family.class_priors[1].weights, [p2 / (p2 + p3), p3 / (p2 + p3)], atol=1e-12
+            family.vectors[1], [0, p2 / (p2 + p3), p3 / (p2 + p3), 0], atol=1e-12
         )
 
     def test_fully_revealing_identity_pair_leaves_every_state_its_own_class(self):
@@ -125,7 +125,7 @@ class TestIdentifyPrior:
         structure = InformationStructure(np.eye(3))
         family = identify_prior(beliefs, structure)
         assert family.kind == "family"
-        members = np.stack(family.members())
+        members = np.stack(family.vectors)
         np.testing.assert_allclose(members, np.eye(3), atol=1e-12)
 
 
@@ -245,6 +245,18 @@ class TestConsistencyCheck:
             moved = BeliefLandscape(land.B, HypotheticalBeliefMatrix(q))
             rejected += not consistency_check(moved).consistent
         assert (false_alarms, rejected) == (0, 100)
+
+    def test_fully_revealing_landscape_with_rounding_noise_is_consistent(self):
+        # B = I: A - I is Q's noise alone, up to 1e-15, which must not count as rank.
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            q = np.eye(3) + rng.uniform(0.0, 1e-15, (3, 3))
+            q /= q.sum(axis=1, keepdims=True)
+            verdict = consistency_check(
+                BeliefLandscape(StateBeliefMatrix(np.eye(3)), HypotheticalBeliefMatrix(q))
+            )
+            assert verdict.consistent
+            assert verdict.identification.prior.classes == ((0,), (1,), (2,))
 
     def test_perturbed_hypotheticals_flip_to_inconsistent(self):
         rng = np.random.default_rng(321)

@@ -7,6 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from beliefscape import (
+    DEFAULT_TOLERANCES,
+    EigenvalueOneResult,
     RankDeficientError,
     Regularizer,
     Tolerances,
@@ -18,7 +20,7 @@ from beliefscape import (
     ridge_solution_at,
     unit_eigenvector_eigenvalue_one,
 )
-from beliefscape import fixtures
+from beliefscape import fixtures, linalg
 from beliefscape.linalg import _nnls
 
 from conftest import random_stochastic
@@ -257,12 +259,12 @@ class TestEigenvalueOne:
         m = fixtures.TWO_SIGNAL_THREE_STATE_ACCURACY
         result = unit_eigenvector_eigenvalue_one(m)
         assert result.kind == "unique"
-        np.testing.assert_allclose(result.vector, [0.5, 1 / 6, 1 / 3], atol=1e-12)
+        np.testing.assert_allclose(result.vectors[0], [0.5, 1 / 6, 1 / 3], atol=1e-12)
 
     def test_identity_gives_full_family(self):
         result = unit_eigenvector_eigenvalue_one(np.eye(3))
         assert result.kind == "family"
-        np.testing.assert_allclose(np.stack(result.family), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(np.stack(result.vectors), np.eye(3), atol=1e-12)
 
     def test_split_state_hypotheticals_stationary_vector(self):
         # Independent oracle: dense eigendecomposition of Q^T.
@@ -273,12 +275,28 @@ class TestEigenvalueOne:
         oracle = oracle / oracle.sum()
         result = unit_eigenvector_eigenvalue_one(qt)
         assert result.kind == "unique"
-        np.testing.assert_allclose(result.vector, oracle, atol=1e-10)
-        np.testing.assert_allclose(result.vector, fixtures.SPLIT_STATE_MARGINAL, atol=1e-12)
+        np.testing.assert_allclose(result.vectors[0], oracle, atol=1e-10)
+        np.testing.assert_allclose(result.vectors[0], fixtures.SPLIT_STATE_MARGINAL, atol=1e-12)
 
     def test_no_eigenvalue_one(self):
         result = unit_eigenvector_eigenvalue_one(0.5 * np.eye(3))
         assert result.kind == "none"
+
+    def test_a_fixed_direction_summing_to_zero_is_no_prior(self):
+        # M - I has the one null vector (1, -1)/sqrt(2), which no scaling puts on the simplex.
+        assert unit_eigenvector_eigenvalue_one(np.array([[0.0, -1.0], [-1.0, 0.0]])).kind == "none"
+
+    def test_a_closed_class_without_a_fixed_vector_is_skipped(self):
+        result = unit_eigenvector_eigenvalue_one(np.diag([1.0, 1.0, 0.5]))
+        assert (result.kind, result.classes) == ("family", ((0,), (1,)))
+        np.testing.assert_array_equal(np.stack(result.vectors), np.eye(3)[:2])
+
+    def test_no_closed_class_with_a_fixed_vector_is_none(self):
+        # Two 2-D fixed directions, both summing to zero; no positive entry, so each
+        # index is a closed class of its own, and each 1x1 block is 0, not 1.
+        matrix = np.kron(np.eye(2), [[0.0, -1.0], [-1.0, 0.0]])
+        assert linalg._fixed_direction(matrix, DEFAULT_TOLERANCES) == (2, None)
+        assert unit_eigenvector_eigenvalue_one(matrix) == EigenvalueOneResult("none", (), ())
 
     def test_members_are_fixed_points_on_the_simplex(self):
         cases = [
@@ -289,7 +307,7 @@ class TestEigenvalueOne:
         ]
         for m in cases:
             result = unit_eigenvector_eigenvalue_one(m)
-            for member in result.members():
+            for member in result.vectors:
                 np.testing.assert_allclose(m @ member, member, atol=1e-8)
                 assert member.min() >= -1e-9
                 assert abs(member.sum() - 1.0) <= 1e-9

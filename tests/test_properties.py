@@ -14,6 +14,7 @@ from beliefscape import (
     HypotheticalBeliefMatrix,
     InformationalEnvironment,
     InformationStructure,
+    Prior,
     RankDeficientError,
     StateBeliefMatrix,
     UnderdeterminedError,
@@ -26,7 +27,13 @@ from beliefscape import (
     signal_priors_identify,
 )
 from beliefscape.cli import main
-from beliefscape.fileio import load_landscape, save_landscape
+from beliefscape.fileio import (
+    dumps_report,
+    landscape_from_doc,
+    landscape_to_doc,
+    load_landscape,
+    save_landscape,
+)
 
 
 def relabel(landscape: BeliefLandscape, states, signals) -> BeliefLandscape:
@@ -198,6 +205,37 @@ def test_bumped_scarce_hypotheticals_check_inconsistent(tmp_path_factory, case):
     report = json.loads(out.getvalue())
     assert (code, report["verdict"]) == (2, "inconsistent")
     assert report["result"]["route"] == "minimum-norm"
+
+
+@st.composite
+def rounded_edge_landscapes(draw):
+    """A landscape near full revelation, structure rows (1 - d)·I + d·Dirichlet(1) for d
+    from 1e-9 to 1e-3 at 3 or 4 states, or near uniform, 3×4 rows shrunk toward uniform
+    by a spread from 1e-4 to 1e-2; stored to 12 significant digits as files store it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 4))
+        d = 10 ** draw(st.floats(-9, -3))
+        rows = (1 - d) * np.eye(n) + d * rng.dirichlet(np.ones(n), size=n)
+        prior = Prior(rng.dirichlet(np.ones(n)))
+    else:
+        env = sample_environment(rng, 3, 4)
+        rows = 0.25 + 10 ** draw(st.floats(-4, -2)) * (env.structure.entries - 0.25)
+        prior = env.prior
+    landscape = generate_landscape(InformationalEnvironment(InformationStructure(rows), prior))
+    return landscape_from_doc(json.loads(dumps_report(landscape_to_doc(landscape))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rounded_edge_landscapes())
+def test_rounded_landscapes_at_either_edge_are_judged_consistent_and_bumps_are_not(landscape):
+    # Near full revelation the peer-accuracy matrix A is near I, so A - I is rounding-sized:
+    # the eigenvalue-1 rank cutoff must not be relative to that matrix alone.
+    assert consistency_check(landscape).consistent
+    q = landscape.Q.entries.copy()
+    q[0, :2] += [1e-6, -1e-6]
+    bumped = BeliefLandscape(landscape.B, HypotheticalBeliefMatrix(q))
+    assert not consistency_check(bumped).consistent
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from beliefscape import (
     Prior,
     StateBeliefMatrix,
     StructuralError,
+    Tolerances,
     consistency_check,
     generate_landscape,
     identify,
@@ -147,6 +149,29 @@ class TestGeneralReduction:
         with pytest.raises(NotConvexDependentError, match="negative weight"):
             reduce_dependencies(land)
 
+    def test_dependency_beyond_match_tolerance_is_not_in_the_span(self):
+        # Third column is half of each other column plus 1e-4 moved within it: the
+        # coarse rank cutoff calls B rank 2, but no mixture of th1 and th2 meets th3.
+        c1, c2 = np.array([0.6, 0.3, 0.1]), np.array([0.1, 0.3, 0.6])
+        b = np.column_stack([c1, c2, 0.5 * c1 + 0.5 * c2 + [1e-4, -1e-4, 0.0]])
+        b /= b.sum(axis=1, keepdims=True)
+        land = BeliefLandscape(StateBeliefMatrix(b), HypotheticalBeliefMatrix(np.eye(3)))
+        with pytest.raises(NotConvexDependentError, match="not in the span"):
+            reduce_dependencies(land, Tolerances(tol_rank=1e-3))
+
+    def test_null_vector_known_too_coarsely_is_not_separable(self):
+        # th3 = (th1 + th2) / 2 with th1 and th2 close: B's second singular value sits
+        # just above a cutoff of 0.9 of it, so the null vector (1, 1, -2)/sqrt(6) is known
+        # only to within 0.9, more than any of its entries: no column can be told to go.
+        c1, c2 = np.array([0.5, 0.3, 0.2]), np.array([0.45, 0.33, 0.22])
+        b = np.column_stack([c1, c2, 0.5 * c1 + 0.5 * c2])
+        b /= b.sum(axis=1, keepdims=True)
+        land = BeliefLandscape(StateBeliefMatrix(b), HypotheticalBeliefMatrix(np.eye(3)))
+        assert reduce_dependencies(land).removed_states == (2,)
+        s = land.B._svd.s
+        with pytest.raises(NotConvexDependentError, match="not separable"):
+            reduce_dependencies(land, Tolerances(tol_rank=0.9 * s[1] / s[0]))
+
     def test_multiple_dependent_columns(self):
         rng = np.random.default_rng(66)
         env = sample_environment(rng, 2, 5)
@@ -192,3 +217,17 @@ def test_zero_belief_column_embeds_as_an_unseen_state():
     np.testing.assert_array_equal(embedded.entries[2], np.full(3, 1 / 3))
     np.testing.assert_allclose(regenerated.B.entries, land.B.entries, rtol=0, atol=1e-12)
     np.testing.assert_allclose(regenerated.Q.entries, land.Q.entries, rtol=0, atol=1e-12)
+
+
+def test_split_state_of_a_zero_prior_state_embeds_with_its_weights():
+    # th3 splits from th1 (weights exactly (1, 0)); a reduced prior with no mass on th1
+    # leaves th3 no mass either, and its row is the mixture its weights give: th1's row.
+    structure = InformationStructure([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6], [0.7, 0.2, 0.1]])
+    land = generate_landscape(InformationalEnvironment(structure, Prior([0.3, 0.5, 0.2])))
+    reduction = reduce_dependencies(land)
+    assert reduction.removed_states == (2,)
+    np.testing.assert_allclose(reduction.mixing_weights[0], [2 / 3, 0.0], rtol=0, atol=1e-12)
+    reduction = dataclasses.replace(reduction, mixing_weights=(np.array([2 / 3, 0.0]),))
+    embedded, prior = reduction.embed(InformationStructure(structure.entries[:2]), Prior([0, 1]))
+    assert prior.entries[2] == 0.0
+    np.testing.assert_array_equal(embedded.entries[2], structure.entries[0])

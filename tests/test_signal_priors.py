@@ -5,6 +5,9 @@ from beliefscape import (
     BeliefLandscape,
     HypotheticalBeliefMatrix,
     InconsistentLandscapeError,
+    InformationalEnvironment,
+    InformationStructure,
+    Prior,
     StateBeliefMatrix,
     detect_partitional,
     generate_landscape,
@@ -55,8 +58,22 @@ class TestSignalPriors:
         assert sp.structure is None
         np.testing.assert_allclose(np.stack(sp.marginal_family), np.eye(3), atol=1e-12)
         # the induced priors are exactly the per-cell conditionals
-        assert [cp.states for cp in sp.prior.class_priors] == [(0,), (1, 2), (3,)]
-        np.testing.assert_allclose(sp.prior.class_priors[1].weights, [1 / 3, 2 / 3], atol=1e-12)
+        assert sp.prior.classes == ((0,), (1, 2), (3,))
+        np.testing.assert_allclose(sp.prior.vectors[1], [0, 1 / 3, 2 / 3, 0], atol=1e-12)
+
+    def test_partitional_landscapes_are_a_family_despite_rounding_in_q(self):
+        # Generation leaves one-ulp noise in Q = I for about a third of the priors;
+        # the stationary step must still see two closed classes.
+        structure = InformationStructure([[1, 0], [1, 0], [0, 1], [1, 0], [0, 1]])
+        rng = np.random.default_rng(0)
+        noisy = 0
+        for _ in range(60):
+            prior = Prior(rng.dirichlet(np.ones(5)))
+            land = generate_landscape(InformationalEnvironment(structure, prior))
+            noisy += not np.array_equal(land.Q.entries, np.eye(2))
+            sp = signal_priors_identify(land)
+            assert (sp.kind, sp.prior.classes) == ("family", ((0, 1, 3), (2, 4)))
+        assert noisy > 0
 
     def test_agrees_with_regression_on_generated_landscapes(self):
         rng = np.random.default_rng(314)

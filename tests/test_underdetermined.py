@@ -86,6 +86,7 @@ class TestRestoreFeasibility:
         assert result.ridge_limit.min() < 0  # the one exact solution is no structure
         assert result.restored.kind == "infeasible"
         assert result.restored.structure is None
+        assert result.restored_structure is None
 
     def test_partition_restoration_pins_a_unique_point(self):
         p2, p3 = 1 / 6, 1 / 3
@@ -153,10 +154,10 @@ class TestPartitionFixture:
         land = fixtures.coarse_partition_landscape([0.25, p2, p3, 0.25])
         result = identify_underdetermined(land)
         assert result.prior.kind == "family"
-        assert [cp.states for cp in result.prior.class_priors] == [(0,), (1, 2), (3,)]
+        assert result.prior.classes == ((0,), (1, 2), (3,))
         np.testing.assert_allclose(
-            result.prior.class_priors[1].weights,
-            [p2 / (p2 + p3), p3 / (p2 + p3)],
+            result.prior.vectors[1],
+            [0, p2 / (p2 + p3), p3 / (p2 + p3), 0],
             atol=1e-12,
         )
 
