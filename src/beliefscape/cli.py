@@ -331,11 +331,11 @@ def _cmd_sp(ns, tol, inputs):
         "signals": list(landscape.signal_labels),
     }
     if sp.kind == "unique":
-        result["marginal"] = sp.marginal.entries
+        result["marginal"] = sp.marginal.vectors[0]
         if sp.structure is not None:
             result["structure"] = sp.structure.entries
     else:
-        result["marginal_family"] = list(sp.marginal_family)
+        result["marginal_family"] = list(sp.marginal.vectors)
     return result, None, ()
 
 
@@ -399,19 +399,26 @@ def _cmd_rationalize(ns, tol, inputs):
 
 def _cmd_reduce(ns, tol, inputs):
     landscape, _, verdict, label = _judged(ns, tol, inputs)
-    reduction = reduce_dependencies(landscape, tol)
-    result = {
-        "trivial": reduction.trivial,
-        "kept_states": [landscape.state_labels[i] for i in reduction.kept_states],
-        "removed_states": [landscape.state_labels[i] for i in reduction.removed_states],
-        "mixing_weights": {
-            landscape.state_labels[removed]: weights
-            for removed, weights in zip(reduction.removed_states, reduction.mixing_weights)
-        },
-        "reduced_beliefs": reduction.reduced.B.entries,
-    }
-    if reduction.trivial:
-        return result, None, ()
+    try:
+        reduction = reduce_dependencies(landscape, tol)
+    except NotConvexDependentError as exc:
+        if not verdict.consistent:
+            raise  # main reports the finding as infeasible
+        # no split-state reading, but the judge's environment generates the data
+        result = {"split_state": False, "message": str(exc)}
+    else:
+        result = {
+            "trivial": reduction.trivial,
+            "kept_states": [landscape.state_labels[i] for i in reduction.kept_states],
+            "removed_states": [landscape.state_labels[i] for i in reduction.removed_states],
+            "mixing_weights": {
+                landscape.state_labels[removed]: weights
+                for removed, weights in zip(reduction.removed_states, reduction.mixing_weights)
+            },
+            "reduced_beliefs": reduction.reduced.B.entries,
+        }
+        if reduction.trivial:
+            return result, None, ()
     # No embedding of the reduced landscape regenerates a removed state that mixes
     # two kept ones, which is model data; so the judge gives verdict and environment.
     result["consistency"] = {"consistent": verdict.consistent, "failed": list(verdict.failed)}

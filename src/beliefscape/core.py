@@ -237,9 +237,6 @@ class Prior:
     def n_states(self) -> int:
         return self.entries.size
 
-    def is_interior(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        return bool(np.all(self.entries > tol.tol_entry))
-
 
 @dataclass(frozen=True)
 class SignalMarginal:
@@ -331,17 +328,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class PlausibilityReport:
-    """Outcome of validating a landscape or an environment.
-
-    ``rank`` and ``full_column_rank`` are filled for landscapes,
-    ``prior_interior`` for environments; the rest are None.
+    """Outcome of validating a landscape or an environment: plausible exactly when no
+    violation was found. Rank is not a plausibility question; read it from
+    :meth:`StateBeliefMatrix.rank`.
     """
 
     plausible: bool
     violations: tuple[Violation, ...]
-    rank: int | None = None
-    full_column_rank: bool | None = None
-    prior_interior: bool | None = None
 
 
 def _row_violations(matrix: np.ndarray, row_labels, col_labels, name: str, tol: Tolerances):
@@ -369,7 +362,7 @@ def validate_landscape(
 
     Entries within ``tol_entry`` below zero count as zero, so exact inputs
     survive float noise. Reports every violation rather than stopping at the
-    first one.
+    first one. Reads the entries only: B is not factorized.
     """
     if B.n_signals != Q.n_signals:
         raise StructuralError(f"signal axis: B has {B.n_signals} rows, Q has {Q.n_signals}")
@@ -392,13 +385,7 @@ def validate_landscape(
             Violation("zero column", f"B column {B.state_labels[j]}", 0.0)
             for j in np.flatnonzero(zero_columns)
         ]
-    rank = B.rank(tol)
-    return PlausibilityReport(
-        plausible=not violations,
-        violations=tuple(violations),
-        rank=rank,
-        full_column_rank=rank == B.n_states,
-    )
+    return PlausibilityReport(not violations, tuple(violations))
 
 
 def validate_environment(
@@ -416,8 +403,4 @@ def validate_environment(
     total = float(prior.sum())
     if abs(total - 1.0) > tol.tol_stochastic:
         violations.append(Violation("sum", "prior", total))
-    return PlausibilityReport(
-        plausible=not violations,
-        violations=tuple(violations),
-        prior_interior=env.prior.is_interior(tol),
-    )
+    return PlausibilityReport(not violations, tuple(violations))

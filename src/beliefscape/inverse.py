@@ -33,7 +33,6 @@ from .core import (
     NotInHullError,
     NotModelGeneratedError,
     Prior,
-    SignalMarginal,
     StateBeliefMatrix,
     StructuralError,
     StructureSupportError,
@@ -467,16 +466,20 @@ def reconstruct_from_prior(
 class SignalPriorsResult:
     """Identification that first pulls the signal marginal out of the hypotheticals.
 
-    When the hypothetical matrix is reducible the marginal is only identified
-    per closed class; the induced priors are reported as a family and no
-    single structure is singled out.
+    ``marginal`` is the eigenvalue-1 record of Qᵀ over the signals: one
+    stationary marginal, or, when Q is reducible, one per closed signal class
+    with that class's index set. Each marginal m induces the prior Bᵀm, so the
+    prior is a family exactly when the marginal is, and a structure is given
+    only for a unique prior that is positive on every state.
     """
 
-    kind: str  # "unique" | "family"
-    marginal: SignalMarginal | None
-    marginal_family: tuple[np.ndarray, ...]
+    marginal: EigenvalueOneResult
     prior: PriorFamily
     structure: InformationStructure | None
+
+    @property
+    def kind(self) -> str:
+        return self.marginal.kind
 
 
 def signal_priors_identify(
@@ -486,38 +489,25 @@ def signal_priors_identify(
 
     The marginal is the eigenvalue-1 step of the judge taken on Qᵀ; each marginal
     m induces the prior Bᵀm. A family's vectors are its induced priors set to zero
-    outside their supports, which are its classes.
+    outside their supports, which are its classes. B is not factorized.
     """
     b = landscape.B.entries
-    kind, marginals, _ = _fixed_vectors(landscape.Q.entries.T, tol)
-    if kind == "none":
-        raise NotModelGeneratedError(
-            "the hypothetical matrix has no stationary signal distribution"
-        )
-    state_labels = landscape.state_labels
-    induced = [b.T @ marginal for marginal in marginals]
-    if kind == "family":
-        vectors = tuple(np.where(p > tol.tol_entry, p, 0.0) for p in induced)
-        supports = tuple(tuple(np.flatnonzero(p).tolist()) for p in vectors)
-        prior = PriorFamily("family", vectors, supports, state_labels)
-        return SignalPriorsResult(
-            kind="family", marginal=None, marginal_family=marginals, prior=prior, structure=None
-        )
-    marginal, prior_vector = marginals[0], induced[0]
-    structure = None
-    if prior_vector.min() > tol.tol_entry:
+    marginal = EigenvalueOneResult(*_fixed_vectors(landscape.Q.entries.T, tol))
+    if marginal.kind == "none":
+        raise NotModelGeneratedError("the hypothetical matrix has no stationary signal distribution")
+    induced = tuple(b.T @ m for m in marginal.vectors)
+    classes, structure = (), None
+    if marginal.kind == "family":
+        induced = tuple(np.where(p > tol.tol_entry, p, 0.0) for p in induced)
+        classes = tuple(tuple(np.flatnonzero(p).tolist()) for p in induced)
+    elif induced[0].min() > tol.tol_entry:
         structure = InformationStructure(
-            _bayes_structure(b, marginal, prior_vector),
-            state_labels=state_labels,
+            _bayes_structure(b, marginal.vectors[0], induced[0]),
+            state_labels=landscape.state_labels,
             signal_labels=landscape.signal_labels,
         )
-    return SignalPriorsResult(
-        kind="unique",
-        marginal=SignalMarginal(marginal, signal_labels=landscape.signal_labels),
-        marginal_family=(),
-        prior=PriorFamily("unique", (prior_vector,), (), state_labels),
-        structure=structure,
-    )
+    prior = PriorFamily(marginal.kind, induced, classes, landscape.state_labels)
+    return SignalPriorsResult(marginal, prior, structure)
 
 
 def identify_single_column(
@@ -712,7 +702,9 @@ def reduce_dependencies(
     scanned from the last, add rank to N's columns already dropped. N is known
     to within the rank cutoff over B's smallest singular value above it, which
     sets what adds rank. The kept columns K and dropped ones R split B N = 0 into
-    B_K N_Kᵀ = -B_R N_Rᵀ, so the mixing weights are -N_R⁻¹ N_K.
+    B_K N_Kᵀ = -B_R N_Rᵀ, so the mixing weights are -N_R⁻¹ N_K, those at or below
+    ``tol_entry`` set to exactly zero. A dropped column outside the span of the kept
+    ones, or needing a negative weight, raises NotConvexDependentError.
     """
     b = landscape.B.entries
     n_states = landscape.n_states
@@ -763,7 +755,7 @@ def reduce_dependencies(
                 f"column {landscape.state_labels[j]} needs negative weight"
                 f" {w.min():.6g} on a kept column"
             )
-    weights = np.clip(coefficients.T, 0.0, None)
+    weights = np.where(coefficients.T > tol.tol_entry, coefficients.T, 0.0)
     scale = 1.0 + weights.sum(axis=0)
     reduced_b = kept_matrix * scale[None, :]
     kept_labels = tuple(landscape.state_labels[j] for j in kept)

@@ -10,8 +10,8 @@ Lawson and Hanson's active-set method; a factorization whitened by a
 regularizer keeps the Cholesky factor that maps its solutions back. The
 eigenvalue-1 step (``_fixed_vectors``) returns plain (kind, vectors, classes),
 which the judge and the signal-priors route read; :class:`EigenvalueOneResult`
-is the one record of those three fields, and a prior family is that record with
-state labels. The step reads its rank and first null vector straight from the
+is the one record of those three fields: a prior family is that record with
+state labels, and the signal-priors marginal is the record of Qᵀ itself. The step reads its rank and first null vector straight from the
 ``np.linalg.svd`` of matrix − I, with the rank cutoff floored at ``tol_rank``.
 The normal-equation formulas define the values, not the algorithms. Everything
 here, and everything the package runs, is numpy.

@@ -101,7 +101,7 @@ def run_selftest(
         return max(
             gap(sp.structure.entries, reg.structure.entries),
             gap(sp.prior.unique_prior.entries, reg.prior.unique_prior.entries),
-            gap(sp.marginal.entries, signal_marginal(env).entries),
+            gap(sp.marginal.vectors[0], signal_marginal(env).entries),
         )
 
     round_trips("random regression round trips", regression_error)

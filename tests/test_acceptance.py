@@ -260,7 +260,7 @@ def test_criterion_4_signal_priors_agreement(generated_suite):
             np.max(np.abs(sp.prior.unique_prior.entries - reg.prior.unique_prior.entries))
             <= 1e-8
         )
-        assert np.max(np.abs(sp.marginal.entries - bs.signal_marginal(env).entries)) <= 1e-8
+        assert np.max(np.abs(sp.marginal.vectors[0] - bs.signal_marginal(env).entries)) <= 1e-8
 
 
 # --------------------------------------------------------------------------

@@ -401,6 +401,30 @@ class TestMoreCommands:
                         assert reduced["embedded_structure"] == identified["structure"]
                         assert reduced["embedded_prior"] == identified["prior"]["values"]
 
+    def test_reduce_exits_as_check_does_on_generated_scarce_landscapes(self, workdir, capsys):
+        # Most of these have a dependent column that needs a negative weight on a kept
+        # one: no split-state reading, yet the judge's environment generates the data.
+        rng = np.random.default_rng(1)
+        path = workdir / "scarce_draw.json"
+        no_split = 0
+        for _ in range(300):
+            n_signals = int(rng.integers(2, 5))
+            env = sample_environment(rng, n_signals + int(rng.integers(1, 3)), n_signals)
+            save_landscape(generate_landscape(env), str(path))
+            code, out = run_cli(["reduce", path], capsys)
+            assert code == run_cli(["check", path], capsys)[0] == 0
+            doc = json.loads(out)
+            assert doc["verdict"] == "consistent"
+            result = doc["result"]
+            if "split_state" in result:
+                no_split += 1
+                assert result["split_state"] is False and result["message"]
+                assert result["consistency"] == {"consistent": True, "failed": []}
+                identified = json.loads(run_cli(["identify", path], capsys)[1])["result"]
+                assert result["embedded_structure"] == identified["structure"]
+                assert result["embedded_prior"] == identified["prior"]["values"]
+        assert no_split >= 200
+
     @pytest.mark.parametrize("name", ["a916.json", "split.json"])
     def test_infer_state_names_no_state_on_an_inconsistent_landscape(self, workdir, capsys, name):
         save_landscape(fixtures.split_state_landscape(), str(workdir / "split.json"))

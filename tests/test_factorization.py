@@ -101,6 +101,7 @@ def test_validate_check_rationalize_factorize_once(name, svd_inputs):
 
 TON = LANDSCAPES["truth_or_noise"]
 SCARCE = fixtures.two_signal_three_state_landscape  # 3 states, 2 signals
+PARTITION = partial(fixtures.coarse_partition_landscape, [0.25, 1 / 6, 1 / 3, 0.25])
 
 
 @pytest.mark.parametrize(
@@ -127,6 +128,38 @@ def test_cli_factorizes_once(command, landscape, tmp_path, monkeypatch, svd_inpu
     assert svds_of(svd_inputs, b) == 1
     # nor any other matrix, such as B whitened by --reg, twice
     assert [svds_of(svd_inputs, a) for a in svd_inputs] == [1] * len(svd_inputs)
+
+
+@pytest.mark.parametrize("name", sorted(LANDSCAPES))
+def test_validation_factorizes_nothing(name, svd_inputs):
+    landscape = LANDSCAPES[name]()
+    assert validate_landscape(landscape.B, landscape.Q).plausible
+    assert svd_inputs == []
+
+
+def cli_svd_inputs(command, landscape, svd_inputs, capsys):
+    """The landscape as its file gives it, and every matrix the command factorizes."""
+    save_landscape(landscape, "land.json")
+    loaded = load_landscape("land.json")[0]
+    svd_inputs.clear()
+    assert main([command, "land.json"]) == 0
+    capsys.readouterr()
+    return loaded, list(svd_inputs)
+
+
+@pytest.mark.parametrize("landscape", [TON, PARTITION], ids=["truth_or_noise", "partition"])
+def test_partition_command_factorizes_nothing(landscape, tmp_path, monkeypatch, svd_inputs, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_svd_inputs("partition", landscape(), svd_inputs, capsys)[1] == []
+
+
+@pytest.mark.parametrize("landscape", [TON, SCARCE], ids=["truth_or_noise", "scarce"])
+def test_sp_command_factorizes_only_q_transpose_minus_identity(
+    landscape, tmp_path, monkeypatch, svd_inputs, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    loaded, seen = cli_svd_inputs("sp", landscape(), svd_inputs, capsys)
+    assert len(seen) == 1 and svds_of(seen, shifted(loaded.Q.entries.T)) == 1
 
 
 def test_underdetermined_factorizes_once(svd_inputs):
@@ -161,9 +194,6 @@ def closed_class_blocks(matrix: np.ndarray) -> list[np.ndarray]:
         for members, closed in zip(decomposition.classes, decomposition.closed)
         if closed
     ]
-
-
-PARTITION = partial(fixtures.coarse_partition_landscape, [0.25, 1 / 6, 1 / 3, 0.25])
 
 
 @pytest.mark.parametrize("call", sorted(EIGENVALUE_ONE_CALLS))

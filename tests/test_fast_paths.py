@@ -41,7 +41,6 @@ from beliefscape import (
     Prior,
     PriorFamily,
     RestorationResult,
-    SignalMarginal,
     SignalPriorsResult,
     StateBeliefMatrix,
     Tolerances,
@@ -319,7 +318,7 @@ def reference_signal_priors(landscape, tol):
             full[list(support)] = p[list(support)]
             vectors.append(full)
         prior = PriorFamily("family", tuple(vectors), supports, landscape.state_labels)
-        return SignalPriorsResult("family", None, eigen.vectors, prior, None)
+        return SignalPriorsResult(eigen, prior, None)
     marginal, prior_vector = eigen.vectors[0], induced[0]
     prior = PriorFamily("unique", (prior_vector,), (), landscape.state_labels)
     structure = None
@@ -329,8 +328,7 @@ def reference_signal_priors(landscape, tol):
             state_labels=landscape.state_labels,
             signal_labels=landscape.signal_labels,
         )
-    marginal = SignalMarginal(marginal, signal_labels=landscape.signal_labels)
-    return SignalPriorsResult("unique", marginal, (), prior, structure)
+    return SignalPriorsResult(eigen, prior, structure)
 
 
 def reference_validate(B, Q, tol):
@@ -342,13 +340,7 @@ def reference_validate(B, Q, tol):
         Violation("zero column", f"B column {B.state_labels[j]}", 0.0)
         for j in np.flatnonzero(zero_columns)
     ]
-    rank = B.rank(tol)
-    return PlausibilityReport(
-        plausible=not violations,
-        violations=tuple(violations),
-        rank=rank,
-        full_column_rank=rank == B.n_states,
-    )
+    return PlausibilityReport(plausible=not violations, violations=tuple(violations))
 
 
 def equal(a, b) -> bool:
@@ -463,7 +455,8 @@ def test_validation_matches_the_per_row_reference(inputs):
 def reference_reduction_scan(landscape, tol):
     """The kept and removed states and the mixing weights as the repeated-QR scan found them:
     a QR of the candidate columns drops the first one whose |R[j, j]| is at or below B's
-    rank cutoff, then the next QR tests the rest; a regression on the kept columns weighs."""
+    rank cutoff, then the next QR tests the rest; a regression on the kept columns weighs,
+    and a weight at or below ``tol_entry`` is zero."""
     b = landscape.B.entries
     n_states = landscape.n_states
     target_rank = landscape.B.rank(tol)
@@ -482,7 +475,7 @@ def reference_reduction_scan(landscape, tol):
         if w.min() < -tol.tol_entry:
             label = landscape.state_labels[j]
             raise NotConvexDependentError(f"column {label} needs negative weight")
-    return tuple(kept), tuple(removed), np.clip(coefficients.T, 0.0, None)
+    return tuple(kept), tuple(removed), np.where(coefficients.T > tol.tol_entry, coefficients.T, 0.0)
 
 
 def dependent_beliefs(rng):

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -220,14 +219,15 @@ def test_zero_belief_column_embeds_as_an_unseen_state():
 
 
 def test_split_state_of_a_zero_prior_state_embeds_with_its_weights():
-    # th3 splits from th1 (weights exactly (1, 0)); a reduced prior with no mass on th1
-    # leaves th3 no mass either, and its row is the mixture its weights give: th1's row.
+    # th3 splits from th1 (weight 2/3 on th1, a rounding-sized one on th2, which is
+    # set to exactly zero); a reduced prior with no mass on th1 leaves th3 no mass
+    # either, and its row is the mixture its weights give: th1's row.
     structure = InformationStructure([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6], [0.7, 0.2, 0.1]])
     land = generate_landscape(InformationalEnvironment(structure, Prior([0.3, 0.5, 0.2])))
     reduction = reduce_dependencies(land)
     assert reduction.removed_states == (2,)
     np.testing.assert_allclose(reduction.mixing_weights[0], [2 / 3, 0.0], rtol=0, atol=1e-12)
-    reduction = dataclasses.replace(reduction, mixing_weights=(np.array([2 / 3, 0.0]),))
+    assert reduction.mixing_weights[0][1] == 0.0
     embedded, prior = reduction.embed(InformationStructure(structure.entries[:2]), Prior([0, 1]))
     assert prior.entries[2] == 0.0
     np.testing.assert_array_equal(embedded.entries[2], structure.entries[0])

@@ -25,7 +25,7 @@ class TestSignalPriors:
         # four-state landscape it lands directly on the embedded environment.
         sp = signal_priors_identify(fixtures.split_state_landscape())
         assert sp.kind == "unique"
-        np.testing.assert_allclose(sp.marginal.entries, fixtures.SPLIT_STATE_MARGINAL, atol=1e-12)
+        np.testing.assert_allclose(sp.marginal.vectors[0], fixtures.SPLIT_STATE_MARGINAL, atol=1e-12)
         np.testing.assert_allclose(
             sp.prior.unique_prior.entries, fixtures.SPLIT_STATE_EMBEDDED_PRIOR, atol=1e-12
         )
@@ -56,7 +56,8 @@ class TestSignalPriors:
         sp = signal_priors_identify(land)
         assert sp.kind == "family"
         assert sp.structure is None
-        np.testing.assert_allclose(np.stack(sp.marginal_family), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(np.stack(sp.marginal.vectors), np.eye(3), atol=1e-12)
+        assert sp.marginal.classes == ((0,), (1,), (2,))  # one signal class per cell
         # the induced priors are exactly the per-cell conditionals
         assert sp.prior.classes == ((0,), (1, 2), (3,))
         np.testing.assert_allclose(sp.prior.vectors[1], [0, 1 / 3, 2 / 3, 0], atol=1e-12)
@@ -92,7 +93,7 @@ class TestSignalPriors:
                 sp.prior.unique_prior.entries, reg.prior.unique_prior.entries, atol=1e-8
             )
             np.testing.assert_allclose(
-                sp.marginal.entries, signal_marginal(env).entries, atol=1e-8
+                sp.marginal.vectors[0], signal_marginal(env).entries, atol=1e-8
             )
 
 
