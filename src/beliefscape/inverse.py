@@ -51,12 +51,11 @@ from .linalg import EigenvalueOneResult, NullSpaceBasis, _fixed_vectors, _nnls
 
 @dataclass(frozen=True)
 class PriorFamily(EigenvalueOneResult):
-    """An eigenvalue-1 answer over labelled states: one prior, or one Perron vector
-    per closed class (kind "family"), each zero off its class in ``classes``.
+    """An eigenvalue-1 answer over labelled states: one prior, or one extreme ray of
+    the fixed space per class (kind "family"), each zero off its support in ``classes``.
 
     In the family case the identified set is every convex combination of the
-    class vectors; relative weight across classes cannot be determined from
-    ex-post data.
+    rays; relative weight across classes cannot be determined from ex-post data.
     """
 
     state_labels: tuple[str, ...]
@@ -87,8 +86,8 @@ def identify_prior(
 ) -> PriorFamily:
     """Prior as the eigenvalue-1 eigenvector of the peer-accuracy matrix.
 
-    Unique when that matrix has a single fixed direction; otherwise one
-    Perron vector per closed class of its positive-entry pattern.
+    Unique when that matrix has a single fixed direction; otherwise one extreme
+    ray of its fixed space per class, all from one SVD (:func:`linalg._fixed_vectors`).
     """
     _require_states(beliefs, structure.n_states, "structure")
     eigen = _fixed_vectors(peer_accuracy_matrix(beliefs, structure), tol)
@@ -374,11 +373,11 @@ def _judge(b: np.ndarray, svd, q: np.ndarray, tol: Tolerances):
     otherwise. The prior comes from A = Bᵀ Xᵀ before any tidying: renormalizing
     X's rows would move A off its fixed point by about cond(B) times the input's
     rounding. Its kind, vectors and classes are :func:`linalg._fixed_vectors`'s.
-    Bayes' rule with that prior judges (see :class:`RestorationResult`); X's own
-    sign counts on the regression route only, that is at full column rank (which
-    needs at least as many signals as states). A failed verdict has kind
-    "infeasible" and judged None; its gaps are None when no nonnegative prior was
-    found to judge with.
+    Bayes' rule with that prior judges (see :class:`RestorationResult`); X's own sign
+    counts on the regression route only (full column rank), below -(``tol_entry`` +
+    20u/σ_min(B)), u = 5e-13 the rounding of the 12 digits files store. A failed
+    verdict has kind "infeasible" and judged None; its gaps are None when no
+    nonnegative prior was found to judge with.
     """
     x = svd.solve(q, tol)
     accuracy = b.T @ x.T
@@ -386,7 +385,8 @@ def _judge(b: np.ndarray, svd, q: np.ndarray, tol: Tolerances):
     prior_kind, vectors, _ = eigen
     failed = []
     if x.min() < -tol.tol_entry and svd.rank(tol) == b.shape[1]:
-        failed.append("nonnegative_structure")
+        if x.min() < -(tol.tol_entry + 1e-11 / svd.s[-1]):  # σ_min(B) at full column rank
+            failed.append("nonnegative_structure")
     gaps = (None, None)
     if prior_kind == "none" or any(v.min() < -tol.tol_entry for v in vectors):
         failed += ["prior", "reproduction"]
@@ -467,8 +467,8 @@ class SignalPriorsResult:
     """Identification that first pulls the signal marginal out of the hypotheticals.
 
     ``marginal`` is the eigenvalue-1 record of Qᵀ over the signals: one
-    stationary marginal, or, when Q is reducible, one per closed signal class
-    with that class's index set. Each marginal m induces the prior Bᵀm, so the
+    stationary marginal, or, when Q is reducible, one ray per signal class
+    with that ray's support. Each marginal m induces the prior Bᵀm, so the
     prior is a family exactly when the marginal is, and a structure is given
     only for a unique prior that is positive on every state.
     """

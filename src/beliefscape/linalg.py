@@ -11,8 +11,8 @@ regularizer keeps the Cholesky factor that maps its solutions back. The
 eigenvalue-1 step (``_fixed_vectors``) returns plain (kind, vectors, classes),
 which the judge and the signal-priors route read; :class:`EigenvalueOneResult`
 is the one record of those three fields: a prior family is that record with
-state labels, and the signal-priors marginal is the record of Qᵀ itself. The step reads its rank and first null vector straight from the
-``np.linalg.svd`` of matrix − I, with the rank cutoff floored at ``tol_rank``.
+state labels, and the signal-priors marginal is the record of Qᵀ itself. One
+``np.linalg.svd`` of matrix − I decides the step, fixed space and rays alike.
 The normal-equation formulas define the values, not the algorithms. Everything
 here, and everything the package runs, is numpy.
 """
@@ -123,9 +123,9 @@ class ClassDecomposition:
 class EigenvalueOneResult:
     """Eigenvalue-1 eigenvectors of a square matrix, simplex-normalized.
 
-    ``kind`` is "unique" (one vector), "family" (one Perron vector per closed
-    class, full length and zero off its class; ``classes`` holds each one's
-    index set), or "none" (no vectors). The fields are :func:`_fixed_vectors`'s.
+    ``kind`` is "unique" (one vector), "family" (one nonnegative ray of the fixed
+    space per class; ``classes`` holds each ray's support, in ascending order), or
+    "none" (no vectors). The fields are :func:`_fixed_vectors`'s.
     """
 
     kind: str
@@ -260,7 +260,7 @@ def irreducibility(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
 
     Index j has an edge to i when matrix[i, j] exceeds the entry tolerance
     (columns read as outgoing mass). Classes are reported in ascending order
-    of their smallest member.
+    of their smallest member. The eigenvalue-1 step (:func:`_fixed_vectors`) does not read it.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
@@ -286,59 +286,62 @@ def irreducibility(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     )
 
 
-def _fixed_direction(matrix: np.ndarray, tol: Tolerances) -> tuple[int, np.ndarray | None]:
-    """Dimension of the null space of (matrix - I); its first vector scaled to sum 1, or None.
+def _rays(basis: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    """The k extreme rays of {basis @ c ≥ 0} as rows summing to 1, or None if not k.
 
-    The right singular vectors past the rank span that null space. The rank cutoff
-    is floored at ``tol_rank``, the scale of matrix - I for a stochastic matrix: near
-    full revelation matrix - I is itself small, and a cutoff relative to it alone
-    would let rounding set the rank. Dividing by the sum cancels whatever sign the
-    SVD gave the vector, which is a unit vector, so a sum within 1e-12 of zero has
-    no simplex scaling.
+    The successive projection algorithm (Gillis and Vavasis 2014) picks k times the row
+    of largest norm and projects every row off it. The rays are basis · basis[picks]⁻¹,
+    entries within ``tol_entry`` of 0 set to 0; a zero residual, a ray summing to within
+    1e-12 of 0, or an entry below -``tol_entry`` after scaling means fewer than k rays.
+    """
+    rest = basis.copy()
+    picks = []
+    for _ in range(basis.shape[1]):
+        norms = (rest * rest).sum(axis=1)
+        pick = int(norms.argmax())
+        if norms[pick] == 0.0:
+            return None
+        picks.append(pick)
+        rest -= np.outer(rest @ rest[pick], rest[pick] / norms[pick])
+    rays = np.linalg.solve(basis[picks].T, basis.T)  # row j: column j of basis · basis[picks]⁻¹
+    rays[np.abs(rays) <= tol.tol_entry] = 0.0
+    sums = rays.sum(axis=1)
+    if np.abs(sums).min() < 1e-12:
+        return None
+    rays /= sums[:, None]
+    return None if rays.min() < -tol.tol_entry else rays
+
+
+def _fixed_vectors(matrix: np.ndarray, tol: Tolerances) -> tuple[str, tuple, tuple]:
+    """The eigenvalue-1 eigenvectors of a square float matrix, simplex-normalized, as arrays.
+
+    Returns (kind, vectors, classes): "unique" with one vector, "family" with one ray
+    per class and the rays' supports, or "none". One SVD of matrix - I decides: its k
+    right singular vectors at or below the rank cutoff, floored at ``tol_rank`` (near
+    full revelation matrix - I is itself small), span the fixed space. For k ≥ 2 its
+    rays (:func:`_rays`), sorted by support, are the family; without k of them the
+    least-fixed direction is dropped. At k = 1 the vector is divided by its sum, which
+    cancels the SVD's sign; a sum within 1e-12 of zero has no simplex scaling.
     """
     n = matrix.shape[0]
     shifted = matrix.copy()  # C order, so the flat view's every (n + 1)th entry is diagonal
     shifted.reshape(-1)[:: n + 1] -= 1.0
     _, s, vt = np.linalg.svd(shifted, full_matrices=False)
     rank = int(np.count_nonzero(s > max(tol.rank_cutoff(s), tol.tol_rank)))
+    for k in range(n - rank, 1, -1):
+        rays = _rays(vt[n - k :].T, tol)
+        if rays is not None:
+            # no two supports are equal (each ray is 1 at its own pick, 0 at the others'),
+            # so the sort never compares the rays themselves
+            found = sorted((tuple(np.flatnonzero(ray).tolist()), ray) for ray in rays)
+            return "family", tuple(ray for _, ray in found), tuple(c for c, _ in found)
     if rank == n:
-        return 0, None
-    vector = vt[rank]
+        return "none", (), ()
+    vector = vt[n - 1]
     total = float(vector.sum())
     if abs(total) < 1e-12:
-        return n - rank, None
-    return n - rank, vector / total
-
-
-def _fixed_vectors(matrix: np.ndarray, tol: Tolerances) -> tuple[str, tuple, tuple]:
-    """The eigenvalue-1 eigenvectors of a square float matrix, simplex-normalized, as arrays.
-
-    Returns (kind, vectors, classes): kind "unique" with one vector, "family" with
-    one full-length vector per closed class and that class's index set, or
-    "none". One SVD of matrix - I decides the dimension; only a dimension of two
-    or more goes on to the class structure, one SVD per closed class.
-    """
-    dimension, vector = _fixed_direction(matrix, tol)
-    if dimension == 1 and vector is not None:
-        return "unique", (vector,), ()
-    if dimension < 2:
         return "none", (), ()
-    decomposition = irreducibility(matrix, tol)
-    vectors, classes = [], []
-    for members, is_closed in zip(decomposition.classes, decomposition.closed):
-        if not is_closed:
-            continue
-        idx = list(members)
-        _, local = _fixed_direction(matrix[np.ix_(idx, idx)], tol)
-        if local is None:
-            continue
-        full = np.zeros(matrix.shape[0])
-        full[idx] = local
-        vectors.append(full)
-        classes.append(members)
-    if not vectors:
-        return "none", (), ()
-    return "family", tuple(vectors), tuple(classes)
+    return "unique", (vector / total,), ()
 
 
 def unit_eigenvector_eigenvalue_one(
@@ -346,11 +349,10 @@ def unit_eigenvector_eigenvalue_one(
 ) -> EigenvalueOneResult:
     """Eigenvectors with eigenvalue 1, normalized so entries sum to 1.
 
-    Found as the null space of (matrix - identity) via SVD, which gives a
-    clean multiplicity test. A one-dimensional space yields kind "unique";
-    a larger one is resolved through the class structure, returning one
-    Perron vector per closed class; an empty one yields kind "none",
-    signalling that the input was not generated by the model.
+    Found as the null space of (matrix - identity) via one SVD, which gives a
+    clean multiplicity test. A one-dimensional space yields kind "unique"; a
+    larger one, one ray of that space per class (:func:`_fixed_vectors`); none on
+    the simplex yields kind "none": the input was not generated by the model.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]

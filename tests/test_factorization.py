@@ -2,8 +2,8 @@
 
 Rank tests, the regression, the minimum-norm solution, the null space and the
 dependency reduction all read one SVD of B, kept on the StateBeliefMatrix, and
-each eigenvalue-1 step makes one SVD of its shifted matrix M - I, plus one per
-closed class when the prior is a family. These tests count every SVD call,
+each eigenvalue-1 step makes one SVD of its shifted matrix M - I, whether the
+prior is unique or a family. These tests count every SVD call,
 through each name an SVD can be reached by: the public numpy and scipy
 functions and the module globals that ``numpy.linalg.pinv`` and
 ``scipy.linalg.null_space`` call.
@@ -32,12 +32,12 @@ from beliefscape import (
     generate_landscape,
     identify,
     identify_underdetermined,
-    irreducibility,
     rationalize_noncommon,
     reduce_dependencies,
     ridge_solution_at,
     sample_environment,
     signal_priors_identify,
+    unit_eigenvector_eigenvalue_one,
     validate_landscape,
 )
 from beliefscape.cli import main
@@ -186,16 +186,6 @@ EIGENVALUE_ONE_CALLS = {
 }
 
 
-def closed_class_blocks(matrix: np.ndarray) -> list[np.ndarray]:
-    """The shifted block of each closed class of a matrix with a family of fixed vectors."""
-    decomposition = irreducibility(matrix)
-    return [
-        shifted(matrix[np.ix_(members, members)])
-        for members, closed in zip(decomposition.classes, decomposition.closed)
-        if closed
-    ]
-
-
 @pytest.mark.parametrize("call", sorted(EIGENVALUE_ONE_CALLS))
 @pytest.mark.parametrize(
     "landscape, family",
@@ -207,21 +197,18 @@ def closed_class_blocks(matrix: np.ndarray) -> list[np.ndarray]:
     ],
 )
 def test_one_svd_per_eigenvalue_one_step(call, landscape, family, svd_inputs):
-    """Every SVD a call makes: B's, once, and one of M - I, with nothing else factorized
-    but, for a family, each closed class's block."""
+    """Every SVD a call makes: B's, once, and one of M - I, with nothing else factorized,
+    for a family of priors too."""
     landscape = landscape()
     function, eigen_matrix, reads_b = EIGENVALUE_ONE_CALLS[call]
     svd_inputs.clear()
     function(landscape)
     seen = list(svd_inputs)
     matrix = eigen_matrix(landscape)
-    blocks = closed_class_blocks(matrix) if family else []
-    assert len(blocks) == 3 * family
     expected = [landscape.B.entries] * reads_b + [shifted(matrix)]
-    assert len(seen) == len(expected) + len(blocks)
+    assert len(seen) == len(expected)
     assert [svds_of(seen, m) for m in expected] == [1] * len(expected)
-    # equal blocks (the two one-state classes) are counted together
-    assert [svds_of(seen, m) for m in blocks] == [svds_of(blocks, m) for m in blocks]
+    assert unit_eigenvector_eigenvalue_one(matrix).kind == ("family" if family else "unique")
 
 
 def generated_split_landscape():

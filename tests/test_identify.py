@@ -298,6 +298,114 @@ class TestConsistencyCheck:
             q2 = beliefs.entries @ s2
             assert np.max(np.abs(q1 - q2)) > 1e-8
 
+    def test_sparse_rounded_landscapes_keep_a_nonnegative_regression(self):
+        # 6x6 structures with most entries zero, stored to 12 digits: X = B⁺Q carries
+        # that rounding times 1/σ_min(B), up to 7.6e-13/σ_min(B) below zero here.
+        rng = np.random.default_rng(7)
+        judged = failed = 0
+        for _ in range(1500):
+            rows = rng.dirichlet(np.ones(6), size=6)
+            rows[rng.random((6, 6)) < 0.6] = 0.0
+            for empty in np.flatnonzero(rows.sum(axis=1) == 0):
+                rows[empty, rng.integers(6)] = 1.0
+            rows /= rows.sum(axis=1, keepdims=True)
+            prior = Prior(rng.dirichlet(np.ones(6)))
+            if (rows.sum(axis=0) == 0).any():
+                continue
+            judged += 1
+            land = generate_landscape(InformationalEnvironment(InformationStructure(rows), prior))
+            failed += not consistency_check(stored(land)).consistent
+        assert (judged, failed) == (1144, 0)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (3, 3), (2, 4), (4, 2), (6, 3), (5, 5), (3, 6)], ids="{0[0]}x{0[1]}".format
+    )
+    def test_bumped_hypotheticals_are_rejected_at_every_shape(self, shape):
+        # Mass moved from the second to the first entry of Q's first row of stored model
+        # data, from 1e-7 to 1e-4.
+        rng = np.random.default_rng(5)
+        accepted = 0
+        for delta in (1e-7, 1e-6, 1e-5, 1e-4):
+            for _ in range(40):
+                land = stored(generate_landscape(sample_environment(rng, *shape)))
+                accepted += consistency_check(moved_mass(land, 1, -delta)).consistent
+        assert accepted == 0
+
+
+def stored(landscape: BeliefLandscape) -> BeliefLandscape:
+    """The landscape as a file stores it, to 12 significant digits."""
+    return landscape_from_doc(json.loads(dumps_report(landscape_to_doc(landscape))))
+
+
+def moved_mass(landscape: BeliefLandscape, signal: int, delta: float) -> BeliefLandscape:
+    """delta of Q's first row moved from its first signal to ``signal``."""
+    q = landscape.Q.entries.copy()
+    q[0, 0] -= delta
+    q[0, signal] += delta
+    return BeliefLandscape(landscape.B, HypotheticalBeliefMatrix(q))
+
+
+def two_block_landscape(rng, signals=(1, 4)):
+    """Model data with a block-diagonal structure, two blocks of 1-3 states and of a number of
+    signals from the half-open range ``signals``, rows and prior Dirichlet(1); and its blocks'
+    (states, signals) shapes."""
+    blocks = []
+    for _ in range(2):
+        n, m = rng.integers(1, 4), rng.integers(*signals)
+        blocks.append(rng.dirichlet(np.ones(m), size=n))
+    (n0, m0), (n1, m1) = shapes = [block.shape for block in blocks]
+    structure = np.zeros((n0 + n1, m0 + m1))
+    structure[:n0, :m0], structure[n0:, m0:] = blocks
+    prior = Prior(rng.dirichlet(np.ones(n0 + n1)))
+    return generate_landscape(InformationalEnvironment(InformationStructure(structure), prior)), shapes
+
+
+class TestFixedSpaceRays:
+    """A family prior is read off the fixed space of A - I: one ray per class."""
+
+    def test_two_block_landscapes_are_families_of_their_blocks(self):
+        # The minimum-norm X of a block with more states than signals can give A
+        # negative entries, so A's entry pattern does not show the blocks; A - I's
+        # fixed space does.
+        rng = np.random.default_rng(11)
+        scarce = failed = 0
+        for _ in range(1000):
+            land, ((n0, m0), (n1, m1)) = two_block_landscape(rng)
+            scarce += n0 > m0 or n1 > m1
+            verdict = consistency_check(land)
+            prior = verdict.identification.prior
+            blocks = (tuple(range(n0)), tuple(range(n0, n0 + n1)))
+            failed += not (verdict.consistent and prior.classes == blocks)
+        assert (scarce, failed) == (582, 0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_near_revealing_stored_landscapes_keep_every_state(self, n):
+        # Rows (1 - d)·I + d·Dirichlet(1) at d = 1e-11, stored to 12 digits. A - I can have
+        # a fixed space of two or more dimensions at the tol_rank floor while all of A's
+        # off-diagonal entries are below tol_entry, so the entry pattern makes every
+        # state a class of its own; the fixed space's rays still cover every state.
+        rng = np.random.default_rng(1)
+        d = 1e-11
+        failed = 0
+        for _ in range(200):
+            rows = (1 - d) * np.eye(n) + d * rng.dirichlet(np.ones(n), size=n)
+            prior = Prior(rng.dirichlet(np.ones(n)))
+            land = generate_landscape(InformationalEnvironment(InformationStructure(rows), prior))
+            failed += not consistency_check(stored(land)).consistent
+        assert failed == 0
+
+    def test_bumped_block_landscapes_are_rejected(self):
+        # Mass moved within the first block's row of Q, or into the second block.
+        rng = np.random.default_rng(21)
+        accepted = 0
+        for _ in range(100):
+            land, ((_, m0), _) = two_block_landscape(rng, signals=(2, 4))
+            land = stored(land)
+            for delta in (1e-6, 1e-4):
+                for signal in (1, m0):
+                    accepted += consistency_check(moved_mass(land, signal, delta)).consistent
+        assert accepted == 0
+
 
 class TestPeerAccuracy:
     def test_two_signal_three_state_value(self):

@@ -292,10 +292,10 @@ class TestEigenvalueOne:
         np.testing.assert_array_equal(np.stack(result.vectors), np.eye(3)[:2])
 
     def test_no_closed_class_with_a_fixed_vector_is_none(self):
-        # Two 2-D fixed directions, both summing to zero; no positive entry, so each
-        # index is a closed class of its own, and each 1x1 block is 0, not 1.
+        # A 2-D fixed space whose rays (1, -1, 0, 0) and (0, 0, 1, -1) are not
+        # nonnegative, and whose most-fixed direction alone sums to zero.
         matrix = np.kron(np.eye(2), [[0.0, -1.0], [-1.0, 0.0]])
-        assert linalg._fixed_direction(matrix, DEFAULT_TOLERANCES) == (2, None)
+        assert linalg._fixed_vectors(matrix, DEFAULT_TOLERANCES) == ("none", (), ())
         assert unit_eigenvector_eigenvalue_one(matrix) == EigenvalueOneResult("none", (), ())
 
     def test_members_are_fixed_points_on_the_simplex(self):
