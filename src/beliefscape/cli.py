@@ -277,8 +277,10 @@ def _cmd_generate(ns, tol, inputs):
         landscape = generate_landscape(env, tol)
         caught = [str(w.message) for w in buffer if issubclass(w.category, DroppedSignalWarning)]
     if ns.output is None or ns.output == "-":
-        # Pipeline mode: stdout carries the landscape document itself.
+        # Pipeline mode: stdout carries the landscape document itself, stderr the warnings.
         sys.stdout.write(dumps_report(landscape_to_doc(landscape)))
+        for message in caught:
+            print(f"beliefscape: warning: {message}", file=sys.stderr)
         return None
     save_landscape(landscape, ns.output)
     result = {

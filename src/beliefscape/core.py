@@ -7,15 +7,17 @@ module:
 * information structure: rows are states, columns are signals;
 * hypothetical belief matrix ``Q``: square, rows are the conditioning belief type.
 
-All values are immutable after construction and every operation is a pure
-function, so concurrent use needs no coordination.
+Values validate and results don't: a value type is a frozen dataclass that checks
+its entries when built; a record that only carries a result is a named tuple
+(``_replace()`` copies it, ``_asdict()`` reads it). Both are immutable after
+construction and every operation is a pure function, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -314,8 +316,7 @@ class InformationalEnvironment:
         return self.structure.signal_labels
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One plausibility failure, located by row/column label."""
 
     kind: str
@@ -326,8 +327,7 @@ class Violation:
         return f"{self.kind} at {self.where}: {self.value:.6g}"
 
 
-@dataclass(frozen=True)
-class PlausibilityReport:
+class PlausibilityReport(NamedTuple):
     """Outcome of validating a landscape or an environment: plausible exactly when no
     violation was found. Rank is not a plausibility question; read it from
     :meth:`StateBeliefMatrix.rank`.

@@ -10,17 +10,17 @@ with that prior, kept only if it regenerates the landscape.
 each build their typed result once, at their edge, from that one judgement, as
 does every CLI command that judges a landscape. The signal-priors route takes
 the same eigenvalue-1 step on Qᵀ, the stationary signal distribution, instead.
-Each reports its prior as a :class:`PriorFamily`: the eigenvalue-1 record
-(kind, vectors, classes) with state labels, from which the unique prior and
-the balanced mixture the Bayes step judges with are derived.
+Each reports its prior as a :class:`PriorFamily`: the eigenvalue-1 fields
+(kind, vectors, classes) plus state labels, from which the unique prior and
+the balanced mixture the Bayes step judges with are derived. Every result here
+is a named tuple: values validate (``core``), results don't.
 Dependency reduction, partition detection, non-common-prior rationalization and
 crowd-wisdom state inference round out the toolbox.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,18 +49,21 @@ from .linalg import EigenvalueOneResult, NullSpaceBasis, _fixed_vectors, _nnls
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PriorFamily(EigenvalueOneResult):
-    """An eigenvalue-1 answer over labelled states: one prior, or one extreme ray of
-    the fixed space per class (kind "family"), each zero off its support in ``classes``.
+class PriorFamily(NamedTuple):
+    """The eigenvalue-1 fields (:class:`linalg.EigenvalueOneResult`) plus state labels:
+    one prior, or one extreme ray of the fixed space per class (kind "family"), each
+    zero off its support in ``classes``.
 
     In the family case the identified set is every convex combination of the
     rays; relative weight across classes cannot be determined from ex-post data.
     """
 
+    kind: str
+    vectors: tuple[np.ndarray, ...]
+    classes: tuple[tuple[int, ...], ...]
     state_labels: tuple[str, ...]
 
-    @cached_property
+    @property
     def unique_prior(self) -> Prior | None:
         if self.kind != "unique":
             return None
@@ -106,8 +109,7 @@ def peer_accuracy_matrix(beliefs: StateBeliefMatrix, structure: InformationStruc
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureDiagnostics:
+class StructureDiagnostics(NamedTuple):
     """Numerical health of an identified structure.
 
     ``residual`` is the largest absolute entry of beliefs @ X minus the
@@ -125,8 +127,7 @@ class StructureDiagnostics:
     roundtrip_hypothetical_error: float | None = None
 
 
-@dataclass(frozen=True)
-class IdentificationResult:
+class IdentificationResult(NamedTuple):
     structure: InformationStructure
     prior: PriorFamily | None
     peer_accuracy: np.ndarray | None
@@ -227,8 +228,7 @@ def _roundtrip_errors(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
+class ConsistencyVerdict(NamedTuple):
     """Whether some common-prior environment generates the landscape, and why not.
 
     ``failed`` can contain "nonnegative_structure" (judged on the regression
@@ -279,8 +279,7 @@ def identify(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestorationResult:
+class RestorationResult(NamedTuple):
     """What the Bayes step decides: ``kind`` and ``structure``.
 
     Every exact solution of hypotheticals = beliefs @ X is B⁺Q plus per-column
@@ -302,8 +301,7 @@ class RestorationResult:
     structure: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class UnderdeterminedResult:
+class UnderdeterminedResult(NamedTuple):
     """Everything the judge identifies, read for scarce signals or dependent columns.
 
     The ridge limit solves hypotheticals = beliefs @ X but need not be a
@@ -462,8 +460,7 @@ def reconstruct_from_prior(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignalPriorsResult:
+class SignalPriorsResult(NamedTuple):
     """Identification that first pulls the signal marginal out of the hypotheticals.
 
     ``marginal`` is the eigenvalue-1 record of Qᵀ over the signals: one
@@ -519,8 +516,7 @@ def identify_single_column(
     return _regression_guard(beliefs, tol, remedy, column) @ column
 
 
-@dataclass(frozen=True)
-class StateInference:
+class StateInference(NamedTuple):
     """Which state matches an observed signal share; None when ambiguous."""
 
     state_index: int | None
@@ -572,8 +568,7 @@ def infer_state_from_profile(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonCommonPriorRationalization:
+class NonCommonPriorRationalization(NamedTuple):
     """One prior per belief type that reproduces that type's rows exactly.
 
     Every plausible landscape whose regression output is a valid structure
@@ -627,8 +622,7 @@ def rationalize_noncommon(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """A full-rank reduced landscape plus the recipe to embed results back.
 
     Each removed belief column equals a nonnegative mixture of kept columns;
@@ -780,8 +774,7 @@ def reduce_dependencies(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(NamedTuple):
     """Partition read off a landscape whose hypothetical matrix is the identity.
 
     Signals are then generated deterministically: each cell is the support of

@@ -10,24 +10,25 @@ Lawson and Hanson's active-set method; a factorization whitened by a
 regularizer keeps the Cholesky factor that maps its solutions back. The
 eigenvalue-1 step (``_fixed_vectors``) returns plain (kind, vectors, classes),
 which the judge and the signal-priors route read; :class:`EigenvalueOneResult`
-is the one record of those three fields: a prior family is that record with
+is the one record of those three fields: a prior family is those fields plus
 state labels, and the signal-priors marginal is the record of Qᵀ itself. One
 ``np.linalg.svd`` of matrix − I decides the step, fixed space and rays alike.
 The normal-equation formulas define the values, not the algorithms. Everything
-here, and everything the package runs, is numpy.
+here, and everything the package runs, is numpy. The records here are named
+tuples; :class:`Regularizer` is a value, and validates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import DEFAULT_TOLERANCES, RankDeficientError, Tolerances
 
 
-@dataclass(frozen=True)
-class NullSpaceBasis:
+class NullSpaceBasis(NamedTuple):
     """Orthonormal basis of the right null space of a matrix.
 
     Each vector is signed so that its largest-magnitude entry is positive, so
@@ -44,8 +45,7 @@ class NullSpaceBasis:
         return np.column_stack(self.vectors)
 
 
-@dataclass(frozen=True)
-class _SVD:
+class _SVD(NamedTuple):
     """One SVD of a matrix: thin, or full when it is wide, so ``vt`` spans the row space.
     The rank cutoff is ``tol_rank * s[0]``: LAPACK returns ``s`` in descending order.
     The pseudoinverse is formed as numpy.linalg.pinv's.
@@ -105,8 +105,7 @@ class _SVD:
         return NullSpaceBasis(tuple(rows), rows.shape[0])
 
 
-@dataclass(frozen=True)
-class ClassDecomposition:
+class ClassDecomposition(NamedTuple):
     """Strongly connected components of the positive-entry pattern.
 
     ``classes`` partitions the index set; a class is closed when no mass
@@ -119,8 +118,7 @@ class ClassDecomposition:
     class_edges: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class EigenvalueOneResult:
+class EigenvalueOneResult(NamedTuple):
     """Eigenvalue-1 eigenvectors of a square matrix, simplex-normalized.
 
     ``kind`` is "unique" (one vector), "family" (one nonnegative ray of the fixed
@@ -145,6 +143,8 @@ class Regularizer:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float)
+        if not np.isfinite(m).all():  # inf passes allclose and Cholesky, nan fails as "symmetric"
+            raise ValueError("regularizer contains non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"regularizer must be square, got shape {m.shape}")
         if not np.allclose(m, m.T, atol=DEFAULT_TOLERANCES.tol_match):

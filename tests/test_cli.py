@@ -723,6 +723,23 @@ class TestMoreCommands:
         assert any("s3" in w for w in doc["warnings"])
         assert doc["result"]["signals"] == ["s1", "s2"]
 
+    def test_generate_pipeline_writes_dropped_signals_to_stderr(self, tmp_path, capsys):
+        env = InformationalEnvironment(
+            InformationStructure([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0]], signal_labels=("a", "b", "c")),
+            Prior([0.5, 0.5]),
+        )
+        path = tmp_path / "dropenv.json"
+        save_environment(env, str(path))
+        assert main(["generate", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "beliefscape: warning: dropped zero-marginal signals: c\n"
+        # stdout is the landscape document alone, as -o writes it
+        assert main(["generate", str(path), "-o", str(tmp_path / "land.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == [
+            "dropped zero-marginal signals: c"
+        ]
+        assert out == (tmp_path / "land.json").read_text()
+
 
 class TestBadInput:
     """Bad flag values are usage errors (64); bad --reg files are structural errors (1)."""
@@ -800,6 +817,10 @@ class TestBadInput:
             ("rows.json", '[[1, 0, 0], [0, 1, 0], [0, 0, 1]]', "expected a JSON object"),
             ("small.csv", ",a,b\na,1,0\nb,0,1\n", "'matrix' must have 3 rows, got 2"),
             ("asym.csv", ",a,b,c\na,1,0.5,0\nb,0,1,0\nc,0,0,1\n", "must be symmetric"),
+            ("inf.json", '{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, Infinity]]}',
+             "non-finite entries"),
+            ("nan.json", '{"matrix": [[1, 0, 0], [0, NaN, 0], [0, 0, 1]]}', "non-finite entries"),
+            ("inf.csv", ",a,b,c\na,1,0,0\nb,0,1,0\nc,0,0,inf\n", "non-finite entries"),
         ],
     )
     def test_bad_regularizer_file_is_a_structural_error(self, workdir, name, text, message,

@@ -205,6 +205,10 @@ class TestRidgeSolution:
         # exactly singular, though eigvalsh puts its smallest eigenvalue a rounding above 0
         with pytest.raises(ValueError, match="positive definite"):
             Regularizer([[1.0, 3.0, 0.0], [3.0, 9.0, 0.0], [0.0, 0.0, 1.0]])
+        # inf passes the symmetry and Cholesky tests, nan would fail as "symmetric"
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="^regularizer contains non-finite entries$"):
+                Regularizer(np.diag([1.0, 1.0, bad]))
         with pytest.raises(ValueError, match=r"^regularizer must be square, got shape \(2, 3\)$"):
             Regularizer([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         beliefs = fixtures.two_signal_three_state_landscape().B.entries
