@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import fields
 
 import numpy as np
 
@@ -88,7 +87,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_TOLERANCE_NAMES = tuple(f.name.removeprefix("tol_") for f in fields(Tolerances))  # --tol-<name>
+_TOLERANCE_NAMES = tuple(name.removeprefix("tol_") for name in Tolerances._fields)  # --tol-<name>
 
 
 def _number_type(parse, ok, what: str):

@@ -7,17 +7,17 @@ module:
 * information structure: rows are states, columns are signals;
 * hypothetical belief matrix ``Q``: square, rows are the conditioning belief type.
 
-Values validate and results don't: a value type is a frozen dataclass that checks
-its entries when built; a record that only carries a result is a named tuple
-(``_replace()`` copies it, ``_asdict()`` reads it). Both are immutable after
-construction and every operation is a pure function, so concurrent use needs no coordination.
+Values validate and results don't: a value type is a plain class (a :class:`_Value`)
+that checks and stores its fields in its own ``__init__``; a record that only carries
+a result is a named tuple (``_replace()`` copies it, ``_asdict()`` reads it). Neither
+needs generated code. Both are immutable after construction and every operation is a
+pure function, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,23 +74,52 @@ class DroppedSignalWarning(UserWarning):
     """A signal with zero marginal probability was removed from the landscape."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class _Value:
+    """A value type: ``__init__`` checks its fields and stores them once with ``_store``, then
+    none can be assigned or deleted. ``repr``, ``==`` and ``hash`` read ``_fields`` in order.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _store(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Tolerances(_Value):
     """Numerical slack used throughout; the model itself is exact.
 
     ``tol_rank`` is relative: the cutoff on singular values is
     ``tol_rank * largest_singular_value``; the eigenvalue-1 step floors it at ``tol_rank``.
     """
 
-    tol_stochastic: float = 1e-9
-    tol_entry: float = 1e-9
-    tol_rank: float = 1e-10
-    tol_match: float = 1e-8
+    _fields = ("tol_stochastic", "tol_entry", "tol_rank", "tol_match")
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            if not 0 < getattr(self, field.name) < np.inf:  # nan fails too
-                raise ValueError(f"{field.name} must be positive and finite")
+    def __init__(self, tol_stochastic=1e-9, tol_entry=1e-9, tol_rank=1e-10, tol_match=1e-8) -> None:
+        fields = dict(zip(self._fields, (tol_stochastic, tol_entry, tol_rank, tol_match)))
+        for name, value in fields.items():
+            # nan fails the comparison too; a bool would pass it as 0 or 1
+            if type(value) is bool or not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        self._store(**fields)
 
     def rank_cutoff(self, singular_values: np.ndarray) -> float:
         """The cutoff for singular values in descending order, as LAPACK returns them."""
@@ -108,6 +137,8 @@ def signal_labels_for(n: int) -> tuple[str, ...]:
     return tuple(f"s{i + 1}" for i in range(n))
 
 
+_Labels = Optional[Sequence[str]]  # None: the default labels
+
 # Label field -> (axis name in messages, default labels).
 _LABEL_AXES = {
     "state_labels": ("states", state_labels_for),
@@ -115,10 +146,12 @@ _LABEL_AXES = {
 }
 
 
-def _check_labels(labels: Sequence[str] | None, n: int, field: str) -> tuple[str, ...]:
+def _check_labels(labels: _Labels, n: int, field: str) -> tuple[str, ...]:
     axis, default = _LABEL_AXES[field]
     if labels is None:
         return default(n)
+    if isinstance(labels, str):  # iterating it would make one label per character
+        raise StructuralError(f"{axis}: labels must be a sequence of strings, got one string")
     if type(labels) is not tuple or not set(map(type, labels)) <= {str}:
         labels = tuple(map(str, labels))
     if len(labels) != n:
@@ -128,15 +161,14 @@ def _check_labels(labels: Sequence[str] | None, n: int, field: str) -> tuple[str
     return labels
 
 
-def _freeze_labelled(value, name: str, ndim: int, square: bool = False, **axis_of: int) -> None:
-    """Freeze ``value.entries`` and check or default each label field, in argument order.
+def _freeze_labelled(value, entries, name: str, ndim: int, *labelled, square: bool = False) -> None:
+    """Store frozen ``entries`` and each checked or defaulted label field on ``value``.
 
-    The entries are copied as floats and checked for dimension, then finiteness, then
-    squareness. Finiteness is counted entry by entry: a sum would overflow, with a
-    warning, on finite entries near the largest float.
-    ``axis_of`` maps a label field to the axis of the entries it labels.
+    The entries are copied as floats and checked for dimension, then finiteness (entry by
+    entry: a sum would overflow, with a warning, near the largest float), then squareness.
+    ``labelled`` gives each later field of ``value._fields`` its (labels, axis), in order.
     """
-    entries = np.array(value.entries, dtype=float)
+    entries = np.array(entries, dtype=float)
     if entries.ndim != ndim:
         raise StructuralError(f"{name} must be {ndim}-dimensional, got shape {entries.shape}")
     if np.count_nonzero(np.isfinite(entries)) != entries.size:
@@ -144,22 +176,19 @@ def _freeze_labelled(value, name: str, ndim: int, square: bool = False, **axis_o
     entries.setflags(write=False)
     if square and entries.shape[0] != entries.shape[1]:
         raise StructuralError(f"{name} must be square, got shape {entries.shape}")
-    object.__setattr__(value, "entries", entries)
-    for field, axis in axis_of.items():
-        labels = _check_labels(getattr(value, field), entries.shape[axis], field)
-        object.__setattr__(value, field, labels)
+    fields = {"entries": entries}
+    for field, (labels, axis) in zip(value._fields[1:], labelled):
+        fields[field] = _check_labels(labels, entries.shape[axis], field)
+    value._store(**fields)
 
 
-@dataclass(frozen=True)
-class StateBeliefMatrix:
+class StateBeliefMatrix(_Value):
     """Belief types by states; row ``s`` is type ``s``'s distribution over states."""
 
-    entries: np.ndarray
-    state_labels: tuple[str, ...] = None  # type: ignore[assignment]
-    signal_labels: tuple[str, ...] = None  # type: ignore[assignment]
+    _fields = ("entries", "state_labels", "signal_labels")
 
-    def __post_init__(self) -> None:
-        _freeze_labelled(self, "state belief matrix", 2, state_labels=1, signal_labels=0)
+    def __init__(self, entries, state_labels: _Labels = None, signal_labels: _Labels = None) -> None:
+        _freeze_labelled(self, entries, "state belief matrix", 2, (state_labels, 1), (signal_labels, 0))
 
     @property
     def n_signals(self) -> int:
@@ -190,31 +219,28 @@ def _require_length(vector: np.ndarray, n: int, what: str) -> None:
         raise StructuralError(f"signal axis: {what} has length {vector.size}, expected {n}")
 
 
-@dataclass(frozen=True)
-class HypotheticalBeliefMatrix:
+class HypotheticalBeliefMatrix(_Value):
     """Each row is that belief type's expected distribution of a random peer's type."""
 
-    entries: np.ndarray
-    signal_labels: tuple[str, ...] = None  # type: ignore[assignment]
+    _fields = ("entries", "signal_labels")
 
-    def __post_init__(self) -> None:
-        _freeze_labelled(self, "hypothetical belief matrix", 2, square=True, signal_labels=0)
+    def __init__(self, entries, signal_labels: _Labels = None) -> None:
+        _freeze_labelled(self, entries, "hypothetical belief matrix", 2, (signal_labels, 0), square=True)
 
     @property
     def n_signals(self) -> int:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class InformationStructure:
+class InformationStructure(_Value):
     """States by signals; row ``theta`` is the signal distribution in state ``theta``."""
 
-    entries: np.ndarray
-    state_labels: tuple[str, ...] = None  # type: ignore[assignment]
-    signal_labels: tuple[str, ...] = None  # type: ignore[assignment]
+    _fields = ("entries", "state_labels", "signal_labels")
 
-    def __post_init__(self) -> None:
-        _freeze_labelled(self, "information structure", 2, state_labels=0, signal_labels=1)
+    def __init__(self, entries, state_labels: _Labels = None, signal_labels: _Labels = None) -> None:
+        _freeze_labelled(
+            self, entries, "information structure", 2, (state_labels, 0), (signal_labels, 1)
+        )
 
     @property
     def n_states(self) -> int:
@@ -225,46 +251,39 @@ class InformationStructure:
         return self.entries.shape[1]
 
 
-@dataclass(frozen=True)
-class Prior:
+class Prior(_Value):
     """Probability vector over states."""
 
-    entries: np.ndarray
-    state_labels: tuple[str, ...] = None  # type: ignore[assignment]
+    _fields = ("entries", "state_labels")
 
-    def __post_init__(self) -> None:
-        _freeze_labelled(self, "prior", 1, state_labels=0)
+    def __init__(self, entries, state_labels: _Labels = None) -> None:
+        _freeze_labelled(self, entries, "prior", 1, (state_labels, 0))
 
     @property
     def n_states(self) -> int:
         return self.entries.size
 
 
-@dataclass(frozen=True)
-class SignalMarginal:
+class SignalMarginal(_Value):
     """Ex-ante probability of observing each signal."""
 
-    entries: np.ndarray
-    signal_labels: tuple[str, ...] = None  # type: ignore[assignment]
+    _fields = ("entries", "signal_labels")
 
-    def __post_init__(self) -> None:
-        _freeze_labelled(self, "signal marginal", 1, signal_labels=0)
+    def __init__(self, entries, signal_labels: _Labels = None) -> None:
+        _freeze_labelled(self, entries, "signal marginal", 1, (signal_labels, 0))
 
 
-@dataclass(frozen=True)
-class BeliefLandscape:
+class BeliefLandscape(_Value):
     """The observed ex-post data: state beliefs paired with hypothetical beliefs."""
 
-    B: StateBeliefMatrix
-    Q: HypotheticalBeliefMatrix
+    _fields = ("B", "Q")
 
-    def __post_init__(self) -> None:
-        if self.B.n_signals != self.Q.n_signals:
-            raise StructuralError(
-                f"signal axis: B has {self.B.n_signals} rows, Q has {self.Q.n_signals}"
-            )
-        if self.B.signal_labels != self.Q.signal_labels:
+    def __init__(self, B: StateBeliefMatrix, Q: HypotheticalBeliefMatrix) -> None:
+        if B.n_signals != Q.n_signals:
+            raise StructuralError(f"signal axis: B has {B.n_signals} rows, Q has {Q.n_signals}")
+        if B.signal_labels != Q.signal_labels:
             raise StructuralError("signal axis: B and Q carry different signal labels")
+        self._store(B=B, Q=Q)
 
     @property
     def n_signals(self) -> int:
@@ -283,21 +302,20 @@ class BeliefLandscape:
         return self.B.signal_labels
 
 
-@dataclass(frozen=True)
-class InformationalEnvironment:
+class InformationalEnvironment(_Value):
     """The ex-ante ground truth: an information structure plus a common prior."""
 
-    structure: InformationStructure
-    prior: Prior
+    _fields = ("structure", "prior")
 
-    def __post_init__(self) -> None:
-        if self.structure.n_states != self.prior.n_states:
+    def __init__(self, structure: InformationStructure, prior: Prior) -> None:
+        if structure.n_states != prior.n_states:
             raise StructuralError(
-                f"state axis: structure has {self.structure.n_states} states,"
-                f" prior has {self.prior.n_states}"
+                f"state axis: structure has {structure.n_states} states,"
+                f" prior has {prior.n_states}"
             )
-        if self.structure.state_labels != self.prior.state_labels:
+        if structure.state_labels != prior.state_labels:
             raise StructuralError("state axis: structure and prior carry different state labels")
+        self._store(structure=structure, prior=prior)
 
     @property
     def n_states(self) -> int:

@@ -188,13 +188,12 @@ def beliefs_and_column_from_doc(
     """Beliefs plus one hypothetical column: either Q is n x 1, or pick by label."""
     beliefs = _beliefs_from_doc(doc, source)
     signals, n = beliefs.signal_labels, beliefs.n_signals
+    if column_label not in signals:
+        raise ParseError(f"{source}: no signal labelled {column_label!r}")
     rows = doc.get("Q")
     if isinstance(rows, list) and rows and isinstance(rows[0], list) and len(rows[0]) == 1:
         return beliefs, _matrix(doc, "Q", n, 1, source)[:, 0]
-    q = _matrix(doc, "Q", n, n, source)
-    if column_label not in signals:
-        raise ParseError(f"{source}: no signal labelled {column_label!r}")
-    return beliefs, q[:, signals.index(column_label)]
+    return beliefs, _matrix(doc, "Q", n, n, source)[:, signals.index(column_label)]
 
 
 def environment_from_doc(doc: dict, source: str = "<input>") -> InformationalEnvironment:

@@ -15,17 +15,16 @@ state labels, and the signal-priors marginal is the record of Qᵀ itself. One
 ``np.linalg.svd`` of matrix − I decides the step, fixed space and rays alike.
 The normal-equation formulas define the values, not the algorithms. Everything
 here, and everything the package runs, is numpy. The records here are named
-tuples; :class:`Regularizer` is a value, and validates.
+tuples; :class:`Regularizer` is a value, and validates in its constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, RankDeficientError, Tolerances
+from .core import DEFAULT_TOLERANCES, RankDeficientError, Tolerances, _Value
 
 
 class NullSpaceBasis(NamedTuple):
@@ -131,18 +130,16 @@ class EigenvalueOneResult(NamedTuple):
     classes: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Regularizer:
+class Regularizer(_Value):
     """Symmetric positive-definite matrix added (scaled) to the normal equations.
 
-    Its Cholesky factor ``chol`` (reg = LLᵀ), made once, is the definiteness test.
+    Its Cholesky factor ``chol`` (reg = LLᵀ; not a field), made once, is the definiteness test.
     """
 
-    matrix: np.ndarray
-    chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("matrix",)
 
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
+    def __init__(self, matrix) -> None:
+        m = np.array(matrix, dtype=float)
         if not np.isfinite(m).all():  # inf passes allclose and Cholesky, nan fails as "symmetric"
             raise ValueError("regularizer contains non-finite entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -154,8 +151,7 @@ class Regularizer:
         except np.linalg.LinAlgError:
             raise ValueError("regularizer must be positive definite") from None
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "chol", chol)
+        self._store(matrix=m, chol=chol)
 
 
 def least_squares_coefficients(

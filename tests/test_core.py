@@ -63,7 +63,7 @@ class TestTypes:
             Tolerances(tol_match=0.0)
 
     @pytest.mark.parametrize("name", ["tol_stochastic", "tol_entry", "tol_rank", "tol_match"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, True])
     def test_tolerances_must_be_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             Tolerances(**{name: value})
@@ -106,6 +106,10 @@ MALFORMED = {
     "B-states-before-signals": (
         StateBeliefMatrix, ([[0.5, 0.5]], ("a", "a"), ("x", "y")),
         "states: duplicate labels",
+    ),
+    "B-signal-one-string": (
+        StateBeliefMatrix, ([[0.5, 0.5], [1.0, 0.0]], None, "ab"),
+        "signals: labels must be a sequence of strings, got one string",
     ),
     "Q-ndim": (
         HypotheticalBeliefMatrix, ([[[1.0]]],),
@@ -185,6 +189,9 @@ MALFORMED = {
     ),
     "prior-state-count": (Prior, ([0.5, 0.5], ("a",)), "states: 1 labels for 2 entries"),
     "prior-state-duplicate": (Prior, ([0.5, 0.5], ("a", "a")), "states: duplicate labels"),
+    "prior-state-one-string": (
+        Prior, ([0.5, 0.5], "ab"), "states: labels must be a sequence of strings, got one string"
+    ),
     "marginal-ndim": (
         SignalMarginal, (0.5,),
         "signal marginal must be 1-dimensional, got shape ()",

@@ -20,7 +20,6 @@ with a regression on the kept columns.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -93,7 +92,6 @@ def masked_bayes_step(landscape, p, tol):
     return ("unique" if seen.all() else "family"), structure, gaps
 
 
-@dataclasses.dataclass(frozen=True)
 class FlooredCutoff(Tolerances):
     """Tolerances whose rank cutoff is floored at ``tol_rank``, as the eigenvalue-1 step's is."""
 
@@ -104,7 +102,7 @@ class FlooredCutoff(Tolerances):
 def null_basis_direction(matrix, tol):
     """The first vector of ``_SVD.of(matrix - I).null_basis`` under the floored cutoff,
     scaled to sum 1."""
-    floored = FlooredCutoff(**dataclasses.asdict(tol))
+    floored = FlooredCutoff(**{name: getattr(tol, name) for name in tol._fields})
     basis = linalg._SVD.of(matrix - np.eye(matrix.shape[0])).null_basis(floored)
     if basis.dimension == 0:
         return 0, None
@@ -408,10 +406,8 @@ def equal(a, b) -> bool:
         return same(a, b)
     if isinstance(a, Exception):
         return str(a) == str(b)
-    if dataclasses.is_dataclass(a):
-        return all(
-            equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
-        )
+    if isinstance(a, core._Value):
+        return all(equal(getattr(a, name), getattr(b, name)) for name in a._fields)
     if isinstance(a, (tuple, list)):
         return len(a) == len(b) and all(equal(x, y) for x, y in zip(a, b))
     return a == b

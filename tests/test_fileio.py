@@ -377,8 +377,12 @@ def test_first_bad_csv_row_or_cell_is_named(text, message, tmp_path):
         (functools.partial(beliefs_and_column_from_doc, column_label="zz"),
          {"states": ["a"], "signals": ["s1", "s2"], "B": [[1], [1]], "Q": [[1, 0], [0, 1]]},
          "no signal labelled 'zz'"),
+        (functools.partial(beliefs_and_column_from_doc, column_label="zzz"),
+         {"states": ["th1", "th2"], "signals": ["a", "b"], "B": [[0.75, 0.25], [0.25, 0.75]],
+          "Q": [[0.625], [0.375]]},
+         "no signal labelled 'zzz'"),
     ],
-    ids=["no_states", "short_prior", "unknown_column"],
+    ids=["no_states", "short_prior", "unknown_column", "unknown_column_of_one_column_q"],
 )
 def test_bad_document_is_named(parse, doc, message):
     with pytest.raises(ParseError) as info:

@@ -1,9 +1,11 @@
-"""``import beliefscape.cli`` loads neither the selftest's modules nor ``csv``.
+"""``import beliefscape.cli`` loads neither the selftest's modules nor ``csv``,
+and no command loads ``dataclasses``.
 
 ``selfcheck`` and the ``fixtures`` it imports serve the ``selftest`` command
 alone, and ``csv`` serves CSV files alone, so each is imported where it is
-used. The test process has all three loaded already, so the probe runs in a
-fresh interpreter and reports which of them are loaded after each step.
+used. No class in the package is a dataclass, so nothing generates code at
+import. The test process has these modules loaded already, so the probe runs
+in a fresh interpreter and reports which of them are loaded after each step.
 """
 
 from __future__ import annotations
@@ -19,18 +21,19 @@ from beliefscape.fileio import save_environment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LAZY = ("beliefscape.fixtures", "beliefscape.selfcheck", "csv")
+NEVER = "dataclasses"
 
 # Imports the CLI, then runs each argv in turn.
 PROBE = """
 import contextlib, io, json, sys
 
-lazy = json.loads(sys.argv[2])
+lazy, never = json.loads(sys.argv[2]), sys.argv[3]
 import beliefscape.cli
-print(json.dumps(["import", [m for m in lazy if m in sys.modules]]))
+print(json.dumps(["import", [m for m in lazy if m in sys.modules], never in sys.modules]))
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         beliefscape.cli.main(argv)
-    print(json.dumps([argv, [m for m in lazy if m in sys.modules]]))
+    print(json.dumps([argv, [m for m in lazy if m in sys.modules], never in sys.modules]))
 """
 
 
@@ -45,7 +48,7 @@ def test_cli_loads_selftest_and_csv_modules_only_when_used(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(steps), json.dumps(LAZY)],
+        [sys.executable, "-c", PROBE, json.dumps(steps), json.dumps(LAZY), NEVER],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -55,9 +58,9 @@ def test_cli_loads_selftest_and_csv_modules_only_when_used(tmp_path):
     assert result.returncode == 0, result.stderr
     loaded = [json.loads(line) for line in result.stdout.splitlines()]
     assert loaded == [
-        ["import", []],
-        [steps[0], []],
-        [steps[1], []],
-        [steps[2], ["csv"]],  # the control: the probe sees a lazy module once it loads
-        [steps[3], list(LAZY)],
+        ["import", [], False],
+        [steps[0], [], False],
+        [steps[1], [], False],
+        [steps[2], ["csv"], False],  # the control: the probe sees a lazy module once it loads
+        [steps[3], list(LAZY), False],
     ]

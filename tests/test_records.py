@@ -1,8 +1,10 @@
 """Values validate and results don't: the record contract.
 
-The nine value types are frozen dataclasses that check their entries when built.
-Every record that only carries a result is a named tuple, with the fields, in the
-order, that its constructor has always taken.
+The nine value types are plain classes (``core._Value``) that check their entries
+when built and are immutable after: no field can be assigned or deleted and their
+arrays are read-only. Every record that only carries a result is a named tuple,
+with the fields, in the order, that its constructor has always taken. Neither is
+a dataclass.
 """
 
 import dataclasses
@@ -11,13 +13,16 @@ import numpy as np
 import pytest
 
 from beliefscape import (
+    DEFAULT_TOLERANCES,
     BeliefLandscape,
     HypotheticalBeliefMatrix,
     StateBeliefMatrix,
+    Tolerances,
     consistency_check,
     core,
     detect_partitional,
     fixtures,
+    forward,
     identify,
     identify_underdetermined,
     infer_state,
@@ -86,16 +91,17 @@ FIELDS = {
     "PartitionResult": ("partitional", "cells", "zero_prior_states"),
 }
 
-VALUE_TYPES = {
-    "Tolerances",
-    "StateBeliefMatrix",
-    "HypotheticalBeliefMatrix",
-    "InformationStructure",
-    "Prior",
-    "SignalMarginal",
-    "BeliefLandscape",
-    "InformationalEnvironment",
-    "Regularizer",
+# Value type -> its constructor's fields, in order.
+VALUE_FIELDS = {
+    "Tolerances": ("tol_stochastic", "tol_entry", "tol_rank", "tol_match"),
+    "StateBeliefMatrix": ("entries", "state_labels", "signal_labels"),
+    "HypotheticalBeliefMatrix": ("entries", "signal_labels"),
+    "InformationStructure": ("entries", "state_labels", "signal_labels"),
+    "Prior": ("entries", "state_labels"),
+    "SignalMarginal": ("entries", "signal_labels"),
+    "BeliefLandscape": ("B", "Q"),
+    "InformationalEnvironment": ("structure", "prior"),
+    "Regularizer": ("matrix",),
 }
 
 
@@ -135,6 +141,27 @@ def built_records():
 RECORDS = built_records()
 
 
+def built_values():
+    """One of each value type, built on the fixtures."""
+    env = fixtures.truth_or_noise_environment(0.5)
+    crowd = fixtures.truth_or_noise_landscape(0.5)
+    values = [
+        DEFAULT_TOLERANCES,
+        crowd.B,
+        crowd.Q,
+        env.structure,
+        env.prior,
+        forward.signal_marginal(env),
+        crowd,
+        env,
+        linalg.Regularizer(np.diag([2.0, 1.0, 1.0])),
+    ]
+    return {type(value).__name__: value for value in values}
+
+
+VALUES = built_values()
+
+
 def test_every_result_record_is_built():
     assert set(RECORDS) == set(FIELDS)
 
@@ -151,14 +178,48 @@ def test_a_result_record_is_a_named_tuple(name):
     assert tuple(record._asdict()) == FIELDS[name]
 
 
-def test_exactly_the_value_types_are_dataclasses():
+def test_every_value_type_is_built():
+    assert set(VALUES) == set(VALUE_FIELDS)
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_FIELDS))
+def test_a_value_is_immutable(name):
+    value = VALUES[name]
+    assert type(value)._fields == VALUE_FIELDS[name]
+    assert repr(value).startswith(f"{name}(")
+    for field in VALUE_FIELDS[name]:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+    for field in ("entries", "matrix"):
+        array = getattr(value, field, None)
+        if array is not None:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def test_tolerances_compare_and_hash_by_value():
+    assert Tolerances() == DEFAULT_TOLERANCES
+    assert hash(Tolerances()) == hash(DEFAULT_TOLERANCES)
+    assert Tolerances(tol_rank=1e-9) != DEFAULT_TOLERANCES
+    assert len({Tolerances(), DEFAULT_TOLERANCES, Tolerances(tol_match=1e-7)}) == 2
+    assert Tolerances() != tuple(getattr(DEFAULT_TOLERANCES, f) for f in VALUE_FIELDS["Tolerances"])
+
+
+def test_no_class_is_a_dataclass_and_the_values_are_exactly_the_value_types():
     classes = {
         name: value
         for module in (core, linalg, inverse)
         for name, value in vars(module).items()
         if isinstance(value, type) and value.__module__ == module.__name__
     }
-    assert {name for name, cls in classes.items() if dataclasses.is_dataclass(cls)} == VALUE_TYPES
+    assert not any(dataclasses.is_dataclass(cls) for cls in classes.values())
+    values = {name for name, cls in classes.items() if issubclass(cls, core._Value)} - {"_Value"}
+    assert values == set(VALUE_FIELDS)
     assert set(FIELDS) <= set(classes)
 
 
