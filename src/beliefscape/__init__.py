@@ -70,11 +70,9 @@ from .inverse import (
     signal_priors_identify,
 )
 from .linalg import (
-    ClassDecomposition,
     EigenvalueOneResult,
     NullSpaceBasis,
     Regularizer,
-    irreducibility,
     least_squares_coefficients,
     min_norm_solution,
     null_space_basis,

@@ -50,7 +50,7 @@ from .forward import generate_landscape
 from .inverse import (
     IdentificationResult,
     PriorFamily,
-    _route,
+    _sign_floor,
     consistency_check,
     detect_partitional,
     identify_single_column,
@@ -244,7 +244,8 @@ def _judged(ns, tol, inputs):
     landscape = _load_validated_landscape(ns, tol, inputs)
     verdict = consistency_check(landscape, tol)
     label = "consistent" if verdict.consistent else "inconsistent"
-    return landscape, _route(landscape.B, tol)[0], verdict, label
+    route = "regression" if landscape.B.rank(tol) == landscape.n_states else "minimum-norm"
+    return landscape, route, verdict, label
 
 
 def _load_regularizer(path: str, n_states: int, inputs) -> Regularizer:
@@ -306,10 +307,11 @@ def _cmd_identify(ns, tol, inputs):
             )
             _validate_or_fail("landscape", violations)
         probabilities = identify_single_column(beliefs, column, tol)
+        floor = _sign_floor(beliefs._svd, tol)  # the band the full identify allows X
         outside = [
             Violation("per-state probability outside [0, 1]", state, float(value)).describe()
             for state, value in zip(beliefs.state_labels, probabilities)
-            if not -tol.tol_entry <= value <= 1 + tol.tol_entry
+            if not -floor <= value <= 1 + floor
         ]
         result = {
             "signal": ns.column,

@@ -16,6 +16,7 @@ pure function, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -116,8 +117,8 @@ class Tolerances(_Value):
     def __init__(self, tol_stochastic=1e-9, tol_entry=1e-9, tol_rank=1e-10, tol_match=1e-8) -> None:
         fields = dict(zip(self._fields, (tol_stochastic, tol_entry, tol_rank, tol_match)))
         for name, value in fields.items():
-            # nan fails the comparison too; a bool would pass it as 0 or 1
-            if type(value) is bool or not 0 < value < np.inf:
+            # a real number (np.float64 is one, a bool or an array is not); nan fails the comparison
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         self._store(**fields)
 

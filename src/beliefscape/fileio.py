@@ -185,15 +185,17 @@ def landscape_from_doc(doc: dict, source: str = "<input>") -> BeliefLandscape:
 def beliefs_and_column_from_doc(
     doc: dict, column_label: str, source: str = "<input>"
 ) -> tuple[StateBeliefMatrix, np.ndarray]:
-    """Beliefs plus one hypothetical column: either Q is n x 1, or pick by label."""
+    """Beliefs plus one hypothetical column: either Q is n x 1, or pick by label; Q is finite."""
     beliefs = _beliefs_from_doc(doc, source)
     signals, n = beliefs.signal_labels, beliefs.n_signals
     if column_label not in signals:
         raise ParseError(f"{source}: no signal labelled {column_label!r}")
     rows = doc.get("Q")
-    if isinstance(rows, list) and rows and isinstance(rows[0], list) and len(rows[0]) == 1:
-        return beliefs, _matrix(doc, "Q", n, 1, source)[:, 0]
-    return beliefs, _matrix(doc, "Q", n, n, source)[:, signals.index(column_label)]
+    one = isinstance(rows, list) and rows and isinstance(rows[0], list) and len(rows[0]) == 1
+    q = _matrix(doc, "Q", n, 1 if one else n, source)
+    if not np.isfinite(q).all():
+        raise ParseError(f"{source}: hypothetical belief matrix contains non-finite entries")
+    return beliefs, q[:, 0 if one else signals.index(column_label)]
 
 
 def environment_from_doc(doc: dict, source: str = "<input>") -> InformationalEnvironment:

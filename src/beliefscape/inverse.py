@@ -136,10 +136,20 @@ class IdentificationResult(NamedTuple):
     restoration_kind: str | None = None  # the judge's RestorationResult.kind; None unjudged
 
 
-def _tidy_structure(raw: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool, int, tuple]:
-    """Clip float noise outside [0, 1]; anything larger flags inconsistency untouched."""
-    negative = raw < -tol.tol_entry
-    if negative.any() or (raw > 1.0 + tol.tol_entry).any():
+def _sign_floor(svd, tol: Tolerances) -> float:
+    """How far X = B⁺Q may stray outside [0, 1]: ``tol_entry`` plus the input's rounding
+    carried by B⁺, 1e-11/σ_r, with σ_r B's smallest singular value above the rank cutoff
+    and 1e-11 = 20u for u = 5e-13, the rounding of the 12 digits files store."""
+    rank = svd.rank(tol)
+    return tol.tol_entry + 1e-11 / svd.s[rank - 1] if rank else tol.tol_entry
+
+
+def _tidy_structure(raw: np.ndarray, svd, tol: Tolerances) -> tuple[np.ndarray, bool, int, tuple]:
+    """Clip X = B⁺Q within :func:`_sign_floor` of [0, 1]; anything further flags
+    inconsistency untouched."""
+    floor = _sign_floor(svd, tol)
+    negative = raw < -floor
+    if negative.any() or (raw > 1.0 + floor).any():
         ij = zip(*np.nonzero(negative))
         return raw, False, 0, tuple((int(i), int(j), float(raw[i, j])) for i, j in ij)
     clipped = np.clip(raw, 0.0, 1.0)
@@ -150,26 +160,18 @@ def _tidy_structure(raw: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool,
     return np.where(close, renormalized, clipped), True, n_clipped, ()
 
 
-def _route(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str = "use the minimum-norm path"):
-    """("regression", None), or ("minimum-norm", the error the regression route raises).
-
-    The regression needs at least as many signals as states and full column rank.
-    """
+def _regression_guard(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str, column=None):
+    """The beliefs' least-squares operator, after the signal-count, ``column`` and rank checks:
+    the regression needs at least as many signals as states and full column rank."""
     if beliefs.n_states > beliefs.n_signals:
-        return "minimum-norm", UnderdeterminedError(
+        raise UnderdeterminedError(
             f"{beliefs.n_states} states but only {beliefs.n_signals} signals; {remedy}"
         )
-    reason = beliefs._svd.rank_deficiency(tol)
-    return "regression" if reason is None else "minimum-norm", reason
-
-
-def _regression_guard(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str, column=None):
-    """The beliefs' least-squares operator, after the signal-count, ``column`` and rank checks."""
-    _, reason = _route(beliefs, tol, remedy)
-    if column is not None and not isinstance(reason, UnderdeterminedError):
+    if column is not None:
         _require_length(column, beliefs.n_signals, "column")
-    if reason is not None:
-        raise reason
+    deficiency = beliefs._svd.rank_deficiency(tol)
+    if deficiency is not None:
+        raise deficiency
     return beliefs._svd.pinv(tol)
 
 
@@ -204,13 +206,13 @@ def identify_structure(
     """Recover the structure by regressing each hypothetical column on the beliefs.
 
     Requires at least as many signals as states and full column rank. Entries
-    within tolerance of [0, 1] are snapped; genuinely negative output is left
+    within :func:`_sign_floor` of [0, 1] are snapped; genuinely negative output is left
     untouched and flagged: such hypotheticals lie outside the family any
     common-prior environment can produce.
     """
     q = hypotheticals.entries if hasattr(hypotheticals, "entries") else np.asarray(hypotheticals)
     raw = _regression_guard(beliefs, tol, "use the minimum-norm path") @ q
-    return _identification(beliefs, raw, q, _tidy_structure(raw, tol))
+    return _identification(beliefs, raw, q, _tidy_structure(raw, beliefs._svd, tol))
 
 
 def _roundtrip_errors(
@@ -254,7 +256,7 @@ def consistency_check(
     beliefs, q = landscape.B, landscape.Q.entries
     x, accuracy, eigen, failed, kind, judged, gaps = _judge(beliefs.entries, beliefs._svd, q, tol)
     if failed:
-        shown = _tidy_structure(x, tol)
+        shown = _tidy_structure(x, beliefs._svd, tol)
     else:
         structure = judged.clip(0.0, 1.0)
         shown = structure, True, int(np.count_nonzero(structure != judged)), ()
@@ -372,8 +374,8 @@ def _judge(b: np.ndarray, svd, q: np.ndarray, tol: Tolerances):
     X's rows would move A off its fixed point by about cond(B) times the input's
     rounding. Its kind, vectors and classes are :func:`linalg._fixed_vectors`'s.
     Bayes' rule with that prior judges (see :class:`RestorationResult`); X's own sign
-    counts on the regression route only (full column rank), below -(``tol_entry`` +
-    20u/σ_min(B)), u = 5e-13 the rounding of the 12 digits files store. A failed
+    counts on the regression route only (full column rank), below -:func:`_sign_floor`,
+    the one band :func:`_tidy_structure` and ``identify --column`` read too. A failed
     verdict has kind "infeasible" and judged None; its gaps are None when no
     nonnegative prior was found to judge with.
     """
@@ -382,9 +384,8 @@ def _judge(b: np.ndarray, svd, q: np.ndarray, tol: Tolerances):
     eigen = _fixed_vectors(accuracy, tol)
     prior_kind, vectors, _ = eigen
     failed = []
-    if x.min() < -tol.tol_entry and svd.rank(tol) == b.shape[1]:
-        if x.min() < -(tol.tol_entry + 1e-11 / svd.s[-1]):  # σ_min(B) at full column rank
-            failed.append("nonnegative_structure")
+    if x.min() < -_sign_floor(svd, tol) and svd.rank(tol) == b.shape[1]:
+        failed.append("nonnegative_structure")
     gaps = (None, None)
     if prior_kind == "none" or any(v.min() < -tol.tol_entry for v in vectors):
         failed += ["prior", "reproduction"]
@@ -526,6 +527,8 @@ class StateInference(NamedTuple):
 
 def _nearest_state(gaps: np.ndarray, tol: Tolerances, entries=None) -> StateInference:
     """The smallest gap wins unless the runner-up (or, given ``entries``, a near-equal one) ties."""
+    if not gaps.size:
+        raise ValueError("no states to match the observation against")
     if not np.isfinite(gaps).all():
         raise ValueError("gaps to the observation must be finite; check for nan or inf input")
     order = np.argsort(gaps, kind="stable")
@@ -547,8 +550,8 @@ def infer_state(
     """Match the observed population share of one signal against its per-state probabilities.
 
     Ambiguous when the two best matches are within tolerance of each other,
-    or when the winning entry has a near-duplicate. Non-finite input raises
-    ValueError.
+    or when the winning entry has a near-duplicate. Non-finite input, or an
+    empty column, raises ValueError.
     """
     column = np.asarray(structure_column, dtype=float)
     return _nearest_state(np.abs(column - float(observed_share)), tol, entries=column)

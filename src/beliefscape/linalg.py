@@ -1,8 +1,8 @@
 """Numerical kernels on small dense matrices.
 
 Least squares, minimum-norm and ridge solves with general regularizers,
-nonnegative least squares, null spaces, eigenvalue-1 eigenvector extraction,
-and irreducibility analysis. Rank tests, null spaces and every solve read one
+nonnegative least squares, null spaces and eigenvalue-1 eigenvector
+extraction. Rank tests, null spaces and every solve read one
 SVD of the matrix (``_SVD``; a belief matrix keeps its own), with the rank
 cutoff ``tol_rank * s[0]``. ``_SVD.solve`` is the one solve, for the
 minimum-norm and the ridge solutions alike and for each step of ``_nnls``,
@@ -102,19 +102,6 @@ class _SVD(NamedTuple):
         largest = rows[np.arange(rows.shape[0]), np.abs(rows).argmax(axis=1)]
         rows = rows * np.sign(largest)[:, None]
         return NullSpaceBasis(tuple(rows), rows.shape[0])
-
-
-class ClassDecomposition(NamedTuple):
-    """Strongly connected components of the positive-entry pattern.
-
-    ``classes`` partitions the index set; a class is closed when no mass
-    leaves it. ``class_edges`` holds (from, to) pairs between class indices.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-    closed: tuple[bool, ...]
-    irreducible: bool
-    class_edges: tuple[tuple[int, int], ...]
 
 
 class EigenvalueOneResult(NamedTuple):
@@ -249,37 +236,6 @@ def _nnls(matrix: np.ndarray, target: np.ndarray, tol: Tolerances) -> np.ndarray
 def null_space_basis(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> NullSpaceBasis:
     """Orthonormal basis of {v : matrix @ v = 0}; empty when full column rank."""
     return _SVD.of(matrix).null_basis(tol)
-
-
-def irreducibility(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> ClassDecomposition:
-    """Communicating-class structure of a nonnegative square matrix.
-
-    Index j has an edge to i when matrix[i, j] exceeds the entry tolerance
-    (columns read as outgoing mass). Classes are reported in ascending order
-    of their smallest member. The eigenvalue-1 step (:func:`_fixed_vectors`) does not read it.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    adjacency = (matrix > tol.tol_entry).T  # row j -> column i
-    # Reachability by repeated squaring of (adjacency | I); float products are
-    # exact on 0/1 entries and much faster than boolean ones.
-    reach = (adjacency | np.eye(n, dtype=bool)).astype(float)
-    for _ in range((n - 1).bit_length()):
-        reach = np.minimum(reach @ reach, 1.0)
-    mutual = (reach > 0) & (reach > 0).T  # row i: the class of i
-    classes = sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual})
-    class_of = {index: k for k, members in enumerate(classes) for index in members}
-    pairs = ((class_of[j], class_of[i]) for j, i in zip(*np.nonzero(adjacency)))
-    edges = {(a, b) for a, b in pairs if a != b}
-    closed = tuple(all(start != k for start, _ in edges) for k in range(len(classes)))
-    return ClassDecomposition(
-        classes=tuple(classes),
-        closed=closed,
-        irreducible=len(classes) == 1,
-        class_edges=tuple(sorted(edges)),
-    )
 
 
 def _rays(basis: np.ndarray, tol: Tolerances) -> np.ndarray | None:

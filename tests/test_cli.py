@@ -29,7 +29,7 @@ from beliefscape.fileio import (
     save_environment,
     save_landscape,
 )
-from test_identify import no_eigenvalue_one_landscape
+from test_identify import no_eigenvalue_one_landscape, sparse_landscapes
 
 
 @pytest.fixture
@@ -314,6 +314,36 @@ class TestMoreCommands:
             "per-state probability outside [0, 1] at s2: -0.35",
         ]
         np.testing.assert_allclose(report["result"]["per_state_probability"], [1.05, -0.35])
+
+    @pytest.mark.parametrize("flags", [[], ["--no-validate"]])
+    @pytest.mark.parametrize(
+        "q", [[[0.7, float("nan")], [0.2, 0.8]], [[float("nan")], [0.375]]],
+        ids=["unselected-column", "one-column"],
+    )
+    def test_identify_single_column_rejects_a_non_finite_q(self, workdir, capsys, q, flags):
+        # A structural error, as for the full identify, whichever column holds the nan
+        doc = {"states": ["s1", "s2"], "signals": ["a", "b"],
+               "B": [[0.75, 0.25], [0.25, 0.75]], "Q": q}
+        path = workdir / "nanq.json"
+        path.write_text(json.dumps(doc))
+        assert main(["identify", "--column", "a", *flags, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"beliefscape: error: {path}: hypothetical belief matrix contains non-finite entries\n"
+        )
+
+    def test_identify_single_column_allows_x_the_band_identify_does(self, workdir, capsys):
+        # Draw 113 of the sparse stored recipe: X[th1, s1] = -3.3e-9, inside the band
+        # tol_entry + 1e-11/σ_min(B) = 3.6e-7 in which the full identify judges X.
+        land = next(land for draw, land in sparse_landscapes() if draw == 113)
+        path = workdir / "sparse.json"
+        save_landscape(land, str(path))
+        assert run_cli(["identify", path], capsys)[0] == 0
+        for signal in land.signal_labels:
+            code, out = run_cli(["identify", "--column", signal, path], capsys)
+            assert code == 0, signal
+            assert "verdict" not in json.loads(out)
 
     def test_sp_command(self, workdir, capsys):
         save_landscape(

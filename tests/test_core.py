@@ -63,10 +63,17 @@ class TestTypes:
             Tolerances(tol_match=0.0)
 
     @pytest.mark.parametrize("name", ["tol_stochastic", "tol_entry", "tol_rank", "tol_match"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, True])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, True, np.array([1e-10]), "1e-10"],
+        ids=["nan", "inf", "True", "array", "str"],
+    )
     def test_tolerances_must_be_finite(self, name, value):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
             Tolerances(**{name: value})
+
+    def test_a_numpy_float_tolerance_is_a_real_number(self):
+        tol = Tolerances(tol_rank=np.float64(1e-10))
+        assert tol == Tolerances() and hash(tol) == hash(Tolerances())
 
 
 # (constructor, arguments, full message) for every malformed input of the five labelled types.

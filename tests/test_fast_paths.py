@@ -40,10 +40,12 @@ from beliefscape import (
     PlausibilityReport,
     Prior,
     PriorFamily,
+    RankDeficientError,
     RestorationResult,
     SignalPriorsResult,
     StateBeliefMatrix,
     Tolerances,
+    UnderdeterminedError,
     UnderdeterminedResult,
     Violation,
     consistency_check,
@@ -209,14 +211,21 @@ def eigenvalue_one_matrices(landscape: BeliefLandscape) -> list[np.ndarray]:
     return [landscape.B.entries.T @ x.T, landscape.Q.entries.T, landscape.Q.entries]
 
 
+def components(linked: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The connected components of a symmetric 0/1 pattern, by smallest member (scipy's)."""
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(linked.astype(float), directed=False)
+    return tuple(sorted(tuple(np.flatnonzero(labels == k).tolist()) for k in range(count)))
+
+
 def block_classes(env: InformationalEnvironment, landscape: BeliefLandscape):
     """The state and signal blocks of the environment's exact support, over the landscape's
     signals: the classes of A's and of Q's fixed vectors."""
     support = (env.structure.entries > 0)[:, env.structure.entries.sum(axis=0) > 0]
     assert support.shape == (landscape.n_states, landscape.n_signals)
-    states = linalg.irreducibility((support @ support.T).astype(float), TOL).classes
-    signals = linalg.irreducibility((support.T @ support).astype(float), TOL).classes
-    return [states, signals, signals]
+    signals = components(support.T @ support)
+    return [components(support @ support.T), signals, signals]
 
 
 def per_class_reference(matrix, classes, tol):
@@ -302,10 +311,12 @@ def reference_judge(landscape, tol):
     accuracy = beliefs.entries.T @ x.T
     prior = reference_prior(accuracy, landscape.state_labels, tol)
     failed = []
-    if inverse._route(beliefs, tol)[0] == "regression":
-        # X's sign is judged against the rounding B⁺ carries: 20·5e-13 / σ_min(B)
-        sigma_min = np.linalg.svd(beliefs.entries, compute_uv=False)[-1]
-        if x.min() < -(tol.tol_entry + 1e-11 / sigma_min):
+    try:
+        inverse._regression_guard(beliefs, tol, "")
+    except (UnderdeterminedError, RankDeficientError):
+        pass  # X's sign counts on the regression route only
+    else:
+        if x.min() < -inverse._sign_floor(beliefs._svd, tol):
             failed.append("nonnegative_structure")
     gaps = (None, None)
     if prior is None or any(v.min() < -tol.tol_entry for v in prior.vectors):
@@ -322,7 +333,7 @@ def reference_judge(landscape, tol):
 def reference_consistency_check(landscape, tol):
     x, accuracy, prior, failed, kind, judged, gaps = reference_judge(landscape, tol)
     if failed:
-        shown = inverse._tidy_structure(x, tol)
+        shown = inverse._tidy_structure(x, landscape.B._svd, tol)
     else:
         structure = judged.clip(0.0, 1.0)
         shown = structure, True, int(np.count_nonzero(structure != judged)), ()

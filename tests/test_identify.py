@@ -34,7 +34,7 @@ from beliefscape import (
     sample_environment,
     signal_priors_identify,
 )
-from beliefscape import fixtures, inverse
+from beliefscape import fixtures, inverse, linalg
 from beliefscape.fileio import dumps_report, landscape_from_doc, landscape_to_doc
 
 from conftest import random_beliefs, random_stochastic
@@ -98,6 +98,28 @@ class TestIdentifyStructure:
         land = fixtures.two_signal_three_state_landscape()
         with pytest.raises(UnderdeterminedError):
             identify_structure(land.B, land.Q)
+
+    def test_the_band_for_x_is_tol_entry_plus_the_rounding_b_pseudoinverse_carries(self):
+        tol = DEFAULT_TOLERANCES
+        near_singular = [[0.5005, 0.4995], [0.4995, 0.5005]]  # σ_min = 1e-3
+        for b in (near_singular, fixtures.split_state_landscape().B.entries):  # full rank, rank 3 of 4
+            s = np.linalg.svd(b, compute_uv=False)
+            sigma_r = s[s > tol.tol_rank * s[0]][-1]  # smallest above the rank cutoff
+            band = inverse._sign_floor(StateBeliefMatrix(b)._svd, tol)
+            assert band == pytest.approx(tol.tol_entry + 1e-11 / sigma_r, rel=1e-12)
+        assert inverse._sign_floor(linalg._SVD.of(np.zeros((2, 2))), tol) == tol.tol_entry
+
+    def test_entries_inside_the_band_are_clipped_and_past_it_flagged(self):
+        # σ_min(B) = 1e-3: the band is 1e-9 + 1e-8 = 1.1e-8
+        svd, tol = StateBeliefMatrix([[0.5005, 0.4995], [0.4995, 0.5005]])._svd, DEFAULT_TOLERANCES
+        inside = np.array([[1.0 + 5e-9, 0.0], [0.25, 0.75]])  # past 1 + tol_entry
+        structure, valid, n_clipped, negative = inverse._tidy_structure(inside, svd, tol)
+        assert (valid, n_clipped, negative) == (True, 1, ())
+        np.testing.assert_array_equal(structure, [[1.0, 0.0], [0.25, 0.75]])
+        past = np.array([[1.0 + 2e-8, -2e-8], [0.25, 0.75]])
+        structure, valid, n_clipped, negative = inverse._tidy_structure(past, svd, tol)
+        assert (valid, n_clipped, negative) == (False, 0, ((0, 1, -2e-8),))
+        assert structure is past
 
 
 class TestIdentifyPrior:
@@ -299,23 +321,18 @@ class TestConsistencyCheck:
             assert np.max(np.abs(q1 - q2)) > 1e-8
 
     def test_sparse_rounded_landscapes_keep_a_nonnegative_regression(self):
-        # 6x6 structures with most entries zero, stored to 12 digits: X = B⁺Q carries
-        # that rounding times 1/σ_min(B), up to 7.6e-13/σ_min(B) below zero here.
-        rng = np.random.default_rng(7)
-        judged = failed = 0
-        for _ in range(1500):
-            rows = rng.dirichlet(np.ones(6), size=6)
-            rows[rng.random((6, 6)) < 0.6] = 0.0
-            for empty in np.flatnonzero(rows.sum(axis=1) == 0):
-                rows[empty, rng.integers(6)] = 1.0
-            rows /= rows.sum(axis=1, keepdims=True)
-            prior = Prior(rng.dirichlet(np.ones(6)))
-            if (rows.sum(axis=0) == 0).any():
-                continue
+        # X = B⁺Q carries the stored rounding times 1/σ_min(B), up to 7.6e-13/σ_min(B)
+        # below zero here. identify_structure allows X the same band as the judge, so on
+        # a full-rank B it finds a valid structure wherever the verdict is consistent.
+        judged = failed = full_rank = disagree = 0
+        for _, land in sparse_landscapes():
             judged += 1
-            land = generate_landscape(InformationalEnvironment(InformationStructure(rows), prior))
-            failed += not consistency_check(stored(land)).consistent
-        assert (judged, failed) == (1144, 0)
+            consistent = consistency_check(land).consistent
+            failed += not consistent
+            if consistent and land.B.rank() == land.n_states:
+                full_rank += 1
+                disagree += not identify_structure(land.B, land.Q).consistent_structure
+        assert (judged, failed, full_rank, disagree) == (1144, 0, 943, 0)
 
     @pytest.mark.parametrize(
         "shape", [(2, 2), (3, 3), (2, 4), (4, 2), (6, 3), (5, 5), (3, 6)], ids="{0[0]}x{0[1]}".format
@@ -335,6 +352,23 @@ class TestConsistencyCheck:
 def stored(landscape: BeliefLandscape) -> BeliefLandscape:
     """The landscape as a file stores it, to 12 significant digits."""
     return landscape_from_doc(json.loads(dumps_report(landscape_to_doc(landscape))))
+
+
+def sparse_landscapes():
+    """(draw, stored landscape) of the sparse recipe: 6x6 structures with most entries zero,
+    prior Dirichlet(1), ``default_rng(7)``; of 1500 draws, those that give every signal mass."""
+    rng = np.random.default_rng(7)
+    for draw in range(1500):
+        rows = rng.dirichlet(np.ones(6), size=6)
+        rows[rng.random((6, 6)) < 0.6] = 0.0
+        for empty in np.flatnonzero(rows.sum(axis=1) == 0):
+            rows[empty, rng.integers(6)] = 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        prior = Prior(rng.dirichlet(np.ones(6)))
+        if (rows.sum(axis=0) == 0).any():
+            continue
+        env = InformationalEnvironment(InformationStructure(rows), prior)
+        yield draw, stored(generate_landscape(env))
 
 
 def moved_mass(landscape: BeliefLandscape, signal: int, delta: float) -> BeliefLandscape:
@@ -508,6 +542,10 @@ class TestInferState:
     def test_non_finite_share_or_column_rejected(self, column, share):
         with pytest.raises(ValueError, match="finite"):
             infer_state(column, share)
+
+    def test_empty_column_rejected(self):
+        with pytest.raises(ValueError, match="^no states to match the observation against$"):
+            infer_state([], 0.5)
 
     @pytest.mark.parametrize("observed", [[np.nan, 0.5], [0.5, -np.inf]])
     def test_non_finite_distribution_rejected(self, observed):

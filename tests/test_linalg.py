@@ -12,7 +12,6 @@ from beliefscape import (
     RankDeficientError,
     Regularizer,
     Tolerances,
-    irreducibility,
     least_squares_coefficients,
     min_norm_solution,
     null_space_basis,
@@ -217,7 +216,7 @@ class TestRidgeSolution:
             min_norm_solution(beliefs, np.eye(2), reg=np.eye(2))
 
 
-@pytest.mark.parametrize("function", [irreducibility, unit_eigenvector_eigenvalue_one])
+@pytest.mark.parametrize("function", [unit_eigenvector_eigenvalue_one])
 def test_square_matrix_required(function):
     with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
         function(np.ones((2, 3)))
@@ -315,101 +314,6 @@ class TestEigenvalueOne:
                 np.testing.assert_allclose(m @ member, member, atol=1e-8)
                 assert member.min() >= -1e-9
                 assert abs(member.sum() - 1.0) <= 1e-9
-
-
-class TestIrreducibility:
-    def test_positive_matrix_is_irreducible(self):
-        rng = np.random.default_rng(2)
-        decomposition = irreducibility(rng.random((3, 3)) + 0.1)
-        assert decomposition.irreducible
-        assert decomposition.classes == ((0, 1, 2),)
-        assert decomposition.closed == (True,)
-
-    def test_partition_accuracy_matrix_classes(self):
-        land = fixtures.coarse_partition_landscape([0.25, 1 / 6, 1 / 3, 0.25])
-        accuracy = land.B.entries.T @ fixtures.COARSE_PARTITION_STRUCTURE.T
-        decomposition = irreducibility(accuracy)
-        assert decomposition.classes == ((0,), (1, 2), (3,))
-        assert decomposition.closed == (True, True, True)
-        assert not decomposition.irreducible
-
-    def test_block_diagonal_gives_two_closed_classes(self):
-        m = np.zeros((4, 4))
-        m[:2, :2] = [[0.5, 0.3], [0.5, 0.7]]
-        m[2:, 2:] = [[0.1, 0.6], [0.9, 0.4]]
-        decomposition = irreducibility(m)
-        assert decomposition.classes == ((0, 1), (2, 3))
-        assert decomposition.closed == (True, True)
-
-    def test_transient_class_is_open(self):
-        # Column 2 leaks into index 0, so {1} is not closed.
-        m = np.array([[1.0, 0.5], [0.0, 0.5]])
-        decomposition = irreducibility(m)
-        assert decomposition.classes == ((0,), (1,))
-        assert decomposition.closed == (True, False)
-        assert decomposition.class_edges == ((1, 0),)
-
-    def test_classes_partition_the_indices(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            m = (rng.random((5, 5)) < 0.3) * rng.random((5, 5))
-            decomposition = irreducibility(m)
-            flat = sorted(i for cls in decomposition.classes for i in cls)
-            assert flat == list(range(5))
-            tol = Tolerances()
-            for cls, closed in zip(decomposition.classes, decomposition.closed):
-                outside = [i for i in range(5) if i not in cls]
-                leaving = m[np.ix_(outside, list(cls))] if outside else np.zeros((0, 0))
-                if closed:
-                    assert leaving.size == 0 or leaving.max() <= tol.tol_entry
-                else:
-                    assert leaving.max() > tol.tol_entry
-
-    def test_long_cycle_is_one_class(self):
-        # Reaching back to the start takes n - 1 steps: every squaring counts.
-        n = 40
-        m = np.roll(np.eye(n), 1, axis=0)
-        decomposition = irreducibility(m)
-        assert decomposition.irreducible
-        assert decomposition.classes == (tuple(range(n)),)
-        opened = m.copy()
-        opened[0, n - 1] = 0.0  # break the cycle into a chain of singletons
-        chain = irreducibility(opened)
-        assert chain.classes == tuple((i,) for i in range(n))
-        assert chain.closed == (False,) * (n - 1) + (True,)
-
-
-@st.composite
-def edge_patterns(draw):
-    n = draw(st.integers(1, 24))
-    node = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
-    m = np.zeros((n, n))
-    for j, i in edges:
-        m[i, j] = draw(st.sampled_from([1e-10, 0.3, 1.0]))  # 1e-10 sits below tol_entry
-    return m
-
-
-@settings(max_examples=300, deadline=None)
-@given(edge_patterns())
-def test_irreducibility_matches_scipy_strong_components(m):
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    adjacency = (m > Tolerances().tol_entry).T
-    count, labels = connected_components(csr_matrix(adjacency), directed=True, connection="strong")
-    classes = sorted(tuple(np.flatnonzero(labels == k).tolist()) for k in range(count))
-    index = {labels[c[0]]: k for k, c in enumerate(classes)}
-    edges = {
-        (index[labels[j]], index[labels[i]])
-        for j, i in zip(*np.nonzero(adjacency))
-        if labels[j] != labels[i]
-    }
-    decomposition = irreducibility(m)
-    assert decomposition.classes == tuple(classes)
-    assert decomposition.class_edges == tuple(sorted(edges))
-    assert decomposition.closed == tuple(all(a != k for a, _ in edges) for k in range(count))
-    assert decomposition.irreducible == (count == 1)
 
 
 @st.composite

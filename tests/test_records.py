@@ -27,7 +27,6 @@ from beliefscape import (
     identify_underdetermined,
     infer_state,
     inverse,
-    irreducibility,
     linalg,
     null_space_basis,
     rationalize_noncommon,
@@ -42,7 +41,6 @@ FIELDS = {
     "PlausibilityReport": ("plausible", "violations"),
     "NullSpaceBasis": ("vectors", "dimension"),
     "_SVD": ("u", "s", "vt", "chol"),
-    "ClassDecomposition": ("classes", "closed", "irreducible", "class_edges"),
     "EigenvalueOneResult": ("kind", "vectors", "classes"),
     "PriorFamily": ("kind", "vectors", "classes", "state_labels"),
     "StructureDiagnostics": (
@@ -121,7 +119,6 @@ def built_records():
         report.violations[0],
         null_space_basis(scarce.B.entries),
         crowd.B._svd,
-        irreducibility(partition.Q.entries),
         unit_eigenvector_eigenvalue_one(crowd.Q.entries.T),
         verdict,
         verdict.identification,
