@@ -20,7 +20,6 @@ from .core import (
     InformationStructure,
     InformationalEnvironment,
     NotConvexDependentError,
-    NotInHullError,
     NotModelGeneratedError,
     PlausibilityReport,
     Prior,
@@ -57,15 +56,12 @@ from .inverse import (
     consistency_check,
     detect_partitional,
     identify,
-    identify_prior,
     identify_single_column,
     identify_structure,
     identify_underdetermined,
     infer_state,
-    infer_state_from_profile,
     peer_accuracy_matrix,
     rationalize_noncommon,
-    reconstruct_from_prior,
     reduce_dependencies,
     signal_priors_identify,
 )

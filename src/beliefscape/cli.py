@@ -50,7 +50,9 @@ from .forward import generate_landscape
 from .inverse import (
     IdentificationResult,
     PriorFamily,
+    _judge,
     _sign_floor,
+    _verdict,
     consistency_check,
     detect_partitional,
     identify_single_column,
@@ -240,12 +242,12 @@ def _load_validated_landscape(ns, tol, inputs):
 
 
 def _judged(ns, tol, inputs):
-    """The loaded landscape, its route, its consistency verdict and the verdict's label."""
+    """The loaded landscape, the judge's route, its consistency verdict and the verdict's label."""
     landscape = _load_validated_landscape(ns, tol, inputs)
-    verdict = consistency_check(landscape, tol)
+    judgement = _judge(landscape, tol)
+    verdict = _verdict(landscape, judgement, tol)
     label = "consistent" if verdict.consistent else "inconsistent"
-    route = "regression" if landscape.B.rank(tol) == landscape.n_states else "minimum-norm"
-    return landscape, route, verdict, label
+    return landscape, judgement.route, verdict, label
 
 
 def _load_regularizer(path: str, n_states: int, inputs) -> Regularizer:

@@ -47,10 +47,6 @@ class NotModelGeneratedError(BeliefscapeError):
     """No eigenvalue-1 eigenvector exists; the data cannot come from the model."""
 
 
-class NotInHullError(BeliefscapeError):
-    """The prior is not a convex combination of the observed belief rows."""
-
-
 class NotConvexDependentError(BeliefscapeError):
     """A dependent belief column is not a convex combination of the kept ones."""
 
@@ -217,7 +213,8 @@ def _require_states(beliefs: StateBeliefMatrix, n: int, what: str) -> None:
 
 def _require_length(vector: np.ndarray, n: int, what: str) -> None:
     if vector.shape != (n,):
-        raise StructuralError(f"signal axis: {what} has length {vector.size}, expected {n}")
+        got = f"length {vector.size}" if vector.ndim == 1 else f"shape {vector.shape}"
+        raise StructuralError(f"signal axis: {what} has {got}, expected length {n}")
 
 
 class HypotheticalBeliefMatrix(_Value):

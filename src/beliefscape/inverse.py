@@ -5,11 +5,12 @@ the shape and rank of B (``_judge``): X = B⁺Q from B's cached SVD (the paper's
 regression of each hypothetical column on the state beliefs at full column
 rank, the minimum-norm solution otherwise), the prior as the eigenvalue-1
 eigenvector of the accuracy matrix BᵀXᵀ, then the structure from Bayes' rule
-with that prior, kept only if it regenerates the landscape.
-:func:`consistency_check`, :func:`identify` and :func:`identify_underdetermined`
-each build their typed result once, at their edge, from that one judgement, as
-does every CLI command that judges a landscape. The signal-priors route takes
-the same eigenvalue-1 step on Qᵀ, the stationary signal distribution, instead.
+with that prior, kept only if it regenerates the landscape. Its one record,
+``_Judgement``, is what :func:`consistency_check`, :func:`identify`,
+:func:`identify_underdetermined` and every CLI command that judges a landscape
+build their typed result from, once, at their edge; the CLI reads its route there.
+The signal-priors route takes the same eigenvalue-1 step on Qᵀ, the stationary
+signal distribution, instead.
 Each reports its prior as a :class:`PriorFamily`: the eigenvalue-1 fields
 (kind, vectors, classes) plus state labels, from which the unique prior and
 the balanced mixture the Bayes step judges with are derived. Every result here
@@ -30,7 +31,6 @@ from .core import (
     InconsistentLandscapeError,
     InformationStructure,
     NotConvexDependentError,
-    NotInHullError,
     NotModelGeneratedError,
     Prior,
     StateBeliefMatrix,
@@ -42,7 +42,7 @@ from .core import (
     _require_states,
 )
 from .forward import _bayes
-from .linalg import EigenvalueOneResult, NullSpaceBasis, _fixed_vectors, _nnls
+from .linalg import EigenvalueOneResult, NullSpaceBasis, _fixed_vectors
 
 # --------------------------------------------------------------------------
 # Prior families
@@ -82,25 +82,13 @@ def _balanced_mixture(kind: str, vectors) -> np.ndarray:
 _NO_PRIOR = "the peer-accuracy matrix has no eigenvalue-1 eigenvector"
 
 
-def identify_prior(
-    beliefs: StateBeliefMatrix,
-    structure: InformationStructure,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> PriorFamily:
-    """Prior as the eigenvalue-1 eigenvector of the peer-accuracy matrix.
-
-    Unique when that matrix has a single fixed direction; otherwise one extreme
-    ray of its fixed space per class, all from one SVD (:func:`linalg._fixed_vectors`).
-    """
-    _require_states(beliefs, structure.n_states, "structure")
-    eigen = _fixed_vectors(peer_accuracy_matrix(beliefs, structure), tol)
-    if eigen[0] == "none":
-        raise NotModelGeneratedError(_NO_PRIOR)
-    return PriorFamily(*eigen, beliefs.state_labels)
-
-
 def peer_accuracy_matrix(beliefs: StateBeliefMatrix, structure: InformationStructure) -> np.ndarray:
     """Entry (i, j): expected peer probability on state i when the true state is j."""
+    _require_states(beliefs, structure.n_states, "structure")
+    if structure.n_signals != beliefs.n_signals:
+        raise StructuralError(
+            f"signal axis: beliefs have {beliefs.n_signals} signals, structure has {structure.n_signals}"
+        )
     return beliefs.entries.T @ structure.entries.T
 
 
@@ -136,11 +124,12 @@ class IdentificationResult(NamedTuple):
     restoration_kind: str | None = None  # the judge's RestorationResult.kind; None unjudged
 
 
-def _sign_floor(svd, tol: Tolerances) -> float:
+def _sign_floor(svd, tol: Tolerances, rank: int | None = None) -> float:
     """How far X = B⁺Q may stray outside [0, 1]: ``tol_entry`` plus the input's rounding
     carried by B⁺, 1e-11/σ_r, with σ_r B's smallest singular value above the rank cutoff
-    and 1e-11 = 20u for u = 5e-13, the rounding of the 12 digits files store."""
-    rank = svd.rank(tol)
+    and 1e-11 = 20u for u = 5e-13, the rounding of the 12 digits files store. ``rank``
+    is B's, when the caller has already read it."""
+    rank = svd.rank(tol) if rank is None else rank
     return tol.tol_entry + 1e-11 / svd.s[rank - 1] if rank else tol.tol_entry
 
 
@@ -169,6 +158,8 @@ def _regression_guard(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str, 
         )
     if column is not None:
         _require_length(column, beliefs.n_signals, "column")
+        if not np.isfinite(column).all():
+            raise StructuralError("hypothetical column contains non-finite entries")
     deficiency = beliefs._svd.rank_deficiency(tol)
     if deficiency is not None:
         raise deficiency
@@ -253,15 +244,19 @@ def consistency_check(
     Plausibility of the inputs is nowhere near sufficient; most row-stochastic
     hypothetical matrices fail the round trip.
     """
-    beliefs, q = landscape.B, landscape.Q.entries
-    x, accuracy, eigen, failed, kind, judged, gaps = _judge(beliefs.entries, beliefs._svd, q, tol)
+    return _verdict(landscape, _judge(landscape, tol), tol)
+
+
+def _verdict(landscape, judgement: _Judgement, tol: Tolerances) -> ConsistencyVerdict:
+    """The :class:`ConsistencyVerdict` on one judgement of ``landscape``."""
+    beliefs, x, judged, failed = landscape.B, judgement.x, judgement.judged, judgement.failed
     if failed:
-        shown = _tidy_structure(x, beliefs._svd, tol)
+        shown, accuracy = _tidy_structure(x, beliefs._svd, tol), judgement.accuracy
     else:
         structure = judged.clip(0.0, 1.0)
         shown = structure, True, int(np.count_nonzero(structure != judged)), ()
         accuracy = beliefs.entries.T @ structure.T  # the peer accuracy of what was judged
-    prior = None if eigen[0] == "none" else PriorFamily(*eigen, landscape.state_labels)
+    q, prior, gaps, kind = landscape.Q.entries, judgement.prior, judgement.gaps, judgement.kind
     found = _identification(beliefs, x, q, shown, prior, accuracy, gaps, kind)
     return ConsistencyVerdict(not failed, failed, found)
 
@@ -365,37 +360,53 @@ def _bayes_step(
     return ("unique" if every else "family"), structure, gaps
 
 
-def _judge(b: np.ndarray, svd, q: np.ndarray, tol: Tolerances):
-    """The one kernel, whatever B's shape and rank: B's entries and cached SVD, and Q,
-    to (X, A, (prior kind, vectors, classes), failed, kind, judged, gaps).
+class _Judgement(NamedTuple):
+    """:func:`_judge`'s answer, read by field name by every judged result and the CLI.
+    ``prior`` is None without an eigenvalue-1 vector; ``judged`` is None on a failed verdict."""
+
+    x: np.ndarray
+    accuracy: np.ndarray
+    prior: PriorFamily | None
+    failed: tuple[str, ...]
+    kind: str
+    judged: np.ndarray | None
+    gaps: tuple[float | None, float | None]
+    route: str
+
+
+def _judge(landscape: BeliefLandscape, tol: Tolerances) -> _Judgement:
+    """The one kernel, whatever B's shape and rank, from B's cached SVD; it reads B's rank once.
 
     X = B⁺Q is the regression at full column rank and the minimum-norm solution
     otherwise. The prior comes from A = Bᵀ Xᵀ before any tidying: renormalizing
     X's rows would move A off its fixed point by about cond(B) times the input's
     rounding. Its kind, vectors and classes are :func:`linalg._fixed_vectors`'s.
     Bayes' rule with that prior judges (see :class:`RestorationResult`); X's own sign
-    counts on the regression route only (full column rank), below -:func:`_sign_floor`,
-    the one band :func:`_tidy_structure` and ``identify --column`` read too. A failed
-    verdict has kind "infeasible" and judged None; its gaps are None when no
-    nonnegative prior was found to judge with.
+    counts on the regression route only, below -:func:`_sign_floor`, the one band
+    :func:`_tidy_structure` and ``identify --column`` read too. A failed verdict has
+    kind "infeasible" and judged None; its gaps are None when no nonnegative prior
+    was found to judge with.
     """
+    b, svd, q = landscape.B.entries, landscape.B._svd, landscape.Q.entries
     x = svd.solve(q, tol)
     accuracy = b.T @ x.T
     eigen = _fixed_vectors(accuracy, tol)
-    prior_kind, vectors, _ = eigen
+    rank = svd.rank(tol)
+    route = "regression" if rank == b.shape[1] else "minimum-norm"
     failed = []
-    if x.min() < -_sign_floor(svd, tol) and svd.rank(tol) == b.shape[1]:
+    if route == "regression" and x.min() < -_sign_floor(svd, tol, rank):
         failed.append("nonnegative_structure")
+    prior = None if eigen[0] == "none" else PriorFamily(*eigen, landscape.state_labels)
     gaps = (None, None)
-    if prior_kind == "none" or any(v.min() < -tol.tol_entry for v in vectors):
+    if prior is None or any(v.min() < -tol.tol_entry for v in prior.vectors):
         failed += ["prior", "reproduction"]
     else:
-        kind, judged, gaps = _bayes_step(b, q, _balanced_mixture(prior_kind, vectors), tol)
+        kind, judged, gaps = _bayes_step(b, q, _balanced_mixture(prior.kind, prior.vectors), tol)
         if kind == "infeasible":
             failed.append("reproduction")
     if failed:
         kind, judged = "infeasible", None
-    return x, accuracy, eigen, tuple(failed), kind, judged, gaps
+    return _Judgement(x, accuracy, prior, tuple(failed), kind, judged, gaps, route)
 
 
 def identify_underdetermined(
@@ -407,52 +418,18 @@ def identify_underdetermined(
     change it; Bayes' rule with it (a family's balanced mixture) gives the structure
     in closed form, whatever B's row rank (see :class:`RestorationResult`).
     """
-    beliefs, q = landscape.B, landscape.Q.entries
-    x, _, eigen, _, kind, judged, _ = _judge(beliefs.entries, beliefs._svd, q, tol)
-    if eigen[0] == "none":
+    judgement = _judge(landscape, tol)
+    if judgement.prior is None:
         raise NotModelGeneratedError(_NO_PRIOR)
+    x, kind, judged = judgement.x, judgement.kind, judgement.judged
     return UnderdeterminedResult(
         ridge_limit=x,
-        null_basis=beliefs._svd.null_basis(tol),
-        prior=PriorFamily(*eigen, landscape.state_labels),
+        null_basis=landscape.B._svd.null_basis(tol),
+        prior=judgement.prior,
         restored=RestorationResult(kind, None if judged is None else judged.clip(0.0, 1.0)),
-        residual=float(np.abs(beliefs.entries @ x - q).max()),
+        residual=float(np.abs(landscape.B.entries @ x - landscape.Q.entries).max()),
         state_labels=landscape.state_labels,
         signal_labels=landscape.signal_labels,
-    )
-
-
-def reconstruct_from_prior(
-    beliefs: StateBeliefMatrix, prior: Prior, tol: Tolerances = DEFAULT_TOLERANCES
-) -> InformationStructure:
-    """Rebuild the structure from the beliefs and a known prior by Bayes' rule.
-
-    The signal marginal m mixes the belief rows into the prior (Bᵀm = prior);
-    then structure[state, signal] = belief * m / prior. A nonnegative least
-    squares solve finds m, whatever B's row rank: at full row rank it is the
-    unique mixture, and with dependent belief rows it is a nonnegative one
-    where the minimum-norm m may be negative. Each equation is divided by its
-    prior entry, (Bᵀm) / prior = 1, which asks every structure row to sum to
-    one, so a rare state weighs as much as a common one. A prior with a zero
-    entry, or one for which no nonnegative m brings the row sums within
-    ``tol_match`` of one, raises NotInHullError.
-    """
-    _require_states(beliefs, prior.n_states, "prior")
-    p = prior.entries
-    if p.min() <= tol.tol_entry:
-        raise NotInHullError("the prior must put positive mass on every state")
-    rows = beliefs.entries.T / p[:, None]
-    weights = _nnls(rows, np.ones_like(p), tol)
-    residual = float(np.linalg.norm(rows @ weights - 1.0))
-    if residual > tol.tol_match:
-        raise NotInHullError(
-            "the prior is not a nonnegative mixture of the belief rows"
-            f" (row-sum residual {residual:.3g})"
-        )
-    return InformationStructure(
-        _bayes_structure(beliefs.entries, weights, p),
-        state_labels=beliefs.state_labels,
-        signal_labels=beliefs.signal_labels,
     )
 
 
@@ -525,45 +502,33 @@ class StateInference(NamedTuple):
     gaps: tuple[float, ...]
 
 
-def _nearest_state(gaps: np.ndarray, tol: Tolerances, entries=None) -> StateInference:
-    """The smallest gap wins unless the runner-up (or, given ``entries``, a near-equal one) ties."""
-    if not gaps.size:
-        raise ValueError("no states to match the observation against")
-    if not np.isfinite(gaps).all():
-        raise ValueError("gaps to the observation must be finite; check for nan or inf input")
-    order = np.argsort(gaps, kind="stable")
-    best = int(order[0])
-    ambiguous = gaps.size > 1 and bool(gaps[order[1]] - gaps[best] < tol.tol_match)
-    if entries is not None:
-        duplicates = np.abs(entries - entries[best]) <= 2 * tol.tol_match
-        ambiguous = ambiguous or int(duplicates.sum()) > 1
-    return StateInference(
-        state_index=None if ambiguous else best,
-        ambiguous=ambiguous,
-        gaps=tuple(float(g) for g in gaps),
-    )
-
-
 def infer_state(
     structure_column, observed_share: float, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> StateInference:
     """Match the observed population share of one signal against its per-state probabilities.
 
-    Ambiguous when the two best matches are within tolerance of each other,
-    or when the winning entry has a near-duplicate. Non-finite input, or an
-    empty column, raises ValueError.
+    The nearest entry wins unless the runner-up is within ``tol_match`` of it or the
+    winning entry has a near-duplicate. A column that is not 1-D or is empty, and a nan
+    or inf in it or in the share, raise ValueError.
     """
     column = np.asarray(structure_column, dtype=float)
-    return _nearest_state(np.abs(column - float(observed_share)), tol, entries=column)
-
-
-def infer_state_from_profile(
-    structure: InformationStructure, observed_distribution, tol: Tolerances = DEFAULT_TOLERANCES
-) -> StateInference:
-    """Whole-profile variant: nearest structure row to the observed type distribution."""
-    observed = np.asarray(observed_distribution, dtype=float)
-    _require_length(observed, structure.n_signals, "distribution")
-    return _nearest_state(np.linalg.norm(structure.entries - observed[None, :], axis=1), tol)
+    if column.ndim != 1:
+        raise ValueError(f"structure column must be 1-D and finite, got shape {column.shape}")
+    if not column.size:
+        raise ValueError("no states to match the observation against")
+    gaps = np.abs(column - float(observed_share))
+    if not np.isfinite(gaps).all():
+        raise ValueError("gaps to the observation must be finite; check for nan or inf input")
+    order = np.argsort(gaps, kind="stable")
+    best = int(order[0])
+    duplicates = np.abs(column - column[best]) <= 2 * tol.tol_match
+    ambiguous = gaps.size > 1 and bool(gaps[order[1]] - gaps[best] < tol.tol_match)
+    ambiguous = ambiguous or int(duplicates.sum()) > 1
+    return StateInference(
+        state_index=None if ambiguous else best,
+        ambiguous=ambiguous,
+        gaps=tuple(float(g) for g in gaps),
+    )
 
 
 # --------------------------------------------------------------------------

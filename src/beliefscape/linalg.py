@@ -1,17 +1,16 @@
 """Numerical kernels on small dense matrices.
 
-Least squares, minimum-norm and ridge solves with general regularizers,
-nonnegative least squares, null spaces and eigenvalue-1 eigenvector
-extraction. Rank tests, null spaces and every solve read one
-SVD of the matrix (``_SVD``; a belief matrix keeps its own), with the rank
-cutoff ``tol_rank * s[0]``. ``_SVD.solve`` is the one solve, for the
-minimum-norm and the ridge solutions alike and for each step of ``_nnls``,
-Lawson and Hanson's active-set method; a factorization whitened by a
-regularizer keeps the Cholesky factor that maps its solutions back. The
-eigenvalue-1 step (``_fixed_vectors``) returns plain (kind, vectors, classes),
-which the judge and the signal-priors route read; :class:`EigenvalueOneResult`
-is the one record of those three fields: a prior family is those fields plus
-state labels, and the signal-priors marginal is the record of Qᵀ itself. One
+Least squares, minimum-norm and ridge solves with general regularizers, null
+spaces and eigenvalue-1 eigenvector extraction. Rank tests, null spaces and
+every solve read one SVD of the matrix (``_SVD``; a belief matrix keeps its
+own), with the rank cutoff ``tol_rank * s[0]``. ``_SVD.solve`` is the one
+solve, for the minimum-norm and the ridge solutions alike, and nothing here
+iterates to convergence; a factorization whitened by a regularizer keeps the
+Cholesky factor that maps its solutions back. The eigenvalue-1 step
+(``_fixed_vectors``) returns plain (kind, vectors, classes), which the judge
+and the signal-priors route read; :class:`EigenvalueOneResult` is the one
+record of those three fields: a prior family is those fields plus state labels,
+and the signal-priors marginal is the record of Qᵀ itself. One
 ``np.linalg.svd`` of matrix − I decides the step, fixed space and rays alike.
 The normal-equation formulas define the values, not the algorithms. Everything
 here, and everything the package runs, is numpy. The records here are named
@@ -195,44 +194,6 @@ def ridge_solution_at(
     return _SVD.of(matrix, reg).solve(targets, DEFAULT_TOLERANCES, lam)
 
 
-def _nnls(matrix: np.ndarray, target: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """x ≥ 0 minimizing ||matrix @ x - target|| (Lawson and Hanson 1974, ch. 23).
-
-    Each step solves least squares on the passive columns, which start as all
-    columns. The solve stops once the residual, or every gradient, is within
-    the rounding of its own evaluation; both loops stop after 3n rounds.
-    """
-    n = matrix.shape[1]
-    eps = 10 * max(matrix.shape) * np.finfo(float).eps
-    x = np.zeros(n)
-    passive = np.ones(n, dtype=bool)
-    for _ in range(3 * n):
-        for _ in range(3 * n):
-            z = np.zeros(n)
-            z[passive] = _SVD.of(matrix[:, passive]).solve(target, tol)
-            if (z[passive] > 0).all():
-                x = z
-                break
-            # step from x toward z until the first passive weight reaches 0
-            blocking = np.flatnonzero(passive & (z <= 0))
-            steps = np.divide(x[blocking], x[blocking] - z[blocking],
-                              out=np.zeros(blocking.size), where=x[blocking] > 0)
-            x = x + steps.min() * (z - x)
-            x[blocking[steps.argmin()]] = 0.0
-            passive &= x > 0
-            x[~passive] = 0.0
-        residual = target - matrix @ x
-        size = np.abs(residual).max(initial=0.0)
-        if size <= eps * (np.abs(target) + np.abs(matrix) @ x).max(initial=0.0):
-            break
-        gradient = matrix.T @ residual
-        live = ~passive & (gradient > eps * (np.abs(matrix).T @ np.abs(residual)))
-        if not live.any():
-            break
-        passive[np.where(live, gradient, -np.inf).argmax()] = True
-    return x
-
-
 def null_space_basis(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> NullSpaceBasis:
     """Orthonormal basis of {v : matrix @ v = 0}; empty when full column rank."""
     return _SVD.of(matrix).null_basis(tol)
@@ -305,9 +266,12 @@ def unit_eigenvector_eigenvalue_one(
     clean multiplicity test. A one-dimensional space yields kind "unique"; a
     larger one, one ray of that space per class (:func:`_fixed_vectors`); none on
     the simplex yields kind "none": the input was not generated by the model.
+    A matrix that is not square, or holds a nan or inf, raises ValueError.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix contains non-finite entries")
     return EigenvalueOneResult(*_fixed_vectors(matrix, tol))

@@ -13,7 +13,8 @@ block data: one null-basis direction per block.
 The typed results are checked the same way against the routes that built them
 before the judge became one array kernel: the judge through
 ``unit_eigenvector_eigenvalue_one``, a ``PriorFamily`` and its representative
-into the masked Bayes step; signal-priors through ``unit_eigenvector_eigenvalue_one``
+into the masked Bayes step, with the route ``_regression_guard`` decides (the
+judge's record is compared with it field by field); signal-priors through ``unit_eigenvector_eigenvalue_one``
 of Qᵀ; validation row by row; and the dependency reduction's repeated-QR scan
 with a regression on the kept columns.
 """
@@ -59,7 +60,7 @@ from beliefscape import (
     unit_eigenvector_eigenvalue_one,
     validate_landscape,
 )
-from beliefscape import core, forward, inverse, linalg
+from beliefscape import core, fixtures, forward, inverse, linalg
 
 TOL = DEFAULT_TOLERANCES
 
@@ -305,17 +306,19 @@ def reference_prior(accuracy, labels, tol):
 
 
 def reference_judge(landscape, tol):
-    """The judge as a chain of typed values: prior family, representative, masked Bayes step."""
+    """The judge as a chain of typed values: prior family, representative, masked Bayes step;
+    in the order of ``inverse._Judgement``'s fields."""
     beliefs = landscape.B
     x = beliefs._svd.solve(landscape.Q.entries, tol)
     accuracy = beliefs.entries.T @ x.T
     prior = reference_prior(accuracy, landscape.state_labels, tol)
-    failed = []
+    failed, route = [], "minimum-norm"
     try:
         inverse._regression_guard(beliefs, tol, "")
     except (UnderdeterminedError, RankDeficientError):
         pass  # X's sign counts on the regression route only
     else:
+        route = "regression"
         if x.min() < -inverse._sign_floor(beliefs._svd, tol):
             failed.append("nonnegative_structure")
     gaps = (None, None)
@@ -327,11 +330,11 @@ def reference_judge(landscape, tol):
             failed.append("reproduction")
     if failed:
         kind, judged = "infeasible", None
-    return x, accuracy, prior, tuple(failed), kind, judged, gaps
+    return x, accuracy, prior, tuple(failed), kind, judged, gaps, route
 
 
 def reference_consistency_check(landscape, tol):
-    x, accuracy, prior, failed, kind, judged, gaps = reference_judge(landscape, tol)
+    x, accuracy, prior, failed, kind, judged, gaps, _ = reference_judge(landscape, tol)
     if failed:
         shown = inverse._tidy_structure(x, landscape.B._svd, tol)
     else:
@@ -352,7 +355,7 @@ def reference_identify(landscape, tol):
 
 
 def reference_underdetermined(landscape, tol):
-    x, _, prior, _, kind, judged, _ = reference_judge(landscape, tol)
+    x, _, prior, _, kind, judged, _, _ = reference_judge(landscape, tol)
     if prior is None:
         raise NotModelGeneratedError(inverse._NO_PRIOR)
     return UnderdeterminedResult(
@@ -471,6 +474,35 @@ def test_judged_results_match_the_typed_reference_routes(kind, data):
     for name, (fast, reference) in JUDGED.items():
         got, expected = outcome(fast, landscape, TOL), outcome(reference, landscape, TOL)
         assert equal(got, expected), name
+
+
+@pytest.mark.parametrize("kind", LANDSCAPE_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_judgement_record_matches_the_typed_reference_judge(kind, data):
+    landscape = data.draw(landscapes(kind))
+    judgement, expected = inverse._judge(landscape, TOL), reference_judge(landscape, TOL)
+    assert len(judgement) == len(expected)
+    for name, value in zip(judgement._fields, expected):
+        assert equal(getattr(judgement, name), value), name
+
+
+@pytest.mark.parametrize(
+    "landscape, route",
+    [
+        (fixtures.truth_or_noise_rogue_hypotheticals(), "regression"),  # X's sign fails
+        (fixtures.truth_or_noise_landscape(0.5), "regression"),
+        (fixtures.two_signal_three_state_landscape(), "minimum-norm"),
+        (fixtures.split_state_landscape(), "minimum-norm"),
+    ],
+    ids=["rogue", "truth_or_noise", "scarce", "split_state"],
+)
+def test_the_judge_reads_the_rank_of_b_once(landscape, route, monkeypatch):
+    calls = []
+    rank = linalg._SVD.rank
+    monkeypatch.setattr(linalg._SVD, "rank", lambda svd, tol: calls.append(tol) or rank(svd, tol))
+    assert inverse._judge(landscape, TOL).route == route
+    assert calls == [TOL]
 
 
 def test_a_two_block_structure_is_a_family_on_both_routes():

@@ -22,17 +22,15 @@ from beliefscape import (
     generate_landscape,
     hypothetical_matrix,
     identify,
-    identify_prior,
     identify_single_column,
     identify_structure,
     identify_underdetermined,
     infer_state,
-    infer_state_from_profile,
     peer_accuracy_matrix,
     rationalize_noncommon,
-    reconstruct_from_prior,
     sample_environment,
     signal_priors_identify,
+    unit_eigenvector_eigenvalue_one,
 )
 from beliefscape import fixtures, inverse, linalg
 from beliefscape.fileio import dumps_report, landscape_from_doc, landscape_to_doc
@@ -122,20 +120,25 @@ class TestIdentifyStructure:
         assert structure is past
 
 
+def prior_of(beliefs: StateBeliefMatrix, structure: InformationStructure):
+    """The eigenvalue-1 vectors of the peer-accuracy matrix of a given structure."""
+    return unit_eigenvector_eigenvalue_one(peer_accuracy_matrix(beliefs, structure))
+
+
 class TestIdentifyPrior:
     def test_two_signal_three_state_unique(self):
         beliefs = StateBeliefMatrix(fixtures.TWO_SIGNAL_THREE_STATE_B)
         structure = InformationStructure(fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE)
-        family = identify_prior(beliefs, structure)
+        family = prior_of(beliefs, structure)
         assert family.kind == "unique"
         np.testing.assert_allclose(
-            family.unique_prior.entries, fixtures.TWO_SIGNAL_THREE_STATE_PRIOR, atol=1e-12
+            family.vectors[0], fixtures.TWO_SIGNAL_THREE_STATE_PRIOR, atol=1e-12
         )
 
     def test_partition_fixture_gives_class_family(self):
         p2, p3 = 1 / 6, 1 / 3
         land = fixtures.coarse_partition_landscape([0.25, p2, p3, 0.25])
-        family = identify_prior(land.B, InformationStructure(fixtures.COARSE_PARTITION_STRUCTURE))
+        family = prior_of(land.B, InformationStructure(fixtures.COARSE_PARTITION_STRUCTURE))
         assert family.kind == "family"
         assert family.classes == ((0,), (1, 2), (3,))
         np.testing.assert_allclose(
@@ -145,7 +148,7 @@ class TestIdentifyPrior:
     def test_fully_revealing_identity_pair_leaves_every_state_its_own_class(self):
         beliefs = StateBeliefMatrix(np.eye(3))
         structure = InformationStructure(np.eye(3))
-        family = identify_prior(beliefs, structure)
+        family = prior_of(beliefs, structure)
         assert family.kind == "family"
         members = np.stack(family.vectors)
         np.testing.assert_allclose(members, np.eye(3), atol=1e-12)
@@ -494,18 +497,38 @@ class TestSingleColumn:
         with pytest.raises(RankDeficientError):
             identify_single_column(split, np.full(split.n_signals, 0.5))
 
+    def test_a_column_of_the_wrong_shape_names_its_shape(self):
+        beliefs = fixtures.truth_or_noise_landscape(0.5).B  # 3 states, 4 signals
+        message = r"^signal axis: column has shape \(4, 1\), expected length 4$"
+        with pytest.raises(StructuralError, match=message):
+            identify_single_column(beliefs, np.full((4, 1), 0.25))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_column_is_a_structural_error(self, bad):
+        land = fixtures.truth_or_noise_landscape(0.5)
+        column = land.Q.entries[:, 0].copy()
+        column[1] = bad
+        with pytest.raises(StructuralError, match="^hypothetical column contains non-finite entries$"):
+            identify_single_column(land.B, column)
+
 
 def test_state_axis_mismatches_share_one_message():
     beliefs = fixtures.truth_or_noise_landscape(0.5).B  # 3 states, 4 signals
     two_states = InformationStructure(np.full((2, 4), 0.25))
     for call, what in [
-        (lambda: identify_prior(beliefs, two_states), "structure"),
+        (lambda: peer_accuracy_matrix(beliefs, two_states), "structure"),
         (lambda: hypothetical_matrix(two_states, beliefs), "structure"),
-        (lambda: reconstruct_from_prior(beliefs, Prior([0.5, 0.5])), "prior"),
     ]:
         with pytest.raises(StructuralError) as caught:
             call()
         assert str(caught.value) == f"state axis: beliefs have 3 states, {what} has 2"
+
+
+def test_peer_accuracy_matrix_checks_the_signal_axis():
+    beliefs = fixtures.truth_or_noise_landscape(0.5).B  # 3 states, 4 signals
+    five_signals = InformationStructure(np.full((3, 5), 0.2))
+    with pytest.raises(StructuralError, match="^signal axis: beliefs have 4 signals, structure has 5$"):
+        peer_accuracy_matrix(beliefs, five_signals)
 
 
 class TestInferState:
@@ -526,18 +549,15 @@ class TestInferState:
         inference = infer_state(column, 1.0)
         assert inference.state_index == 2
 
-    def test_profile_variant(self):
-        structure = InformationStructure(fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE)
-        inference = infer_state_from_profile(structure, [0.52, 0.48])
-        assert inference.state_index == 1
-        tied = infer_state_from_profile(
-            InformationStructure([[0.5, 0.5], [0.5, 0.5]]), [0.6, 0.4]
-        )
-        assert tied.ambiguous
-
     @pytest.mark.parametrize(
         "column, share",
-        [([0.2, 0.5, 0.9], np.nan), ([0.2, 0.5, 0.9], np.inf), ([0.2, np.nan, 0.9], 0.5)],
+        [
+            ([0.2, 0.5, 0.9], np.nan),
+            ([0.2, 0.5, 0.9], np.inf),
+            ([0.2, np.nan, 0.9], 0.5),
+            (0.3, 0.3),  # a scalar is no column
+            ([[0.2, 0.5, 0.9]], 0.5),  # nor is a 2-D array
+        ],
     )
     def test_non_finite_share_or_column_rejected(self, column, share):
         with pytest.raises(ValueError, match="finite"):
@@ -546,20 +566,6 @@ class TestInferState:
     def test_empty_column_rejected(self):
         with pytest.raises(ValueError, match="^no states to match the observation against$"):
             infer_state([], 0.5)
-
-    @pytest.mark.parametrize("observed", [[np.nan, 0.5], [0.5, -np.inf]])
-    def test_non_finite_distribution_rejected(self, observed):
-        structure = InformationStructure(fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE)
-        with pytest.raises(ValueError, match="finite"):
-            infer_state_from_profile(structure, observed)
-
-    def test_profile_ambiguity_is_a_bool(self):
-        # A numpy bool is not JSON: the report encoder rejects it.
-        structure = InformationStructure(fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE)
-        for observed in ([0.52, 0.48], [0.5, 0.5]):
-            ambiguous = infer_state_from_profile(structure, observed).ambiguous
-            assert type(ambiguous) is bool
-            assert json.loads(dumps_report({"ambiguous": ambiguous})) == {"ambiguous": ambiguous}
 
 
 class TestRationalization:
@@ -646,15 +652,11 @@ class TestNoEigenvalueOne:
             (identify, "the peer-accuracy matrix has no eigenvalue-1 eigenvector"),
             (identify_underdetermined, "the peer-accuracy matrix has no eigenvalue-1 eigenvector"),
             (
-                lambda land: identify_prior(land.B, InformationStructure(land.Q.entries)),
-                "the peer-accuracy matrix has no eigenvalue-1 eigenvector",
-            ),
-            (
                 signal_priors_identify,
                 "the hypothetical matrix has no stationary signal distribution",
             ),
         ],
-        ids=["identify", "identify_underdetermined", "identify_prior", "signal_priors_identify"],
+        ids=["identify", "identify_underdetermined", "signal_priors_identify"],
     )
     def test_no_prior_is_a_finding(self, call, message):
         with pytest.raises(NotModelGeneratedError, match=f"^{message}$"):

@@ -1,11 +1,9 @@
 """scipy stays unloaded on every import path of the package.
 
-numpy does every factorization, graph search, ridge solve, nonnegative least
-squares solve and the Bayes-rule structure; scipy is a test oracle only. The
-test process itself has scipy loaded, so each probe runs in a fresh
-interpreter and reports the scipy modules loaded after each step: importing
-every module, every CLI command, and ``reconstruct_from_prior`` on dependent
-belief rows.
+numpy does every factorization, ridge solve, eigenvalue-1 step and the
+Bayes-rule structure; scipy is a test oracle only. The test process itself has
+scipy loaded, so each probe runs in a fresh interpreter and reports the scipy
+modules loaded after each step: importing every module, and every CLI command.
 """
 
 from __future__ import annotations
@@ -25,17 +23,13 @@ from test_golden_reports import CASES, write_inputs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# A step is a module name to import, an argv list for the CLI, or a
-# {"beliefs": rows, "prior": values} pair for reconstruct_from_prior.
+# A step is a module name to import or an argv list for the CLI.
 PROBE = """
 import contextlib, importlib, io, json, sys
 
 for step in json.loads(sys.argv[1]):
     if isinstance(step, str):
         importlib.import_module(step)
-    elif isinstance(step, dict):
-        from beliefscape import Prior, StateBeliefMatrix, reconstruct_from_prior
-        reconstruct_from_prior(StateBeliefMatrix(step["beliefs"]), Prior(step["prior"]))
     else:
         from beliefscape.cli import main
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -51,8 +45,6 @@ COMMON_STEPS = (
     + [["selftest"], ["ridge", "scarce.json"]]
     # equal belief rows: B rank deficient, a 2-D null space
     + [["ridge", "equal_rows.json"], ["check", "equal_rows.json"]]
-    # the third belief row is the mean of the first two: the nonnegative solve runs
-    + [{"beliefs": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], "prior": [0.9, 0.1]}]
 )
 
 

@@ -1,21 +1,18 @@
 import warnings
 
 import numpy as np
-import pytest
 
 from beliefscape import (
     BeliefLandscape,
     HypotheticalBeliefMatrix,
     InformationalEnvironment,
     InformationStructure,
-    NotInHullError,
     Prior,
     StateBeliefMatrix,
     generate_landscape,
     identify_underdetermined,
     min_norm_solution,
     null_space_basis,
-    reconstruct_from_prior,
     sample_environment,
 )
 from beliefscape import fixtures
@@ -193,106 +190,3 @@ class TestRandomRoundTrips:
             np.testing.assert_allclose(b @ other, land.Q.entries, atol=1e-10)
             diff = other - x
             np.testing.assert_allclose(diff - basis @ (basis.T @ diff), 0.0, atol=1e-10)
-
-
-class TestReconstructFromPrior:
-    def test_two_signal_three_state(self):
-        structure = reconstruct_from_prior(
-            StateBeliefMatrix(fixtures.TWO_SIGNAL_THREE_STATE_B),
-            Prior(fixtures.TWO_SIGNAL_THREE_STATE_PRIOR),
-        )
-        np.testing.assert_allclose(
-            structure.entries, fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE, atol=1e-10
-        )
-
-    def test_identity_beliefs(self):
-        structure = reconstruct_from_prior(
-            StateBeliefMatrix(np.eye(3)), Prior([0.2, 0.3, 0.5])
-        )
-        np.testing.assert_allclose(structure.entries, np.eye(3), atol=1e-12)
-
-    def test_symmetric_binary_with_even_prior(self):
-        structure = reconstruct_from_prior(
-            StateBeliefMatrix(fixtures.SYMMETRIC_BINARY_BELIEFS), Prior([0.5, 0.5])
-        )
-        np.testing.assert_allclose(
-            structure.entries, fixtures.SYMMETRIC_BINARY_BELIEFS, atol=1e-12
-        )
-        # and it regenerates the a = b = 5/8 hypotheticals
-        q = fixtures.SYMMETRIC_BINARY_BELIEFS @ structure.entries
-        np.testing.assert_allclose(q, [[5 / 8, 3 / 8], [3 / 8, 5 / 8]], atol=1e-12)
-
-    def test_prior_outside_the_belief_hull(self):
-        beliefs = StateBeliefMatrix([[0.25, 0.75], [0.3, 0.7]])
-        with pytest.raises(NotInHullError):
-            reconstruct_from_prior(beliefs, Prior([0.9, 0.1]))
-
-    @pytest.mark.parametrize("rare", [1e-8, 2e-8, 5e-8, 8e-8])
-    def test_rare_state_prior(self, rare):
-        # B's second singular value is about rare, far above the rank cutoff, and the
-        # rare state's equation is as binding as the common one's.
-        structure = np.array([[0.5, 0.5], [1.0, 0.0]])
-        prior = np.array([1 - rare, rare])
-        joint = structure * prior[:, None]
-        beliefs = StateBeliefMatrix((joint / joint.sum(axis=0)).T)
-        got = reconstruct_from_prior(beliefs, Prior(prior)).entries
-        np.testing.assert_allclose(got, structure, rtol=0, atol=1e-10)
-
-    def test_rare_state_off_the_hull_rejected(self):
-        # The prior misses the hull by 1e-8 in absolute terms, within tol_match, but on a
-        # state of prior 3e-8: the rebuilt structure's row there would sum to about 2/3.
-        structure = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
-        prior = np.array([0.5, 0.5 - 2e-8, 2e-8])
-        joint = structure * prior[:, None]
-        beliefs = StateBeliefMatrix((joint / joint.sum(axis=0)).T)
-        off = prior + [0.0, 0.0, 1e-8]
-        with pytest.raises(NotInHullError, match="row-sum residual"):
-            reconstruct_from_prior(beliefs, Prior(off / off.sum()))
-
-    def test_boundary_prior_rejected(self):
-        with pytest.raises(NotInHullError, match="positive mass"):
-            reconstruct_from_prior(StateBeliefMatrix(np.eye(2)), Prior([1.0, 0.0]))
-
-
-def test_reconstruct_from_prior_on_dependent_rows_finds_nonnegative_weights():
-    # The third belief row is the mean of the first two. The minimum-norm weights
-    # (11/15, -1/15, 1/3) mix the rows into the prior with a negative weight;
-    # the nonnegative mixture (0.9, 0.1, 0) exists, and Bayes' rule rebuilds from it.
-    beliefs = StateBeliefMatrix([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-    structure = reconstruct_from_prior(beliefs, Prior([0.9, 0.1]))
-    np.testing.assert_allclose(structure.entries, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-12)
-
-
-def test_reconstruct_from_prior_agrees_with_the_pinv_marginal_at_full_row_rank():
-    # With independent belief rows the marginal Bᵀm = p is unique, m = pinv(Bᵀ) p, and
-    # the nonnegative solve must land on it.
-    rng = np.random.default_rng(2024)
-    checked = 0
-    while checked < 400:
-        n_signals = int(rng.integers(1, 5))
-        env = sample_environment(rng, n_signals + int(rng.integers(1, 3)), n_signals)
-        b, p = generate_landscape(env).B, env.prior.entries
-        if np.linalg.matrix_rank(b.entries) < n_signals:
-            continue
-        expected = (b.entries * (np.linalg.pinv(b.entries.T) @ p)[:, None]).T / p[:, None]
-        got = reconstruct_from_prior(b, env.prior).entries
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
-        checked += 1
-
-
-def test_reconstruct_from_prior_keeps_rare_states_stochastic_on_dependent_rows():
-    # More signals than states, so m is not unique; one state's prior is 1e-8 to 1e-6.
-    # Whichever nonnegative m the solve finds, every structure row must sum to one.
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        n_states = int(rng.integers(2, 5))
-        n_signals = n_states + int(rng.integers(1, 3))
-        structure = rng.dirichlet(np.ones(n_signals), n_states)
-        prior = rng.dirichlet(np.ones(n_states))
-        prior[rng.integers(n_states)] = 10 ** rng.uniform(-8, -6)
-        prior /= prior.sum()
-        joint = structure * prior[:, None]
-        beliefs = StateBeliefMatrix((joint / joint.sum(axis=0)).T)
-        got = reconstruct_from_prior(beliefs, Prior(prior)).entries
-        assert got.min() >= 0.0
-        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-10)
