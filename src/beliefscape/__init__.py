@@ -36,7 +36,6 @@ from .core import (
 )
 from .forward import (
     generate_landscape,
-    hypothetical_matrix,
     posterior_matrix,
     sample_environment,
     signal_marginal,

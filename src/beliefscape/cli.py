@@ -35,6 +35,7 @@ from .core import (
 )
 from .fileio import (
     ParseError,
+    _named,
     beliefs_and_column_from_doc,
     dumps_report,
     environment_from_doc,
@@ -254,10 +255,7 @@ def _load_regularizer(path: str, n_states: int, inputs) -> Regularizer:
     """The --reg matrix: a JSON {"matrix": rows} or a CSV matrix, n_states x n_states."""
     matrix, digests = load_matrix(path, n_states, n_states)
     inputs.update(digests)
-    try:
-        return Regularizer(matrix)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return _named(path, lambda: Regularizer(matrix))
 
 
 # --------------------------------------------------------------------------

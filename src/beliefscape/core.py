@@ -12,6 +12,9 @@ that checks and stores its fields in its own ``__init__``; a record that only ca
 a result is a named tuple (``_replace()`` copies it, ``_asdict()`` reads it). Neither
 needs generated code. Both are immutable after construction and every operation is a
 pure function, so concurrent use needs no coordination.
+
+Input from outside the program passes three gates, each written once (:func:`_array`,
+:func:`_same_axis`, :func:`_positive_finite`); code reading checked values does not re-check.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ class BeliefscapeError(Exception):
     """Base class for all library errors."""
 
 
-class StructuralError(BeliefscapeError):
-    """Dimension or label mismatch; the input cannot be interpreted at all."""
+class StructuralError(BeliefscapeError, ValueError):
+    """Malformed input of any kind (a wrong dimension, shape, count or label, a nan or inf,
+    a scalar out of range); the input cannot be interpreted at all. Also a ValueError."""
 
 
 class RankDeficientError(BeliefscapeError):
@@ -71,6 +75,40 @@ class DroppedSignalWarning(UserWarning):
     """A signal with zero marginal probability was removed from the landscape."""
 
 
+def _array(value, what: str, ndim, square: bool = False) -> np.ndarray:
+    """A read-only float copy of ``value``, checked for dimension (``ndim``, or one of a tuple
+    of them), finiteness (entry by entry: a sum can overflow) and squareness, in that order."""
+    try:
+        entries = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructuralError(f"{what} is not an array of numbers ({exc})") from None
+    dims = ndim if isinstance(ndim, tuple) else (ndim,)
+    if entries.ndim not in dims:
+        expected = " or ".join(map(str, dims))
+        raise StructuralError(f"{what} must be {expected}-dimensional, got shape {entries.shape}")
+    if np.count_nonzero(np.isfinite(entries)) != entries.size:
+        raise StructuralError(f"{what} contains non-finite entries")
+    if square and entries.shape[0] != entries.shape[1]:
+        raise StructuralError(f"{what} must be square, got shape {entries.shape}")
+    entries.setflags(write=False)
+    return entries
+
+
+def _same_axis(axis: str, a: str, n_a: int, b: str, n_b: int, labels_a=None, labels_b=None) -> None:
+    """The one axis check: ``a`` and ``b`` agree on ``axis``, first in count, then in labels."""
+    if n_a != n_b:
+        raise StructuralError(f"{axis} axis: {a} has {n_a} {axis}s, {b} has {n_b}")
+    if labels_a != labels_b:
+        raise StructuralError(f"{axis} axis: {a} and {b} carry different {axis} labels")
+
+
+def _positive_finite(value, what: str):
+    """``value`` if a real number (np.float64 is one, a bool or an array is not) in (0, inf)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < np.inf:
+        raise StructuralError(f"{what} must be positive and finite")
+    return value
+
+
 class _Value:
     """A value type: ``__init__`` checks its fields and stores them once with ``_store``, then
     none can be assigned or deleted. ``repr``, ``==`` and ``hash`` read ``_fields`` in order.
@@ -111,12 +149,8 @@ class Tolerances(_Value):
     _fields = ("tol_stochastic", "tol_entry", "tol_rank", "tol_match")
 
     def __init__(self, tol_stochastic=1e-9, tol_entry=1e-9, tol_rank=1e-10, tol_match=1e-8) -> None:
-        fields = dict(zip(self._fields, (tol_stochastic, tol_entry, tol_rank, tol_match)))
-        for name, value in fields.items():
-            # a real number (np.float64 is one, a bool or an array is not); nan fails the comparison
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        self._store(**fields)
+        values = (tol_stochastic, tol_entry, tol_rank, tol_match)
+        self._store(**{name: _positive_finite(v, name) for name, v in zip(self._fields, values)})
 
     def rank_cutoff(self, singular_values: np.ndarray) -> float:
         """The cutoff for singular values in descending order, as LAPACK returns them."""
@@ -159,20 +193,9 @@ def _check_labels(labels: _Labels, n: int, field: str) -> tuple[str, ...]:
 
 
 def _freeze_labelled(value, entries, name: str, ndim: int, *labelled, square: bool = False) -> None:
-    """Store frozen ``entries`` and each checked or defaulted label field on ``value``.
-
-    The entries are copied as floats and checked for dimension, then finiteness (entry by
-    entry: a sum would overflow, with a warning, near the largest float), then squareness.
-    ``labelled`` gives each later field of ``value._fields`` its (labels, axis), in order.
-    """
-    entries = np.array(entries, dtype=float)
-    if entries.ndim != ndim:
-        raise StructuralError(f"{name} must be {ndim}-dimensional, got shape {entries.shape}")
-    if np.count_nonzero(np.isfinite(entries)) != entries.size:
-        raise StructuralError(f"{name} contains non-finite entries")
-    entries.setflags(write=False)
-    if square and entries.shape[0] != entries.shape[1]:
-        raise StructuralError(f"{name} must be square, got shape {entries.shape}")
+    """Store the checked entries and label fields on ``value``; ``labelled`` gives each later
+    field of ``value._fields`` its (labels, axis), in order."""
+    entries = _array(entries, name, ndim, square)
     fields = {"entries": entries}
     for field, (labels, axis) in zip(value._fields[1:], labelled):
         fields[field] = _check_labels(labels, entries.shape[axis], field)
@@ -204,17 +227,6 @@ class StateBeliefMatrix(_Value):
 
     def rank(self, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
         return self._svd.rank(tol)
-
-
-def _require_states(beliefs: StateBeliefMatrix, n: int, what: str) -> None:
-    if beliefs.n_states != n:
-        raise StructuralError(f"state axis: beliefs have {beliefs.n_states} states, {what} has {n}")
-
-
-def _require_length(vector: np.ndarray, n: int, what: str) -> None:
-    if vector.shape != (n,):
-        got = f"length {vector.size}" if vector.ndim == 1 else f"shape {vector.shape}"
-        raise StructuralError(f"signal axis: {what} has {got}, expected length {n}")
 
 
 class HypotheticalBeliefMatrix(_Value):
@@ -277,10 +289,7 @@ class BeliefLandscape(_Value):
     _fields = ("B", "Q")
 
     def __init__(self, B: StateBeliefMatrix, Q: HypotheticalBeliefMatrix) -> None:
-        if B.n_signals != Q.n_signals:
-            raise StructuralError(f"signal axis: B has {B.n_signals} rows, Q has {Q.n_signals}")
-        if B.signal_labels != Q.signal_labels:
-            raise StructuralError("signal axis: B and Q carry different signal labels")
+        _same_axis("signal", "B", B.n_signals, "Q", Q.n_signals, B.signal_labels, Q.signal_labels)
         self._store(B=B, Q=Q)
 
     @property
@@ -306,13 +315,10 @@ class InformationalEnvironment(_Value):
     _fields = ("structure", "prior")
 
     def __init__(self, structure: InformationStructure, prior: Prior) -> None:
-        if structure.n_states != prior.n_states:
-            raise StructuralError(
-                f"state axis: structure has {structure.n_states} states,"
-                f" prior has {prior.n_states}"
-            )
-        if structure.state_labels != prior.state_labels:
-            raise StructuralError("state axis: structure and prior carry different state labels")
+        _same_axis(
+            "state", "structure", structure.n_states, "prior", prior.n_states,
+            structure.state_labels, prior.state_labels,
+        )
         self._store(structure=structure, prior=prior)
 
     @property
@@ -380,8 +386,7 @@ def validate_landscape(
     survive float noise. Reports every violation rather than stopping at the
     first one. Reads the entries only: B is not factorized.
     """
-    if B.n_signals != Q.n_signals:
-        raise StructuralError(f"signal axis: B has {B.n_signals} rows, Q has {Q.n_signals}")
+    _same_axis("signal", "B", B.n_signals, "Q", Q.n_signals)
     b, q = B.entries, Q.entries
     violations = []
     # Whole-matrix reductions clear a plausible landscape; only one that trips them

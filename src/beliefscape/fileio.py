@@ -32,6 +32,7 @@ from .core import (
     Prior,
     StateBeliefMatrix,
     StructuralError,
+    _array,
 )
 
 
@@ -168,18 +169,27 @@ def _numbers(rows: list[list], key: str, source: str, vector: bool) -> np.ndarra
     return np.array(rows, dtype=float)
 
 
+def _named(source: str, make):
+    """``make()``, a value constructor's StructuralError raised as a ParseError naming ``source``."""
+    try:
+        return make()
+    except StructuralError as exc:
+        raise ParseError(f"{source}: {exc}") from None
+
+
 def _beliefs_from_doc(doc: dict, source: str) -> StateBeliefMatrix:
     """The labels and B of a landscape document: what every reader of one checks first."""
     states = _labels(doc, "states", source)
     signals = _labels(doc, "signals", source)
     b = _matrix(doc, "B", len(signals), len(states), source)
-    return StateBeliefMatrix(b, state_labels=states, signal_labels=signals)
+    return _named(source, lambda: StateBeliefMatrix(b, state_labels=states, signal_labels=signals))
 
 
 def landscape_from_doc(doc: dict, source: str = "<input>") -> BeliefLandscape:
     beliefs = _beliefs_from_doc(doc, source)
     q = _matrix(doc, "Q", beliefs.n_signals, beliefs.n_signals, source)
-    return BeliefLandscape(beliefs, HypotheticalBeliefMatrix(q, beliefs.signal_labels))
+    hypotheticals = _named(source, lambda: HypotheticalBeliefMatrix(q, beliefs.signal_labels))
+    return BeliefLandscape(beliefs, hypotheticals)
 
 
 def beliefs_and_column_from_doc(
@@ -192,9 +202,8 @@ def beliefs_and_column_from_doc(
         raise ParseError(f"{source}: no signal labelled {column_label!r}")
     rows = doc.get("Q")
     one = isinstance(rows, list) and rows and isinstance(rows[0], list) and len(rows[0]) == 1
-    q = _matrix(doc, "Q", n, 1 if one else n, source)
-    if not np.isfinite(q).all():
-        raise ParseError(f"{source}: hypothetical belief matrix contains non-finite entries")
+    parsed = _matrix(doc, "Q", n, 1 if one else n, source)
+    q = _named(source, lambda: _array(parsed, "hypothetical belief matrix", 2))
     return beliefs, q[:, 0 if one else signals.index(column_label)]
 
 
@@ -203,10 +212,10 @@ def environment_from_doc(doc: dict, source: str = "<input>") -> InformationalEnv
     signals = _labels(doc, "signals", source)
     structure = _matrix(doc, "I", len(states), len(signals), source)
     prior = _vector(doc, "prior", len(states), source)
-    return InformationalEnvironment(
+    return _named(source, lambda: InformationalEnvironment(
         InformationStructure(structure, state_labels=states, signal_labels=signals),
         Prior(prior, state_labels=states),
-    )
+    ))
 
 
 def landscape_to_doc(landscape: BeliefLandscape) -> dict:
@@ -363,12 +372,10 @@ def load_environment(path_or_dash: str) -> tuple[InformationalEnvironment, dict[
 
 def load_matrix(path: str, n_rows: int, n_cols: int) -> tuple[np.ndarray, dict[str, str]]:
     """An n_rows x n_cols matrix from JSON {"matrix": rows} or a labelled CSV matrix; digests."""
-    if path.endswith(".csv"):
-        digests: dict[str, str] = {}
-        doc, name = {"matrix": _read_csv_matrix(path, digests)[2].tolist()}, path
-    else:
-        doc, name, digests = read_document(path)
-    return _matrix(doc, "matrix", n_rows, n_cols, name), digests
+    def csv_doc(csv_path, digests):
+        return {"matrix": _read_csv_matrix(csv_path, digests)[2].tolist()}
+
+    return _load(path, csv_doc, lambda doc, name: _matrix(doc, "matrix", n_rows, n_cols, name))
 
 
 def save_landscape(landscape: BeliefLandscape, path: str) -> None:

@@ -20,9 +20,7 @@ from .core import (
     Prior,
     SignalMarginal,
     StateBeliefMatrix,
-    StructuralError,
     Tolerances,
-    _require_states,
 )
 
 
@@ -72,20 +70,6 @@ def posterior_matrix(
     keep, beliefs, _ = _bayes(env.structure.entries, env.prior.entries, tol)
     labels = _survivor_labels(env, keep)
     return StateBeliefMatrix(beliefs, state_labels=env.state_labels, signal_labels=labels)
-
-
-def hypothetical_matrix(
-    structure: InformationStructure, beliefs: StateBeliefMatrix
-) -> HypotheticalBeliefMatrix:
-    """Each type's predicted distribution of peer types: the product beliefs @ structure."""
-    _require_states(beliefs, structure.n_states, "structure")
-    if beliefs.state_labels != structure.state_labels:
-        raise StructuralError("state axis: beliefs and structure carry different state labels")
-    if beliefs.signal_labels != structure.signal_labels:
-        raise StructuralError("signal axis: beliefs and structure carry different signal labels")
-    return HypotheticalBeliefMatrix(
-        beliefs.entries @ structure.entries, signal_labels=beliefs.signal_labels
-    )
 
 
 def generate_landscape(

@@ -38,8 +38,8 @@ from .core import (
     StructureSupportError,
     Tolerances,
     UnderdeterminedError,
-    _require_length,
-    _require_states,
+    _array,
+    _same_axis,
 )
 from .forward import _bayes
 from .linalg import EigenvalueOneResult, NullSpaceBasis, _fixed_vectors
@@ -84,11 +84,8 @@ _NO_PRIOR = "the peer-accuracy matrix has no eigenvalue-1 eigenvector"
 
 def peer_accuracy_matrix(beliefs: StateBeliefMatrix, structure: InformationStructure) -> np.ndarray:
     """Entry (i, j): expected peer probability on state i when the true state is j."""
-    _require_states(beliefs, structure.n_states, "structure")
-    if structure.n_signals != beliefs.n_signals:
-        raise StructuralError(
-            f"signal axis: beliefs have {beliefs.n_signals} signals, structure has {structure.n_signals}"
-        )
+    _same_axis("state", "B", beliefs.n_states, "structure", structure.n_states)
+    _same_axis("signal", "B", beliefs.n_signals, "structure", structure.n_signals)
     return beliefs.entries.T @ structure.entries.T
 
 
@@ -149,21 +146,19 @@ def _tidy_structure(raw: np.ndarray, svd, tol: Tolerances) -> tuple[np.ndarray, 
     return np.where(close, renormalized, clipped), True, n_clipped, ()
 
 
-def _regression_guard(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str, column=None):
-    """The beliefs' least-squares operator, after the signal-count, ``column`` and rank checks:
-    the regression needs at least as many signals as states and full column rank."""
+def _regression_guard(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str, target=None, ndim=1):
+    """(B⁺, ``target`` through the gates) after the checks, in order: at least as many signals
+    as states, a target (a column, or at ``ndim`` 2 a square Q) over the signals, full rank."""
     if beliefs.n_states > beliefs.n_signals:
         raise UnderdeterminedError(
             f"{beliefs.n_states} states but only {beliefs.n_signals} signals; {remedy}"
         )
-    if column is not None:
-        _require_length(column, beliefs.n_signals, "column")
-        if not np.isfinite(column).all():
-            raise StructuralError("hypothetical column contains non-finite entries")
-    deficiency = beliefs._svd.rank_deficiency(tol)
-    if deficiency is not None:
-        raise deficiency
-    return beliefs._svd.pinv(tol)
+    if target is not None:
+        what = "hypothetical column" if ndim == 1 else "hypothetical belief matrix"
+        target = _array(target, what, ndim, square=ndim == 2)
+        _same_axis("signal", "B", beliefs.n_signals, what, target.shape[0])
+    beliefs._svd.require_full_rank(tol)
+    return beliefs._svd.pinv(tol), target
 
 
 def _identification(
@@ -201,8 +196,9 @@ def identify_structure(
     untouched and flagged: such hypotheticals lie outside the family any
     common-prior environment can produce.
     """
-    q = hypotheticals.entries if hasattr(hypotheticals, "entries") else np.asarray(hypotheticals)
-    raw = _regression_guard(beliefs, tol, "use the minimum-norm path") @ q
+    q = getattr(hypotheticals, "entries", hypotheticals)
+    operator, q = _regression_guard(beliefs, tol, "use the minimum-norm path", q, ndim=2)
+    raw = operator @ q
     return _identification(beliefs, raw, q, _tidy_structure(raw, beliefs._svd, tol))
 
 
@@ -489,9 +485,9 @@ def identify_single_column(
     beliefs: StateBeliefMatrix, hypothetical_column, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:
     """Per-state probabilities of one signal from its hypothetical column alone."""
-    column = np.asarray(hypothetical_column, dtype=float)
     remedy = "a single column identifies nothing here"
-    return _regression_guard(beliefs, tol, remedy, column) @ column
+    operator, column = _regression_guard(beliefs, tol, remedy, hypothetical_column)
+    return operator @ column
 
 
 class StateInference(NamedTuple):
@@ -508,17 +504,13 @@ def infer_state(
     """Match the observed population share of one signal against its per-state probabilities.
 
     The nearest entry wins unless the runner-up is within ``tol_match`` of it or the
-    winning entry has a near-duplicate. A column that is not 1-D or is empty, and a nan
-    or inf in it or in the share, raise ValueError.
+    winning entry has a near-duplicate. A column that is not 1-D or is empty, a share that
+    is not one number, and a nan or inf in either raise StructuralError.
     """
-    column = np.asarray(structure_column, dtype=float)
-    if column.ndim != 1:
-        raise ValueError(f"structure column must be 1-D and finite, got shape {column.shape}")
+    column = _array(structure_column, "structure column", 1)
     if not column.size:
-        raise ValueError("no states to match the observation against")
-    gaps = np.abs(column - float(observed_share))
-    if not np.isfinite(gaps).all():
-        raise ValueError("gaps to the observation must be finite; check for nan or inf input")
+        raise StructuralError("no states to match the observation against")
+    gaps = np.abs(column - _array(observed_share, "observed share", 0))
     order = np.argsort(gaps, kind="stable")
     best = int(order[0])
     duplicates = np.abs(column - column[best]) <= 2 * tol.tol_match
@@ -621,12 +613,8 @@ class ReductionResult(NamedTuple):
     ) -> tuple[InformationStructure, Prior]:
         """Map a reduced structure and prior back onto the full state space."""
         n_full = len(self.state_labels)
-        n_reduced = len(self.kept_states)
-        if structure.n_states != n_reduced or prior.n_states != n_reduced:
-            raise StructuralError(
-                f"state axis: expected {n_reduced} reduced states,"
-                f" got structure {structure.n_states} and prior {prior.n_states}"
-            )
+        for what, given in (("structure", structure), ("prior", prior)):
+            _same_axis("state", "reduced B", len(self.kept_states), what, given.n_states)
         full_prior = np.zeros(n_full)
         kept = list(self.kept_states)
         full_prior[kept] = prior.entries / self.column_scale

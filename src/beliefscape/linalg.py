@@ -15,6 +15,8 @@ and the signal-priors marginal is the record of Qᵀ itself. One
 The normal-equation formulas define the values, not the algorithms. Everything
 here, and everything the package runs, is numpy. The records here are named
 tuples; :class:`Regularizer` is a value, and validates in its constructor.
+Every matrix ``_SVD.of`` factorizes, and every target, passes ``core``'s gates
+first: an SVD of a matrix with an inf entry may never return.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, RankDeficientError, Tolerances, _Value
+from .core import DEFAULT_TOLERANCES, RankDeficientError, StructuralError, Tolerances, _Value
+from .core import _array, _positive_finite, _same_axis  # the input gates
 
 
 class NullSpaceBasis(NamedTuple):
@@ -57,21 +60,19 @@ class _SVD(NamedTuple):
 
     @classmethod
     def of(cls, matrix, reg=None) -> "_SVD":
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = _array(matrix, "matrix", 2)
         chol = None
         if reg is not None:
             reg = reg if isinstance(reg, Regularizer) else Regularizer(reg)
-            n = matrix.shape[1]
-            if reg.matrix.shape != (n, n):
-                raise ValueError(f"regularizer shape {reg.matrix.shape} does not match {n} columns")
+            _same_axis("column", "matrix", matrix.shape[1], "regularizer", reg.matrix.shape[0])
             chol = reg.chol
-            matrix = np.linalg.solve(chol, matrix.T).T
+            matrix = _array(np.linalg.solve(chol, matrix.T).T, "whitened matrix", 2)  # may overflow
         wide = matrix.shape[0] < matrix.shape[1]
         return cls(*np.linalg.svd(matrix, full_matrices=wide), chol)
 
     def solve(self, targets, tol: Tolerances, lam: float = 0.0) -> np.ndarray:
         """``pinv(tol, lam) @ targets``, mapped back by L⁻ᵀ when the matrix was whitened."""
-        x = self.pinv(tol, lam) @ np.asarray(targets, dtype=float)
+        x = self.pinv(tol, lam) @ targets
         return x if self.chol is None else np.linalg.solve(self.chol.T, x)
 
     def rank(self, tol: Tolerances) -> int:
@@ -86,15 +87,14 @@ class _SVD(NamedTuple):
             factors = np.divide(1.0, self.s, out=np.zeros(self.s.shape), where=large)
         return self.vt[: self.s.size].T @ (factors[:, None] * self.u.T)
 
-    def rank_deficiency(self, tol: Tolerances) -> RankDeficientError | None:
-        """The error a least-squares operator raises on dependent columns; None at full rank."""
+    def require_full_rank(self, tol: Tolerances) -> None:
+        """Raise what a least-squares operator raises on dependent columns."""
         rank, n_cols = self.rank(tol), self.vt.shape[1]
-        if rank == n_cols:
-            return None
-        return RankDeficientError(
-            f"matrix has column rank {rank} < {n_cols}; remove dependent"
-            " columns or use the minimum-norm path"
-        )
+        if rank < n_cols:
+            raise RankDeficientError(
+                f"matrix has column rank {rank} < {n_cols}; remove dependent"
+                " columns or use the minimum-norm path"
+            )
 
     def null_basis(self, tol: Tolerances) -> NullSpaceBasis:
         rows = self.vt[self.rank(tol) :]
@@ -125,19 +125,21 @@ class Regularizer(_Value):
     _fields = ("matrix",)
 
     def __init__(self, matrix) -> None:
-        m = np.array(matrix, dtype=float)
-        if not np.isfinite(m).all():  # inf passes allclose and Cholesky, nan fails as "symmetric"
-            raise ValueError("regularizer contains non-finite entries")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"regularizer must be square, got shape {m.shape}")
+        m = _array(matrix, "regularizer", 2, square=True)  # an inf passes allclose and Cholesky
         if not np.allclose(m, m.T, atol=DEFAULT_TOLERANCES.tol_match):
-            raise ValueError("regularizer must be symmetric")
+            raise StructuralError("regularizer must be symmetric")
         try:
             chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
-            raise ValueError("regularizer must be positive definite") from None
-        m.setflags(write=False)
+            raise StructuralError("regularizer must be positive definite") from None
         self._store(matrix=m, chol=chol)
+
+
+def _targets(targets, n_rows: int) -> np.ndarray:
+    """The targets of a solve, through the gates: a vector or a matrix with ``n_rows`` rows."""
+    targets = _array(targets, "target", (1, 2))
+    _same_axis("row", "matrix", n_rows, "target", targets.shape[0])
+    return targets
 
 
 def least_squares_coefficients(
@@ -148,7 +150,8 @@ def least_squares_coefficients(
     Requires full column rank; rank deficiency raises instead of silently
     picking one of many minimizers.
     """
-    return regression_operator(matrix, tol) @ np.asarray(target, dtype=float)
+    operator = regression_operator(matrix, tol)
+    return operator @ _targets(target, operator.shape[1])
 
 
 def regression_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -157,9 +160,7 @@ def regression_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
     Requires full column rank, in which case it equals the pseudoinverse.
     """
     svd = _SVD.of(matrix)
-    deficiency = svd.rank_deficiency(tol)
-    if deficiency is not None:
-        raise deficiency
+    svd.require_full_rank(tol)
     return svd.pinv(tol)
 
 
@@ -175,7 +176,8 @@ def min_norm_solution(
     With ``reg``, minimizes the reg-weighted norm x.T @ reg @ x per column
     instead of the Euclidean one.
     """
-    return _SVD.of(matrix, reg).solve(targets, tol)
+    svd = _SVD.of(matrix, reg)
+    return svd.solve(_targets(targets, svd.u.shape[0]), tol)
 
 
 def ridge_solution_at(
@@ -189,9 +191,9 @@ def ridge_solution_at(
     Formed without the normal matrix, as V diag(s / (s² + lam)) Uᵀ targets over the
     SVD U diag(s) Vᵀ of the matrix; ``reg`` (default: the identity) whitens it first.
     """
-    if not lam > 0:  # nan too
-        raise ValueError("lam must be strictly positive")
-    return _SVD.of(matrix, reg).solve(targets, DEFAULT_TOLERANCES, lam)
+    lam = _positive_finite(lam, "lam")
+    svd = _SVD.of(matrix, reg)
+    return svd.solve(_targets(targets, svd.u.shape[0]), DEFAULT_TOLERANCES, lam)
 
 
 def null_space_basis(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> NullSpaceBasis:
@@ -266,12 +268,6 @@ def unit_eigenvector_eigenvalue_one(
     clean multiplicity test. A one-dimensional space yields kind "unique"; a
     larger one, one ray of that space per class (:func:`_fixed_vectors`); none on
     the simplex yields kind "none": the input was not generated by the model.
-    A matrix that is not square, or holds a nan or inf, raises ValueError.
+    A matrix that is not square, or holds a nan or inf, raises StructuralError.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        raise ValueError("matrix contains non-finite entries")
-    return EigenvalueOneResult(*_fixed_vectors(matrix, tol))
+    return EigenvalueOneResult(*_fixed_vectors(_array(matrix, "matrix", 2, square=True), tol))

@@ -333,6 +333,27 @@ class TestMoreCommands:
             f"beliefscape: error: {path}: hypothetical belief matrix contains non-finite entries\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, name, key, message",
+        [
+            ("check", "a916.json", "B", "state belief matrix contains non-finite entries"),
+            ("generate", "env.json", "prior", "prior contains non-finite entries"),
+        ],
+    )
+    def test_a_non_finite_value_in_a_file_names_the_file(
+        self, workdir, capsys, command, name, key, message
+    ):
+        # JSON reads Infinity and NaN; the value constructor's error is reported as the file's
+        doc = json.loads((workdir / name).read_text())
+        row = doc[key][0] if key == "B" else doc[key]
+        row[0] = float("inf") if key == "B" else float("nan")
+        path = workdir / f"bad_{name}"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"beliefscape: error: {path}: {message}\n"
+
     def test_identify_single_column_allows_x_the_band_identify_does(self, workdir, capsys):
         # Draw 113 of the sparse stored recipe: X[th1, s1] = -3.3e-9, inside the band
         # tol_entry + 1e-11/σ_min(B) = 3.6e-7 in which the full identify judges X.

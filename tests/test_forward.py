@@ -9,10 +9,7 @@ from beliefscape import (
     InformationStructure,
     InformationalEnvironment,
     Prior,
-    StateBeliefMatrix,
-    StructuralError,
     generate_landscape,
-    hypothetical_matrix,
     posterior_matrix,
     sample_environment,
     signal_marginal,
@@ -51,45 +48,6 @@ class TestPosteriorMatrix:
         with pytest.warns(DroppedSignalWarning, match="s3"):
             beliefs = posterior_matrix(InformationalEnvironment(structure, Prior([0.5, 0.5])))
         assert beliefs.signal_labels == ("s1", "s2")
-
-
-class TestHypotheticalMatrix:
-    def test_truth_or_noise(self):
-        epsilon = 0.3
-        env = fixtures.truth_or_noise_environment(epsilon)
-        land = fixtures.truth_or_noise_landscape(epsilon)
-        np.testing.assert_allclose(
-            hypothetical_matrix(env.structure, land.B).entries, land.Q.entries, atol=1e-12
-        )
-
-    def test_two_signal_three_state(self):
-        structure = InformationStructure(fixtures.TWO_SIGNAL_THREE_STATE_STRUCTURE)
-        beliefs = StateBeliefMatrix(fixtures.TWO_SIGNAL_THREE_STATE_B)
-        np.testing.assert_allclose(
-            hypothetical_matrix(structure, beliefs).entries,
-            fixtures.TWO_SIGNAL_THREE_STATE_Q,
-            atol=1e-12,
-        )
-
-    def test_state_independent_signals_repeat_one_row(self):
-        sigma = np.array([0.2, 0.5, 0.3])
-        structure = InformationStructure(np.tile(sigma, (2, 1)))
-        beliefs = StateBeliefMatrix([[0.9, 0.1], [0.3, 0.7], [0.5, 0.5]])
-        q = hypothetical_matrix(structure, beliefs).entries
-        np.testing.assert_allclose(q, np.tile(sigma, (3, 1)), atol=1e-15)
-
-    def test_label_mismatch_rejected(self):
-        structure = InformationStructure(np.eye(2), state_labels=("x", "y"))
-        beliefs = StateBeliefMatrix(np.eye(2))
-        with pytest.raises(StructuralError, match="state axis"):
-            hypothetical_matrix(structure, beliefs)
-
-    def test_signal_label_mismatch_rejected(self):
-        structure = InformationStructure(np.eye(2), signal_labels=("x", "y"))
-        beliefs = StateBeliefMatrix(np.eye(2))
-        message = "^signal axis: beliefs and structure carry different signal labels$"
-        with pytest.raises(StructuralError, match=message):
-            hypothetical_matrix(structure, beliefs)
 
 
 class TestSignalMarginal:

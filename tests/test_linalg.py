@@ -188,7 +188,7 @@ class TestRidgeSolution:
             ridge_solution_at(np.eye(2), np.eye(2), 0.0)
 
     def test_nan_lambda_is_rejected(self):
-        with pytest.raises(ValueError, match="strictly positive"):
+        with pytest.raises(ValueError, match="positive and finite"):
             ridge_solution_at(np.eye(2), np.eye(2), float("nan"))
 
     def test_regularizer_validation(self):
@@ -206,14 +206,14 @@ class TestRidgeSolution:
         with pytest.raises(ValueError, match=r"^regularizer must be square, got shape \(2, 3\)$"):
             Regularizer([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         beliefs = fixtures.two_signal_three_state_landscape().B.entries
-        message = r"^regularizer shape \(2, 2\) does not match 3 columns$"
+        message = r"^column axis: matrix has 3 columns, regularizer has 2$"
         with pytest.raises(ValueError, match=message):
             min_norm_solution(beliefs, np.eye(2), reg=np.eye(2))
 
 
 @pytest.mark.parametrize("function", [unit_eigenvector_eigenvalue_one])
 def test_square_matrix_required(function):
-    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+    with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(2, 3\)$"):
         function(np.ones((2, 3)))
 
 

@@ -70,7 +70,7 @@ class TestSplitStateFixture:
     def test_embedding_needs_the_reduced_state_count(self):
         reduction = reduce_dependencies(fixtures.split_state_landscape())
         full = fixtures.split_state_embedded_environment()  # four states, not the three kept
-        with pytest.raises(StructuralError, match="^state axis: expected 3 reduced states"):
+        with pytest.raises(StructuralError, match="^state axis: reduced B has 3 states"):
             reduction.embed(full.structure, full.prior)
 
 
