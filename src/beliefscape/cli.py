@@ -30,6 +30,8 @@ from .core import (
     StructureSupportError,
     Tolerances,
     Violation,
+    _positive_finite,
+    _share,
     validate_environment,
     validate_landscape,
 )
@@ -93,24 +95,21 @@ class _Parser(argparse.ArgumentParser):
 _TOLERANCE_NAMES = tuple(name.removeprefix("tol_") for name in Tolerances._fields)  # --tol-<name>
 
 
-def _number_type(parse, ok, what: str):
-    """An argparse type: ``parse`` the text and require ``ok(value)``, else a usage error."""
+def _number_type(parse, rule, what: str):
+    """An argparse type: ``core``'s ``rule`` on the ``parse``d text; any ValueError is a usage error."""
 
     def convert(text: str):
         try:
-            value = parse(text)
+            return rule(parse(text), what)
         except ValueError:
-            value = np.nan  # fails every check
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"invalid {what}: {text!r}")
-        return value
+            raise argparse.ArgumentTypeError(f"invalid {what}: {text!r}") from None
 
     return convert
 
 
-_positive_finite = _number_type(float, lambda v: 0 < v < np.inf, "positive finite value")
-_unit_interval = _number_type(float, lambda v: 0 <= v <= 1, "value in [0, 1]")
-_positive_int = _number_type(int, lambda v: v >= 1, "positive integer")
+_positive_value = _number_type(float, _positive_finite, "positive finite value")
+_unit_interval = _number_type(float, _share, "value in [0, 1]")
+_positive_int = _number_type(int, _positive_finite, "positive integer")
 
 
 def build_parser() -> _Parser:
@@ -118,7 +117,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)  # the flags every command takes
     for name in _TOLERANCE_NAMES:
         default = getattr(DEFAULT_TOLERANCES, f"tol_{name}")
-        common.add_argument(f"--tol-{name}", type=_positive_finite, default=default, metavar="X")
+        common.add_argument(f"--tol-{name}", type=_positive_value, default=default, metavar="X")
     common.add_argument("--format", choices=("json", "pretty"), default="json")
     common.add_argument("--no-validate", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -136,7 +135,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ridge", parents=[common], help="minimum-norm route (more states than signals)")
     p.add_argument("path")
-    p.add_argument("--lambda", dest="lam", type=_positive_finite, default=None, metavar="X")
+    p.add_argument("--lambda", dest="lam", type=_positive_value, default=None, metavar="X")
     p.add_argument("--reg", default=None, metavar="FILE", help="regularizer matrix file")
 
     p = sub.add_parser("check", parents=[common], help="consistency verdict for a landscape")
@@ -299,7 +298,7 @@ def _cmd_identify(ns, tol, inputs):
         if not ns.no_validate:
             # Q may be the one column: the identity stands in for Q, and the column's
             # entries must be probabilities.
-            stand_in = HypotheticalBeliefMatrix(np.eye(beliefs.n_signals))
+            stand_in = HypotheticalBeliefMatrix(np.eye(beliefs.n_signals), beliefs.signal_labels)
             violations = validate_landscape(beliefs, stand_in, tol).violations + tuple(
                 Violation("entry outside [0, 1]", f"Q[{signal}, {ns.column}]", float(value))
                 for signal, value in zip(beliefs.signal_labels, column)

@@ -13,8 +13,8 @@ a result is a named tuple (``_replace()`` copies it, ``_asdict()`` reads it). Ne
 needs generated code. Both are immutable after construction and every operation is a
 pure function, so concurrent use needs no coordination.
 
-Input from outside the program passes three gates, each written once (:func:`_array`,
-:func:`_same_axis`, :func:`_positive_finite`); code reading checked values does not re-check.
+Each input rule is written once, here (:func:`_array`, :func:`_same_axis`, :func:`_check_labels`,
+:func:`_positive_finite`, :func:`_share`); the readers and the CLI apply it, and nothing re-checks.
 """
 
 from __future__ import annotations
@@ -109,6 +109,14 @@ def _positive_finite(value, what: str):
     return value
 
 
+def _share(value, what: str) -> float:
+    """``value`` as a float if one finite number (what :func:`_array` takes at 0-D) in [0, 1]."""
+    share = float(_array(value, what, 0))
+    if not 0 <= share <= 1:
+        raise StructuralError(f"{what} must be in [0, 1], got {share!r}")
+    return share
+
+
 class _Value:
     """A value type: ``__init__`` checks its fields and stores them once with ``_store``, then
     none can be assigned or deleted. ``repr``, ``==`` and ``hash`` read ``_fields`` in order.
@@ -178,6 +186,7 @@ _LABEL_AXES = {
 
 
 def _check_labels(labels: _Labels, n: int, field: str) -> tuple[str, ...]:
+    """``n`` labels made strings, none repeated (named by its second occurrence); None: defaults."""
     axis, default = _LABEL_AXES[field]
     if labels is None:
         return default(n)
@@ -188,7 +197,8 @@ def _check_labels(labels: _Labels, n: int, field: str) -> tuple[str, ...]:
     if len(labels) != n:
         raise StructuralError(f"{axis}: {len(labels)} labels for {n} entries")
     if len(set(labels)) != len(labels):
-        raise StructuralError(f"{axis}: duplicate labels")
+        repeat = next(label for i, label in enumerate(labels) if label in labels[:i])
+        raise StructuralError(f"{axis}: duplicate label {repeat!r}")
     return labels
 
 
@@ -386,7 +396,7 @@ def validate_landscape(
     survive float noise. Reports every violation rather than stopping at the
     first one. Reads the entries only: B is not factorized.
     """
-    _same_axis("signal", "B", B.n_signals, "Q", Q.n_signals)
+    _same_axis("signal", "B", B.n_signals, "Q", Q.n_signals, B.signal_labels, Q.signal_labels)
     b, q = B.entries, Q.entries
     violations = []
     # Whole-matrix reductions clear a plausible landscape; only one that trips them

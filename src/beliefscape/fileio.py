@@ -33,6 +33,7 @@ from .core import (
     StateBeliefMatrix,
     StructuralError,
     _array,
+    _check_labels,
 )
 
 
@@ -117,12 +118,11 @@ def _encode_floats(cells: tuple, shape: tuple, newline: str) -> str:
 
 
 def _labels(doc: dict, key: str, source: str) -> list[str]:
+    # Only the JSON layout: the value that holds the labels checks the rest, after making
+    # each item a string, so a number would pass there.
     values = doc.get(key)
     if not isinstance(values, list) or not values or not all(isinstance(v, str) for v in values):
         raise ParseError(f"{source}: '{key}' must be a non-empty list of strings")
-    if len(set(values)) != len(values):
-        duplicates = sorted({v for v in values if values.count(v) > 1})
-        raise ParseError(f"{source}: duplicate {key} label {duplicates[0]!r}")
     return values
 
 
@@ -268,42 +268,29 @@ def _read(path_or_dash: str) -> tuple[str, str, str]:
     return text, name, hashlib.sha256(raw).hexdigest()
 
 
-def _read_csv_matrix(path: str | Path, digests: dict[str, str]) -> tuple[list, list, np.ndarray]:
-    """(row labels, column labels, matrix) of one CSV file.
-
-    Its sha256 goes into ``digests`` under ``str(path)``, the name its errors give.
-    """
+def _read_csv_matrix(path: str | Path, digests: dict[str, str]) -> tuple[list, list, list]:
+    """(row labels, column labels, rows of ``float()``s) of one CSV file, read in one pass that
+    names the first bad row or cell. Its sha256 goes into ``digests`` under ``str(path)``."""
     import csv  # loaded only where CSV files are read or written
 
     text, _, digests[str(path)] = _read(str(path))
-    rows = list(csv.reader(io.StringIO(text, newline=None)))  # newlines as text mode reads them
-    rows = [r for r in rows if r]
+    rows = [r for r in csv.reader(io.StringIO(text, newline=None)) if r]  # text mode's newlines
     if len(rows) < 2:
         raise ParseError(f"{path}: expected a header row and at least one data row")
-    header = rows[0]
-    col_labels = [c.strip() for c in header[1:]]
+    col_labels = [c.strip() for c in rows[0][1:]]
     if not col_labels or any(not c for c in col_labels):
         raise ParseError(f"{path}: header must be a leading blank cell then column labels")
-    if len(set(col_labels)) != len(col_labels):
-        raise ParseError(f"{path}: duplicate column label in header")
-    width = len(col_labels) + 1
-    try:
-        data = np.array([row[1:] for row in rows[1:]], dtype=float)  # float()'s rules per cell
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != width - 1:  # locate the first bad row or cell
-        for i, row in enumerate(rows[1:], start=2):
-            if len(row) != width:
-                raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {width}")
-            for j, cell in enumerate(row[1:], start=2):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ParseError(f"{path}: non-numeric cell at row {i}, column {j}") from None
-    row_labels = [row[0].strip() for row in rows[1:]]
-    if len(set(row_labels)) != len(row_labels):
-        raise ParseError(f"{path}: duplicate row label")
-    return row_labels, col_labels, data
+    width, data = len(col_labels) + 1, []
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+        data.append([])
+        for j, cell in enumerate(row[1:], start=2):
+            try:
+                data[-1].append(float(cell))
+            except ValueError:
+                raise ParseError(f"{path}: non-numeric cell at row {i}, column {j}") from None
+    return [row[0].strip() for row in rows[1:]], col_labels, data
 
 
 def _write_csv_matrix(path: Path, row_labels, col_labels, matrix: np.ndarray) -> None:
@@ -336,7 +323,7 @@ def _landscape_csv(path: Path, digests: dict[str, str]) -> dict:
     q_rows, q_cols, q = _read_csv_matrix(q_path, digests)
     if q_rows != signals or q_cols != signals:
         raise ParseError(f"{q_path}: labels do not match {path}")
-    return {"states": states, "signals": signals, "B": b.tolist(), "Q": q.tolist()}
+    return {"states": states, "signals": signals, "B": b, "Q": q}
 
 
 def _environment_csv(path: Path, digests: dict[str, str]) -> dict:
@@ -346,8 +333,7 @@ def _environment_csv(path: Path, digests: dict[str, str]) -> dict:
     p_rows, p_cols, prior = _read_csv_matrix(p_path, digests)
     if p_cols != states or len(p_rows) != 1:
         raise ParseError(f"{p_path}: expected one row over the state labels of {path}")
-    prior = prior[0].tolist()
-    return {"states": states, "signals": signals, "I": structure.tolist(), "prior": prior}
+    return {"states": states, "signals": signals, "I": structure, "prior": prior[0]}
 
 
 def _load(path_or_dash: str, csv_doc, from_doc):
@@ -371,9 +357,13 @@ def load_environment(path_or_dash: str) -> tuple[InformationalEnvironment, dict[
 
 
 def load_matrix(path: str, n_rows: int, n_cols: int) -> tuple[np.ndarray, dict[str, str]]:
-    """An n_rows x n_cols matrix from JSON {"matrix": rows} or a labelled CSV matrix; digests."""
+    """An n_rows x n_cols matrix from JSON {"matrix": rows} or a labelled CSV matrix; digests.
+    No value holds a CSV's labels, so each list meets a state axis's rule (``--reg``'s axes)."""
     def csv_doc(csv_path, digests):
-        return {"matrix": _read_csv_matrix(csv_path, digests)[2].tolist()}
+        rows, columns, matrix = _read_csv_matrix(csv_path, digests)
+        for labels in (rows, columns):
+            _named(str(csv_path), lambda: _check_labels(labels, len(labels), "state_labels"))
+        return {"matrix": matrix}
 
     return _load(path, csv_doc, lambda doc, name: _matrix(doc, "matrix", n_rows, n_cols, name))
 

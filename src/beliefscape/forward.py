@@ -54,8 +54,7 @@ def _survivor_labels(env: InformationalEnvironment, keep: np.ndarray) -> tuple[s
     if not keep.any():
         raise DegenerateEnvironmentError("every signal has zero marginal probability")
     dropped = [l for l, k in zip(env.signal_labels, keep) if not k]
-    if dropped:
-        warnings.warn(f"dropped zero-marginal signals: {', '.join(dropped)}", DroppedSignalWarning)
+    warnings.warn(f"dropped zero-marginal signals: {', '.join(dropped)}", DroppedSignalWarning)
     return tuple(l for l, k in zip(env.signal_labels, keep) if k)
 
 

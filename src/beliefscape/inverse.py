@@ -40,6 +40,7 @@ from .core import (
     UnderdeterminedError,
     _array,
     _same_axis,
+    _share,
 )
 from .forward import _bayes
 from .linalg import EigenvalueOneResult, NullSpaceBasis, _fixed_vectors
@@ -84,8 +85,9 @@ _NO_PRIOR = "the peer-accuracy matrix has no eigenvalue-1 eigenvector"
 
 def peer_accuracy_matrix(beliefs: StateBeliefMatrix, structure: InformationStructure) -> np.ndarray:
     """Entry (i, j): expected peer probability on state i when the true state is j."""
-    _same_axis("state", "B", beliefs.n_states, "structure", structure.n_states)
-    _same_axis("signal", "B", beliefs.n_signals, "structure", structure.n_signals)
+    b, s = beliefs, structure
+    _same_axis("state", "B", b.n_states, "structure", s.n_states, b.state_labels, s.state_labels)
+    _same_axis("signal", "B", b.n_signals, "structure", s.n_signals, b.signal_labels, s.signal_labels)
     return beliefs.entries.T @ structure.entries.T
 
 
@@ -146,17 +148,16 @@ def _tidy_structure(raw: np.ndarray, svd, tol: Tolerances) -> tuple[np.ndarray, 
     return np.where(close, renormalized, clipped), True, n_clipped, ()
 
 
-def _regression_guard(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str, target=None, ndim=1):
+def _regression_guard(beliefs: StateBeliefMatrix, tol: Tolerances, remedy: str, target, ndim=1):
     """(B⁺, ``target`` through the gates) after the checks, in order: at least as many signals
     as states, a target (a column, or at ``ndim`` 2 a square Q) over the signals, full rank."""
     if beliefs.n_states > beliefs.n_signals:
         raise UnderdeterminedError(
             f"{beliefs.n_states} states but only {beliefs.n_signals} signals; {remedy}"
         )
-    if target is not None:
-        what = "hypothetical column" if ndim == 1 else "hypothetical belief matrix"
-        target = _array(target, what, ndim, square=ndim == 2)
-        _same_axis("signal", "B", beliefs.n_signals, what, target.shape[0])
+    what = "hypothetical column" if ndim == 1 else "hypothetical belief matrix"
+    target = _array(target, what, ndim, square=ndim == 2)
+    _same_axis("signal", "B", beliefs.n_signals, what, target.shape[0])
     beliefs._svd.require_full_rank(tol)
     return beliefs._svd.pinv(tol), target
 
@@ -505,12 +506,12 @@ def infer_state(
 
     The nearest entry wins unless the runner-up is within ``tol_match`` of it or the
     winning entry has a near-duplicate. A column that is not 1-D or is empty, a share that
-    is not one number, and a nan or inf in either raise StructuralError.
+    is not one number in [0, 1], and a nan or inf in either raise StructuralError.
     """
     column = _array(structure_column, "structure column", 1)
     if not column.size:
         raise StructuralError("no states to match the observation against")
-    gaps = np.abs(column - _array(observed_share, "observed share", 0))
+    gaps = np.abs(column - _share(observed_share, "observed share"))
     order = np.argsort(gaps, kind="stable")
     best = int(order[0])
     duplicates = np.abs(column - column[best]) <= 2 * tol.tol_match
@@ -612,9 +613,12 @@ class ReductionResult(NamedTuple):
         self, structure: InformationStructure, prior: Prior
     ) -> tuple[InformationStructure, Prior]:
         """Map a reduced structure and prior back onto the full state space."""
-        n_full = len(self.state_labels)
+        n_full, b = len(self.state_labels), self.reduced.B
         for what, given in (("structure", structure), ("prior", prior)):
-            _same_axis("state", "reduced B", len(self.kept_states), what, given.n_states)
+            _same_axis("state", "reduced B", b.n_states, what, given.n_states,
+                       b.state_labels, given.state_labels)
+        _same_axis("signal", "reduced B", b.n_signals, "structure", structure.n_signals,
+                   b.signal_labels, structure.signal_labels)
         full_prior = np.zeros(n_full)
         kept = list(self.kept_states)
         full_prior[kept] = prior.entries / self.column_scale

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefscape import (
     BeliefLandscape,
@@ -104,15 +106,15 @@ MALFORMED = {
     ),
     "B-state-duplicate": (
         StateBeliefMatrix, ([[0.5, 0.5]], ("a", "a")),
-        "states: duplicate labels",
+        "states: duplicate label 'a'",
     ),
     "B-signal-duplicate": (
         StateBeliefMatrix, ([[0.5, 0.5], [1.0, 0.0]], None, ("a", "a")),
-        "signals: duplicate labels",
+        "signals: duplicate label 'a'",
     ),
     "B-states-before-signals": (
         StateBeliefMatrix, ([[0.5, 0.5]], ("a", "a"), ("x", "y")),
-        "states: duplicate labels",
+        "states: duplicate label 'a'",
     ),
     "B-signal-one-string": (
         StateBeliefMatrix, ([[0.5, 0.5], [1.0, 0.0]], None, "ab"),
@@ -152,7 +154,7 @@ MALFORMED = {
     ),
     "Q-signal-duplicate": (
         HypotheticalBeliefMatrix, (np.eye(2), ("a", "a")),
-        "signals: duplicate labels",
+        "signals: duplicate label 'a'",
     ),
     "I-ndim": (
         InformationStructure, (1.0,),
@@ -180,11 +182,11 @@ MALFORMED = {
     ),
     "I-state-duplicate": (
         InformationStructure, (np.eye(2), ("a", "a")),
-        "states: duplicate labels",
+        "states: duplicate label 'a'",
     ),
     "I-signal-duplicate": (
         InformationStructure, (np.eye(2), None, ("a", "a")),
-        "signals: duplicate labels",
+        "signals: duplicate label 'a'",
     ),
     "prior-ndim": (Prior, ([[0.5, 0.5]],), "prior must be 1-dimensional, got shape (1, 2)"),
     "prior-non-finite": (Prior, ([0.5, np.nan],), "prior contains non-finite entries"),
@@ -195,7 +197,7 @@ MALFORMED = {
         Prior, ([np.nan, 0.5], ("a",)), "prior contains non-finite entries"
     ),
     "prior-state-count": (Prior, ([0.5, 0.5], ("a",)), "states: 1 labels for 2 entries"),
-    "prior-state-duplicate": (Prior, ([0.5, 0.5], ("a", "a")), "states: duplicate labels"),
+    "prior-state-duplicate": (Prior, ([0.5, 0.5], ("a", "a")), "states: duplicate label 'a'"),
     "prior-state-one-string": (
         Prior, ([0.5, 0.5], "ab"), "states: labels must be a sequence of strings, got one string"
     ),
@@ -217,7 +219,7 @@ MALFORMED = {
     ),
     "marginal-signal-duplicate": (
         SignalMarginal, ([0.5, 0.5], ("a", "a")),
-        "signals: duplicate labels",
+        "signals: duplicate label 'a'",
     ),
     "landscape-signal-labels": (
         BeliefLandscape,
@@ -271,8 +273,9 @@ def reference_check_labels(labels, n, field):
     labels = tuple(str(x) for x in labels)
     if len(labels) != n:
         raise StructuralError(f"{axis}: {len(labels)} labels for {n} entries")
-    if len(set(labels)) != len(labels):
-        raise StructuralError(f"{axis}: duplicate labels")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise StructuralError(f"{axis}: duplicate label {label!r}")
     return labels
 
 
@@ -312,6 +315,21 @@ def test_check_labels_matches_the_per_item_conversion(case, field):
     assert outcome(_check_labels) == outcome(reference_check_labels)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=3), min_size=1, max_size=8), st.data())
+def test_a_repeated_label_is_named(labels, data):
+    labels.insert(data.draw(st.integers(0, len(labels))), data.draw(st.sampled_from(labels)))
+    seen = set()
+    for first in labels:  # the first label that occurs a second time
+        if first in seen:
+            break
+        seen.add(first)
+    value, axis = data.draw(st.sampled_from([(Prior, "states"), (SignalMarginal, "signals")]))
+    with pytest.raises(StructuralError) as info:
+        value(np.full(len(labels), 1 / len(labels)), labels)
+    assert str(info.value) == f"{axis}: duplicate label {first!r}"
+
+
 class TestValidateLandscape:
     def test_truth_or_noise_is_plausible(self):
         land = fixtures.truth_or_noise_landscape(0.5)
@@ -337,6 +355,12 @@ class TestValidateLandscape:
         report = validate_landscape(b, HypotheticalBeliefMatrix(np.eye(2)))
         assert not report.plausible
         assert any(v.kind == "negative entry" for v in report.violations)
+
+    def test_q_with_other_signal_labels_is_rejected(self):
+        land = fixtures.symmetric_binary_landscape(5 / 8, 5 / 8)
+        relabelled = HypotheticalBeliefMatrix(land.Q.entries, ("x", "y"))
+        with pytest.raises(StructuralError, match="^signal axis: B and Q carry different signal"):
+            validate_landscape(land.B, relabelled)
 
     def test_tiny_negative_entry_tolerated(self):
         b = StateBeliefMatrix([[1.0 + 1e-10, -1e-10], [0.5, 0.5]])

@@ -314,7 +314,7 @@ def reference_judge(landscape, tol):
     prior = reference_prior(accuracy, landscape.state_labels, tol)
     failed, route = [], "minimum-norm"
     try:
-        inverse._regression_guard(beliefs, tol, "")
+        inverse._regression_guard(beliefs, tol, "", landscape.Q.entries, ndim=2)
     except (UnderdeterminedError, RankDeficientError):
         pass  # X's sign counts on the regression route only
     else:

@@ -352,6 +352,7 @@ def test_csv_cells_follow_float_parsing(cell, tmp_path):
         (",a,b\nr1,0.5,x\nr2,0.5\n", "non-numeric cell at row 2, column 3"),
         (",a,b\nr1,0.5\nr2,0.5,x\n", "row 2 has 2 cells, expected 3"),
         (",a,b\nr1,0.5,0.5,0\nr2,0.5,0.5,0\n", "row 2 has 4 cells, expected 3"),
+        (",a,b\nr1,0.5,0.5\nr2,x,0.5\nr3,0.5\n", "non-numeric cell at row 3, column 2"),
     ],
 )
 def test_first_bad_csv_row_or_cell_is_named(text, message, tmp_path):
@@ -402,9 +403,10 @@ B_CSV = ",th1,th2\ns1,0.75,0.25\ns2,0.25,0.75\n"
          "x_B.csv: expected a header row and at least one data row"),
         ({"x_B.csv": ",th1,\ns1,1,0\n"}, load_landscape,
          "x_B.csv: header must be a leading blank cell then column labels"),
-        ({"x_B.csv": ",th1,th1\ns1,1,0\n"}, load_landscape,
-         "x_B.csv: duplicate column label in header"),
-        ({"x_B.csv": ",th1,th2\ns1,1,0\ns1,0,1\n"}, load_landscape, "x_B.csv: duplicate row label"),
+        ({"x_B.csv": ",th1,th1\ns1,1,0\n", "x_Q.csv": ",s1\ns1,1\n"}, load_landscape,
+         "x_B.csv: states: duplicate label 'th1'"),
+        ({"x_B.csv": ",th1,th2\ns1,1,0\ns1,0,1\n", "x_Q.csv": ",s1,s1\ns1,1,0\ns1,0,1\n"},
+         load_landscape, "x_B.csv: signals: duplicate label 's1'"),
         ({"x_B.csv": B_CSV, "x_Q.csv": ",s1,s3\ns1,0.5,0.5\ns3,0.5,0.5\n"}, load_landscape,
          "x_Q.csv: labels do not match {dir}/x_B.csv"),
         ({"x_I.csv": ",s1,s2\nth1,1,0\nth2,0,1\n", "x_prior.csv": ",th1,th3\nprior,0.5,0.5\n"},
@@ -423,6 +425,46 @@ def test_bad_file_is_named(tmp_path, files, load, message):
     with pytest.raises(ParseError) as info:
         load(str(first))
     assert str(info.value) == expected
+
+
+LANDSCAPE_DOC = landscape_to_doc(fixtures.symmetric_binary_landscape(5 / 8, 5 / 8))
+ENVIRONMENT_DOC = {"states": ["th1", "th2"], "signals": ["s1", "s2"], "prior": [0.5, 0.5],
+                   "I": [[0.7, 0.3], [0.2, 0.8]]}
+
+
+def load_regularizer(path):
+    return load_matrix(path, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "files, load, axis",
+    [
+        ({"x.json": json.dumps({**LANDSCAPE_DOC, "states": ["x", "x"]})}, load_landscape, "states"),
+        ({"x.json": json.dumps({**LANDSCAPE_DOC, "signals": ["x", "x"]})}, load_landscape,
+         "signals"),
+        ({"x.json": json.dumps({**ENVIRONMENT_DOC, "states": ["x", "x"]})}, load_environment,
+         "states"),
+        ({"x_B.csv": ",x,x\ns1,1,0\ns2,0,1\n", "x_Q.csv": ",s1,s2\ns1,1,0\ns2,0,1\n"},
+         load_landscape, "states"),
+        ({"x_B.csv": ",th1,th2\nx,1,0\nx,0,1\n", "x_Q.csv": ",x,x\nx,1,0\nx,0,1\n"},
+         load_landscape, "signals"),
+        ({"x_I.csv": ",s1,s2\nx,1,0\nx,0,1\n", "x_prior.csv": ",x,x\nprior,0.5,0.5\n"},
+         load_environment, "states"),
+        ({"x_I.csv": ",x,x\nth1,1,0\nth2,0,1\n", "x_prior.csv": ",th1,th2\nprior,0.5,0.5\n"},
+         load_environment, "signals"),
+        ({"reg.csv": ",a,b\nx,1,0\nx,0,1\n"}, load_regularizer, "states"),
+        ({"reg.csv": ",x,x\na,1,0\nb,0,1\n"}, load_regularizer, "states"),
+    ],
+    ids=["json_states", "json_signals", "json_environment_states", "B_states", "B_Q_signals",
+         "I_prior_states", "I_signals", "reg_rows", "reg_columns"],
+)
+def test_a_repeated_label_gives_one_message_in_every_format(tmp_path, files, load, axis):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    first = tmp_path / next(iter(files))
+    with pytest.raises(ParseError) as info:
+        load(str(first))
+    assert str(info.value) == f"{first}: {axis}: duplicate label 'x'"
 
 
 @pytest.mark.parametrize(

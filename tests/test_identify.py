@@ -519,6 +519,22 @@ def test_state_axis_mismatches_share_one_message():
     assert str(caught.value) == "state axis: B has 3 states, structure has 2"
 
 
+@pytest.mark.parametrize(
+    "states, signals, message",
+    [
+        (("a", "b"), ("s1", "s2"), "state axis: B and structure carry different state labels"),
+        (("th1", "th2"), ("x", "y"), "signal axis: B and structure carry different signal labels"),
+    ],
+    ids=["states", "signals"],
+)
+def test_peer_accuracy_matrix_compares_labels(states, signals, message):
+    beliefs = fixtures.symmetric_binary_landscape(5 / 8, 5 / 8).B
+    structure = InformationStructure(np.full((2, 2), 0.5), states, signals)
+    with pytest.raises(StructuralError) as caught:
+        peer_accuracy_matrix(beliefs, structure)
+    assert str(caught.value) == message
+
+
 def test_peer_accuracy_matrix_checks_the_signal_axis():
     beliefs = fixtures.truth_or_noise_landscape(0.5).B  # 3 states, 4 signals
     five_signals = InformationStructure(np.full((3, 5), 0.2))
@@ -558,6 +574,11 @@ class TestInferState:
     def test_non_finite_share_or_column_rejected(self, column, share):
         with pytest.raises(ValueError, match="finite|dimensional"):
             infer_state(column, share)
+
+    @pytest.mark.parametrize("share", [7.0, -3.0, np.nan])
+    def test_a_share_outside_the_unit_interval_is_a_structural_error(self, share):
+        with pytest.raises(StructuralError, match="^observed share (must be in|contains)"):
+            infer_state([0.2, 0.5], share)
 
     def test_empty_column_rejected(self):
         with pytest.raises(ValueError, match="^no states to match the observation against$"):

@@ -73,6 +73,25 @@ class TestSplitStateFixture:
         with pytest.raises(StructuralError, match="^state axis: reduced B has 3 states"):
             reduction.embed(full.structure, full.prior)
 
+    @pytest.mark.parametrize(
+        "states, signals, message",
+        [
+            (("p", "q", "r"), ("w", "x", "y", "z"),
+             "state axis: reduced B and structure carry different state labels"),
+            (("th1", "th2", "th4"), ("w", "x", "y", "z"),
+             "signal axis: reduced B and structure carry different signal labels"),
+        ],
+        ids=["states", "signals"],
+    )
+    def test_embedding_needs_the_reduced_labels(self, states, signals, message):
+        reduction = reduce_dependencies(fixtures.split_state_landscape())
+        found = identify(reduction.reduced)
+        structure = InformationStructure(found.structure.entries, states, signals)
+        prior = Prior(found.prior.unique_prior.entries, states)
+        with pytest.raises(StructuralError) as info:
+            reduction.embed(structure, prior)
+        assert str(info.value) == message
+
 
 class TestGeneralReduction:
     def test_full_rank_is_a_no_op(self):
