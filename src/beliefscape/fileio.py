@@ -277,7 +277,7 @@ def _read_csv_matrix(path: str | Path, digests: dict[str, str]) -> tuple[list, l
     rows = [r for r in csv.reader(io.StringIO(text, newline=None)) if r]  # text mode's newlines
     if len(rows) < 2:
         raise ParseError(f"{path}: expected a header row and at least one data row")
-    col_labels = [c.strip() for c in rows[0][1:]]
+    col_labels = rows[0][1:]
     if not col_labels or any(not c for c in col_labels):
         raise ParseError(f"{path}: header must be a leading blank cell then column labels")
     width, data = len(col_labels) + 1, []
@@ -290,7 +290,7 @@ def _read_csv_matrix(path: str | Path, digests: dict[str, str]) -> tuple[list, l
                 data[-1].append(float(cell))
             except ValueError:
                 raise ParseError(f"{path}: non-numeric cell at row {i}, column {j}") from None
-    return [row[0].strip() for row in rows[1:]], col_labels, data
+    return [row[0] for row in rows[1:]], col_labels, data
 
 
 def _write_csv_matrix(path: Path, row_labels, col_labels, matrix: np.ndarray) -> None:

@@ -735,11 +735,8 @@ def reduce_dependencies(
 
 
 class PartitionResult(NamedTuple):
-    """Partition read off a landscape whose hypothetical matrix is the identity.
-
-    Signals are then generated deterministically: each cell is the support of
-    one belief row; states outside every support carry prior zero.
-    """
+    """Partition read off a landscape whose hypothetical matrix is the identity: deterministic
+    signals, one cell per signal, in signal order; states outside every cell carry prior zero."""
 
     partitional: bool
     cells: tuple[tuple[int, ...], ...]
@@ -749,21 +746,23 @@ class PartitionResult(NamedTuple):
 def detect_partitional(
     landscape: BeliefLandscape, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> PartitionResult:
-    """Identity hypotheticals characterize deterministic (partitional) signals."""
-    q = landscape.Q.entries
-    if np.max(np.abs(q - np.eye(landscape.n_signals))) > tol.tol_match:
+    """Identity hypotheticals characterize deterministic (partitional) signals.
+
+    The cells are the judge's classes (one signal: its unique prior's support), each at the
+    signal whose belief row carries its first state. A landscape the judge rejects, or whose
+    classes are not one disjoint cell per signal (possible near ``tol_entry``), is inconsistent.
+    """
+    if np.max(np.abs(landscape.Q.entries - np.eye(landscape.n_signals))) > tol.tol_match:
         return PartitionResult(partitional=False, cells=(), zero_prior_states=())
-    cells = []
-    seen: set[int] = set()
-    for s in range(landscape.n_signals):
-        support = tuple(int(i) for i in np.where(landscape.B.entries[s] > tol.tol_entry)[0])
-        overlap = seen.intersection(support)
-        if overlap:
-            labels = ", ".join(landscape.state_labels[i] for i in sorted(overlap))
-            raise InconsistentLandscapeError(
-                f"identity hypotheticals with overlapping belief supports ({labels})"
-            )
-        seen.update(support)
-        cells.append(support)
-    zero_prior = tuple(i for i in range(landscape.n_states) if i not in seen)
-    return PartitionResult(partitional=True, cells=tuple(cells), zero_prior_states=zero_prior)
+    judgement = _judge(landscape, tol)
+    if judgement.failed:
+        failed = ", ".join(judgement.failed)
+        raise InconsistentLandscapeError(f"identity hypotheticals the judge rejects (failed: {failed})")
+    prior = judgement.prior
+    cells = prior.classes or (tuple(np.flatnonzero(prior.vectors[0] > tol.tol_entry).tolist()),)
+    covered = np.bincount([i for cell in cells for i in cell], minlength=landscape.n_states)
+    if len(cells) != landscape.n_signals or covered.max() > 1:
+        raise InconsistentLandscapeError("identity hypotheticals, but not one disjoint class per signal")
+    cells = tuple(sorted(cells, key=lambda cell: landscape.B.entries[:, cell[0]].argmax()))
+    zero_prior = tuple(np.flatnonzero(covered == 0).tolist())
+    return PartitionResult(partitional=True, cells=cells, zero_prior_states=zero_prior)

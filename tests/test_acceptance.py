@@ -179,7 +179,7 @@ def test_criterion_1f_partition_fixture(p2, p3):
 
     partition = bs.detect_partitional(land)
     assert partition.partitional
-    assert partition.cells == ((0,), (1, 2), (3,))
+    assert partition.cells == fixtures.COARSE_PARTITION_CELLS
 
     family = bs.identify_underdetermined(land).prior
     assert family.kind == "family"

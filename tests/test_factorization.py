@@ -147,10 +147,21 @@ def cli_svd_inputs(command, landscape, svd_inputs, capsys):
     return loaded, list(svd_inputs)
 
 
-@pytest.mark.parametrize("landscape", [TON, PARTITION], ids=["truth_or_noise", "partition"])
+@pytest.mark.parametrize("landscape", [TON], ids=["truth_or_noise"])
 def test_partition_command_factorizes_nothing(landscape, tmp_path, monkeypatch, svd_inputs, capsys):
+    """Off the identity, partition decides on Q alone."""
     monkeypatch.chdir(tmp_path)
     assert cli_svd_inputs("partition", landscape(), svd_inputs, capsys)[1] == []
+
+
+def test_partition_command_judges_identity_hypotheticals_once(
+    tmp_path, monkeypatch, svd_inputs, capsys
+):
+    """On Q = I, partition reads the judge's classes: one SVD of B, one of A - I."""
+    monkeypatch.chdir(tmp_path)
+    loaded, seen = cli_svd_inputs("partition", PARTITION(), svd_inputs, capsys)
+    expected = [loaded.B.entries, shifted(accuracy(loaded))]
+    assert len(seen) == 2 and [svds_of(seen, m) for m in expected] == [1, 1]
 
 
 @pytest.mark.parametrize("landscape", [TON, SCARCE], ids=["truth_or_noise", "scarce"])

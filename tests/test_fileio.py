@@ -230,6 +230,28 @@ def test_save_load_save_is_byte_identical(case, suffix):
             assert {name: Path(directory, name).read_bytes() for name in first} == first
 
 
+@pytest.mark.parametrize(
+    "states", [["th1", " "], ["th1", "th1 "], [" th1", "th2"]], ids=["blank", "trailing", "leading"]
+)
+def test_csv_labels_are_read_as_written(states, tmp_path):
+    """Labels with blanks at either end load from a CSV pair as the JSON reader loads them."""
+    land = fixtures.symmetric_binary_landscape(5 / 8, 5 / 8)
+    structure = InformationStructure([[0.7, 0.3], [0.2, 0.8]])
+    env = InformationalEnvironment(structure, Prior([0.4, 0.6]))
+    for value, to_doc, from_doc, save, load, stem in (
+        (land, landscape_to_doc, landscape_from_doc, save_landscape, load_landscape, "crowd_B"),
+        (env, environment_to_doc, environment_from_doc, save_environment, load_environment,
+         "crowd_I"),
+    ):
+        value = from_doc({**to_doc(value), "states": states})
+        loaded = []
+        for suffix in (".csv", ".json"):
+            save(value, str(tmp_path / (stem + suffix)))
+            loaded.append(to_doc(load(str(tmp_path / (stem + suffix)))[0]))
+        assert loaded[0]["states"] == states
+        assert dumps_report(loaded[0]) == dumps_report(loaded[1])
+
+
 def test_saved_documents_match_reference():
     land = fixtures.truth_or_noise_landscape(0.3)
     env = fixtures.truth_or_noise_environment(0.3)

@@ -47,7 +47,7 @@ CASES = {
     "sp_unique": ["sp", "ton.json"],
     "sp_family": ["sp", "partition.json"],
     "ridge_lambda": ["ridge", "scarce.json", "--lambda", "1e-6"],
-    "ridge_lp": ["ridge", "scarce4.json"],
+    "ridge_two_null_directions": ["ridge", "scarce4.json"],
     "rationalize": ["rationalize", "a916.json"],
     "reduce": ["reduce", "split.json"],
     "partition": ["partition", "partition.json"],

@@ -9,6 +9,7 @@ from beliefscape import (
     InformationStructure,
     Prior,
     StateBeliefMatrix,
+    consistency_check,
     detect_partitional,
     generate_landscape,
     identify,
@@ -102,7 +103,7 @@ class TestDetectPartitional:
         land = fixtures.coarse_partition_landscape([0.25, 1 / 6, 1 / 3, 0.25])
         result = detect_partitional(land)
         assert result.partitional
-        assert result.cells == ((0,), (1, 2), (3,))
+        assert result.cells == fixtures.COARSE_PARTITION_CELLS
         assert result.zero_prior_states == ()
 
     def test_noisy_signals_are_not_partitional(self):
@@ -133,13 +134,64 @@ class TestDetectPartitional:
         with pytest.raises(InconsistentLandscapeError):
             detect_partitional(land)
 
+    def test_overlap_is_the_judges_reproduction_failure(self):
+        land = BeliefLandscape(
+            StateBeliefMatrix([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),
+            HypotheticalBeliefMatrix(np.eye(2)),
+        )
+        assert consistency_check(land).failed == ("reproduction",)
+        with pytest.raises(InconsistentLandscapeError, match=r"\(failed: reproduction\)"):
+            detect_partitional(land)
+
+    def test_classes_sharing_a_state_are_no_partition(self):
+        # 6e-9 of signal s1's belief sits on th4, a state of s2's cell: the judge accepts
+        # within tol_match, and th4 falls in both classes
+        land = BeliefLandscape(
+            StateBeliefMatrix([[0.3 - 6e-9, 0.7, 0.0, 6e-9], [0.0, 0.0, 0.5, 0.5]]),
+            HypotheticalBeliefMatrix(np.eye(2)),
+        )
+        verdict = consistency_check(land)
+        assert verdict.consistent and verdict.identification.prior.classes == ((0, 1, 3), (2, 3))
+        with pytest.raises(InconsistentLandscapeError, match="not one disjoint class per signal"):
+            detect_partitional(land)
+
+    def test_cells_are_the_generating_partition(self):
+        """Seeded partitions with zero-prior states and signals out of state order: the
+        cells, in signal order, and the zero-prior states are the generator's."""
+        rng = np.random.default_rng(1)
+        for _ in range(400):
+            n_states = int(rng.integers(2, 9))
+            order = rng.permutation(n_states)
+            n_zero = int(rng.integers(0, n_states - 1))  # at least two states keep a prior
+            zero, kept = tuple(sorted(order[:n_zero].tolist())), order[n_zero:]
+            n_cells = int(rng.integers(2, kept.size + 1))
+            cuts = np.sort(rng.choice(np.arange(1, kept.size), n_cells - 1, replace=False))
+            cells = sorted(tuple(sorted(cell.tolist())) for cell in np.split(kept, cuts))
+            if rng.random() < 0.5:
+                cells.reverse()
+            else:
+                cells = [cells[i] for i in rng.permutation(n_cells)]
+            structure = np.zeros((n_states, n_cells))
+            for s, cell in enumerate(cells):
+                structure[list(cell), s] = 1.0
+            structure[list(zero), 0] = 1.0  # never seen: no belief row carries these states
+            prior = rng.dirichlet(np.ones(n_states))
+            prior[list(zero)] = 0.0
+            prior = Prior(prior / prior.sum())
+            land = generate_landscape(InformationalEnvironment(InformationStructure(structure), prior))
+            assert consistency_check(land).consistent
+            result = detect_partitional(land)
+            assert (result.partitional, result.cells, result.zero_prior_states) == (
+                True, tuple(cells), zero
+            )
+
     def test_generated_partition_round_trip(self):
         land = generate_landscape(
             fixtures.coarse_partition_environment([0.1, 0.2, 0.3, 0.4])
         )
         result = detect_partitional(land)
         assert result.partitional
-        assert result.cells == ((0,), (1, 2), (3,))
+        assert result.cells == fixtures.COARSE_PARTITION_CELLS
         # a non-deterministic environment never produces identity hypotheticals
         rng = np.random.default_rng(9)
         noisy = generate_landscape(sample_environment(rng, 3, 4))
