@@ -181,7 +181,7 @@ def _prior_payload(prior: PriorFamily) -> dict:
         return {
             "kind": "unique",
             "states": list(prior.state_labels),
-            "values": prior.unique_prior.entries,
+            "values": prior.vectors[0],
         }
     return {
         "kind": "family",
@@ -392,7 +392,7 @@ def _cmd_rationalize(ns, tol, inputs):
         "states": list(landscape.state_labels),
         "signals": list(landscape.signal_labels),
         "structure": rat.structure.entries,
-        "type_priors": [p.entries for p in rat.type_priors],
+        "type_priors": rat.priors,
         "belief_residuals": rat.belief_residuals,
         "hypothetical_residuals": rat.hypothetical_residuals,
     }

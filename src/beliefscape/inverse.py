@@ -530,16 +530,22 @@ def infer_state(
 
 
 class NonCommonPriorRationalization(NamedTuple):
-    """One prior per belief type that reproduces that type's rows exactly.
+    """One prior per belief type that reproduces that type's rows exactly: row ``s`` of
+    ``priors`` (signals x states, read-only) is type ``s``'s prior.
 
     Every plausible landscape whose regression output is a valid structure
     can be rationalized this way even when no single common prior works.
     """
 
     structure: InformationStructure
-    type_priors: tuple[Prior, ...]
+    priors: np.ndarray
     belief_residuals: tuple[float, ...]
     hypothetical_residuals: tuple[float, ...]
+
+    @property
+    def type_priors(self) -> tuple[Prior, ...]:
+        """The rows of ``priors`` as labelled :class:`Prior` values, built on each read."""
+        return tuple(Prior(p, state_labels=self.structure.state_labels) for p in self.priors)
 
 
 def rationalize_noncommon(
@@ -548,7 +554,8 @@ def rationalize_noncommon(
     """Per-type priors under the regression structure.
 
     For each belief type, the prior is proportional to belief / structure
-    entry by entry; it exists whenever the structure supports the beliefs.
+    entry by entry; it exists whenever the structure supports the beliefs and
+    the type puts positive belief on some state the structure supports.
     """
     partial = identify_structure(landscape.B, landscape.Q, tol)
     weights = partial.structure.entries.T  # signals x states, aligned with the beliefs
@@ -563,13 +570,20 @@ def rationalize_noncommon(
             f" is {b[s, theta]:.6g}"
         )
     ratios = np.divide(np.maximum(b, 0.0), weights, out=np.zeros_like(b), where=supported)
-    priors = ratios / ratios.sum(axis=1, keepdims=True)
+    mass = ratios.sum(axis=1, keepdims=True)
+    if not (mass > 0.0).all():
+        s = int(np.argmin(mass[:, 0] > 0.0))  # first massless type
+        raise StructuralError(
+            f"belief type {landscape.signal_labels[s]} has no positive belief"
+            " on a state the structure supports"
+        )
+    priors = _array(ratios / mass, "prior", 2)
     reproduced_b = priors * weights
     reproduced_b = reproduced_b / reproduced_b.sum(axis=1, keepdims=True)
     reproduced_q = b @ partial.structure.entries
     return NonCommonPriorRationalization(
         structure=partial.structure,
-        type_priors=tuple(Prior(p, state_labels=landscape.state_labels) for p in priors),
+        priors=priors,
         belief_residuals=tuple(np.max(np.abs(reproduced_b - b), axis=1).tolist()),
         hypothetical_residuals=tuple(
             np.max(np.abs(reproduced_q - landscape.Q.entries), axis=1).tolist()

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from beliefscape import BeliefLandscape, HypotheticalBeliefMatrix, StateBeliefMatrix
+from beliefscape import (
+    BeliefLandscape,
+    HypotheticalBeliefMatrix,
+    StateBeliefMatrix,
+    generate_landscape,
+    sample_environment,
+)
 
 
 def interior_simplex(rng: np.random.Generator, n: int, min_mass: float = 0.02) -> np.ndarray:
@@ -31,6 +37,15 @@ def random_plausible_landscape(
     b = random_beliefs(rng, n_signals, n_states)
     q = random_stochastic(rng, n_signals, n_signals)
     return BeliefLandscape(b, HypotheticalBeliefMatrix(q))
+
+
+def zero_belief_row_landscape() -> BeliefLandscape:
+    """A generated 4-signal, 2-state landscape with belief type s2's row set to zeros:
+    s2 has no positive belief anywhere, which only skipping validation lets through."""
+    land = generate_landscape(sample_environment(np.random.default_rng(0), 2, 4))
+    b = land.B.entries.copy()
+    b[1] = 0.0
+    return BeliefLandscape(StateBeliefMatrix(b, land.state_labels, land.signal_labels), land.Q)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

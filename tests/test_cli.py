@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from beliefscape.fileio import (
     save_environment,
     save_landscape,
 )
+from conftest import zero_belief_row_landscape
 from test_identify import no_eigenvalue_one_landscape, sparse_landscapes
 
 
@@ -390,6 +392,22 @@ class TestMoreCommands:
         doc = json.loads(out)
         np.testing.assert_allclose(
             doc["result"]["type_priors"], [[5 / 14, 9 / 14], [9 / 14, 5 / 14]], atol=1e-9
+        )
+
+    def test_rationalize_zero_mass_type_is_one_error_line(self, workdir, capsys):
+        # Without validation a zero belief row reaches the per-type division: one
+        # structural error naming the type, whatever the warning filters say.
+        path = workdir / "zero.json"
+        save_landscape(zero_belief_row_landscape(), str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["rationalize", "--no-validate", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "beliefscape: error: belief type s2 has no positive belief"
+            " on a state the structure supports\n"
         )
 
     def test_reduce_command(self, workdir, capsys):

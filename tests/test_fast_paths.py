@@ -53,6 +53,7 @@ from beliefscape import (
     generate_landscape,
     identify,
     identify_underdetermined,
+    rationalize_noncommon,
     reduce_dependencies,
     regression_operator,
     sample_environment,
@@ -503,6 +504,23 @@ def test_the_judge_reads_the_rank_of_b_once(landscape, route, monkeypatch):
     monkeypatch.setattr(linalg._SVD, "rank", lambda svd, tol: calls.append(tol) or rank(svd, tol))
     assert inverse._judge(landscape, TOL).route == route
     assert calls == [TOL]
+
+
+@pytest.mark.parametrize("n_signals", [3, 5, 8])
+def test_rationalization_builds_one_labelled_value(n_signals, monkeypatch):
+    # The structure is the one labelled value; the per-type priors stay one array.
+    env = sample_environment(np.random.default_rng(n_signals), 3, n_signals)
+    landscape = generate_landscape(env)
+    calls = []
+    freeze = core._freeze_labelled
+
+    def counting(value, *args, **kwargs):
+        calls.append(type(value).__name__)
+        return freeze(value, *args, **kwargs)
+
+    monkeypatch.setattr(core, "_freeze_labelled", counting)
+    rationalize_noncommon(landscape)
+    assert calls == ["InformationStructure"]
 
 
 def test_a_two_block_structure_is_a_family_on_both_routes():

@@ -34,7 +34,7 @@ from beliefscape import (
 from beliefscape import fixtures, inverse, linalg
 from beliefscape.fileio import dumps_report, landscape_from_doc, landscape_to_doc
 
-from conftest import random_beliefs, random_stochastic
+from conftest import random_beliefs, random_stochastic, zero_belief_row_landscape
 
 
 def test_identify_names_only_the_function():
@@ -602,6 +602,20 @@ class TestRationalization:
             rat = rationalize_noncommon(land)
             assert max(rat.belief_residuals) <= 1e-8
             assert max(rat.hypothetical_residuals) <= 1e-8
+            # a common-prior landscape's every type holds the generator's prior
+            np.testing.assert_allclose(
+                rat.priors, np.tile(env.prior.entries, (land.B.n_signals, 1)), rtol=0, atol=1e-8
+            )
+
+    def test_zero_mass_type_is_one_structural_error(self):
+        # 0/0 would give a nan row; under an error filter it would raise RuntimeWarning instead.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(
+                StructuralError,
+                match="^belief type s2 has no positive belief on a state the structure supports$",
+            ):
+                rationalize_noncommon(zero_belief_row_landscape())
 
     def test_planted_structure_rows_reproduced(self):
         # Hypotheticals built from an arbitrary stochastic matrix over the
@@ -625,10 +639,15 @@ class TestRationalization:
             planted = random_stochastic(rng, 4, 6)
             land = BeliefLandscape(beliefs, HypotheticalBeliefMatrix(beliefs.entries @ planted))
             rat = rationalize_noncommon(land)
+            # one read-only array; type_priors labels its rows when read
+            assert rat.priors.shape == (6, 4) and not rat.priors.flags.writeable
+            assert len(rat.type_priors) == 6
             b, structure = beliefs.entries, rat.structure.entries
             for s, prior in enumerate(rat.type_priors):
+                assert prior.state_labels == land.state_labels
+                np.testing.assert_array_equal(prior.entries, rat.priors[s])
                 ratios = np.array([b[s, t] / structure[t, s] for t in range(4)])
-                np.testing.assert_allclose(prior.entries, ratios / ratios.sum(), rtol=1e-14)
+                np.testing.assert_allclose(rat.priors[s], ratios / ratios.sum(), rtol=1e-14)
                 reproduced = prior.entries * structure[:, s]
                 assert rat.belief_residuals[s] == pytest.approx(
                     np.max(np.abs(reproduced / reproduced.sum() - b[s])), abs=1e-15

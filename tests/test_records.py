@@ -74,7 +74,7 @@ FIELDS = {
     "StateInference": ("state_index", "ambiguous", "gaps"),
     "NonCommonPriorRationalization": (
         "structure",
-        "type_priors",
+        "priors",
         "belief_residuals",
         "hypothetical_residuals",
     ),
